@@ -121,7 +121,7 @@ class CpMap:
         target: MultiMatrixAlgebra,
         ops: Dict[Tuple[int, int], Sequence[np.ndarray]],
     ) -> "CpMap":
-        """Build the Choi family from per-(source i, target j) Kraus lists."""
+        """Choi family from per-(source i, target j) Kraus lists: one V V† per block."""
         blocks = [
             [np.zeros((target.dims[j] * source.dims[i],) * 2, dtype=complex)
              for i in range(len(source))]
@@ -129,15 +129,16 @@ class CpMap:
         ]
         for (i, j), kraus_list in ops.items():
             dk, dh = target.dims[j], source.dims[i]
-            for k in kraus_list:
-                k = np.asarray(k, dtype=complex)
+            ks = [np.asarray(k, dtype=complex) for k in kraus_list]
+            for k in ks:
                 if k.shape != (dk, dh):
                     raise ShapeMismatchError(
                         f"Kraus operator for ({i},{j}) has shape {k.shape}, "
                         f"expected ({dk},{dh})"
                     )
-                v = vec(k)
-                blocks[j][i] += np.outer(v, v.conj())
+            if ks:
+                v = np.stack([vec(k) for k in ks], axis=1)
+                blocks[j][i] = v @ dag(v)
         return cls(source, target, blocks)
 
 
@@ -171,14 +172,7 @@ def choi_from_action(
           for i in range(len(source))]
          for j in range(len(target))],
     )
-    if require_cp:
-        witness = is_cp(m, tol)
-        if not witness:
-            raise NotCompletelyPositiveError(
-                f"Choi block {witness.block!r} not PSD "
-                f"(min eigenvalue {witness.min_eigenvalue:.3g})"
-            )
-    return m
+    return require_cp_map(m, tol) if require_cp else m
 
 
 def identity_cpmap(a: MultiMatrixAlgebra) -> CpMap:
@@ -262,6 +256,16 @@ def is_cp(m: CpMap, tol: float = DEFAULT_TOL) -> PositivityWitness:
     return PositivityWitness(True, None, worst, 0.0)
 
 
+def require_cp_map(m: CpMap, tol: float = DEFAULT_TOL, what: str = "Choi block") -> CpMap:
+    """Return m, or raise NotCompletelyPositiveError naming a non-PSD block."""
+    witness = is_cp(m, tol)
+    if not witness:
+        raise NotCompletelyPositiveError(
+            f"{what} {witness.block!r} not PSD (min eigenvalue {witness.min_eigenvalue:.3g})"
+        )
+    return m
+
+
 def is_unital(m: CpMap, tol: float = DEFAULT_TOL) -> bool:
     return apply(m, m.source.identity()).allclose(m.target.identity(), tol)
 
@@ -308,12 +312,9 @@ class KrausDecomposition:
         return len(self.ops.get((i, j), ()))
 
     def gram(self, i: int, j: int) -> np.ndarray:
-        ks = self.ops.get((i, j), ())
-        g = np.zeros((len(ks), len(ks)), dtype=complex)
-        for a, ka in enumerate(ks):
-            for b, kb in enumerate(ks):
-                g[a, b] = np.trace(dag(ka) @ kb)
-        return g
+        """G[a, b] = Tr(K_a† K_b) over the (i, j) list."""
+        v = np.array([vec(k) for k in self.ops.get((i, j), ())], dtype=complex)
+        return v.conj() @ v.T if v.size else np.zeros((len(v), len(v)), dtype=complex)
 
     def min_gram_eig(self) -> float:
         """Smallest Gram eigenvalue across nonempty lists (inf if all empty)."""
@@ -421,13 +422,11 @@ def dilation_from_kraus(m: CpMap, kd: KrausDecomposition) -> StinespringDilation
     for i, dh in enumerate(m.source.dims):
         segments = []
         for j, dk in enumerate(m.target.dims):
-            r = env_dims[(i, j)]
-            seg = np.zeros((dk * r, dh), dtype=complex)
-            for alpha, k in enumerate(kd.ops[(i, j)]):
-                e = np.zeros((r, 1), dtype=complex)
-                e[alpha, 0] = 1.0
-                seg += np.kron(k, e)
-            segments.append(seg)
+            ks = kd.ops[(i, j)]
+            if ks:
+                # row (x, alpha) of the segment is row x of K_alpha
+                seg = np.stack(ks, axis=1).reshape(dk * len(ks), dh)
+                segments.append(seg.astype(complex, copy=False))
         isoms.append(np.vstack(segments) if segments else np.zeros((0, dh), dtype=complex))
     return StinespringDilation(m, kd, env_dims, tuple(isoms))
 
@@ -506,12 +505,23 @@ def hs_dual(m: CpMap) -> CpMap:
 
 
 def compose(g: CpMap, f: CpMap) -> CpMap:
-    """g after f, with the Choi family recomputed from the composite action."""
+    """g after f, contracted at the Choi level (the link product):
+
+        C_{g o f}[l, i] = sum_j  sum_{r,s} C_g[l, j][o, r, O, s] C_f[j, i][r, a, s, b].
+    """
     if f.target != g.source:
         raise AlgebraMismatchError("compose: target of f must equal source of g")
-    return choi_from_action(
-        lambda x: apply(g, apply(f, x)), f.source, g.target, require_cp=False
-    )
+    blocks = []
+    for l, dl in enumerate(g.target.dims):
+        row = []
+        for i, dh in enumerate(f.source.dims):
+            acc = np.zeros((dl, dh, dl, dh), dtype=complex)
+            for j in range(len(f.target)):
+                # no optimize=: the BLAS paths copy the (possibly huge) g block
+                acc += np.einsum("orOs,rasb->oaOb", g.choi4(l, j), f.choi4(j, i))
+            row.append(acc.reshape(dl * dh, dl * dh))
+        blocks.append(row)
+    return CpMap(f.source, g.target, blocks)
 
 
 def _pair_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> MultiMatrixAlgebra:

@@ -15,9 +15,12 @@ map N.  Both sides are dilated with the environment on the source side
 minimal Kraus family, is minimal, so a least-squares solve recovers the
 unique environment isometry W with ``(Id (x) W) V_right = V_left``.  E is
 assembled from N's Kraus operators embedded into the padded memory P, and G
-from W restricted to each embedded environment, with a trace-preserving
-completion on the orthogonal complements (the completion is annihilated by
-the embedding, so any policy yields the same circuit).
+from W restricted to each embedded environment, sending the orthogonal
+complement of each embedded environment to a fixed pure state so that G is
+trace preserving.
+
+The supermap a circuit presents is one Choi-level contraction (link product)
+of E's and G's blocks per pair of Hom blocks; the certificate diffs it.
 
 Index bookkeeping is fixed once and for all: Choi factors are ordered
 (target, source), the memory factor P comes first in ``B(P (x) H)`` blocks,
@@ -33,7 +36,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ._linalg import basis_column, dag, frob, swap_matrix
-from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra
+from .algebra import DEFAULT_TOL, MultiMatrixAlgebra
 from .cpmaps import (
     Channel,
     CpMap,
@@ -41,14 +44,16 @@ from .cpmaps import (
     StinespringDilation,
     apply,
     as_channel,
-    choi_from_action,
     compose,
     copy_channel,
     dilation_from_kraus,
     environment_intertwiner,
+    identity_cpmap,
     is_unital,
     kraus_from_choi,
     minimal_stinespring,
+    require_cp_map,
+    tensor,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -272,7 +277,6 @@ def assemble_g(
     source_hom: HomAlgebra,
     target_hom: HomAlgebra,
     s_env_dims: Dict[Tuple[int, int], int],
-    completion: str = "pure-state",
     tol: float = VERIFY_TOL,
 ) -> Channel:
     """The post-processing channel G: (+)_{(i,j,k)} B(P (x) H_out_j) -> D.
@@ -280,15 +284,13 @@ def assemble_g(
     On the embedded environment of each (i, k), G routes through the
     entrywise conjugate of the solved W block (the dual-wire reshuffle),
     tracing out the auxiliary supermap environment.  On the orthogonal
-    complement it applies the completion policy; the embedding annihilates
-    that summand, so the policy never affects the realised circuit.
+    complement it prepares the first basis state of the first D block; the
+    embedding annihilates that summand, so it never affects the circuit.
     """
     if w.isometry_defect > 10 * tol:
         raise IsometryDefectError(
             f"W isometry defect {w.isometry_defect:.3e} exceeds {10 * tol:.1e}"
         )
-    if completion not in ("pure-state", "maximally-mixed"):
-        raise ValueError(f"unknown completion policy {completion!r}")
     a_alg = source_hom.in_algebra
     b_alg = source_hom.out_algebra
     c_alg = target_hom.in_algebra
@@ -319,19 +321,9 @@ def assemble_g(
                 perp = pad.complement(i, k)
                 if perp.shape[1] > 0:
                     phi = np.kron(perp, np.eye(dj, dtype=complex))
-                    d0 = d_alg.dims[0]
-                    if completion == "pure-state":
-                        chi = basis_column(d0, 0)
-                        for col in range(phi.shape[1]):
-                            ops[(src, 0)].append(chi @ phi[:, col : col + 1].conj().T)
-                    else:
-                        for col in range(phi.shape[1]):
-                            for m_idx in range(d0):
-                                ops[(src, 0)].append(
-                                    basis_column(d0, m_idx)
-                                    @ phi[:, col : col + 1].conj().T
-                                    / np.sqrt(d0)
-                                )
+                    chi = basis_column(d_alg.dims[0], 0)
+                    for col in range(phi.shape[1]):
+                        ops[(src, 0)].append(chi @ phi[:, col : col + 1].conj().T)
     m = CpMap.from_kraus(source, d_alg, ops)
     return Channel(source, d_alg, m.choi_blocks, tol=max(tol, 1e-8))
 
@@ -364,13 +356,18 @@ class CircuitRealisation:
         )
 
 
-def realize(s: Supermap, tol: float = VERIFY_TOL, completion: str = "pure-state") -> CircuitRealisation:
+def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     """Build the circuit (E, G, P) realising a verified deterministic supermap.
 
     Orchestrates: induced map N -> minimal dilation -> the two dilations of
     the marginal map -> environment isometry W -> padding -> channel
     assembly.  The realised memory dimension always respects the bound
     max_{i,k} dim(H_in_i) * dim(K_in_k).
+
+    Only the right dilation (from N) must be minimal.  S's Kraus family, and
+    so the left dilation, keeps every positive eigenvalue of S's Choi
+    blocks: a small true eigenvalue dropped by a relative cutoff would be
+    divided by N's smallest Gram eigenvalue in the W solve.
     """
     if not s.deterministic:
         raise VerificationRequiredError(
@@ -380,7 +377,7 @@ def realize(s: Supermap, tol: float = VERIFY_TOL, completion: str = "pure-state"
 
     n = extract_n(s)
     n_dil = minimal_stinespring(n)
-    s_kd = kraus_from_choi(s.inner)
+    s_kd = kraus_from_choi(s.inner, rank_tol=0.0)
     v_left = left_dilation(s, s_kraus=s_kd)
     v_right = _right_dilation(n_dil, s.source_hom)
     w = solve_w(v_right, v_left, tol)
@@ -395,7 +392,7 @@ def realize(s: Supermap, tol: float = VERIFY_TOL, completion: str = "pure-state"
     pad = pad_environment(env_dims, bounds)
     e = assemble_e(n_dil, pad, tol=tol)
     s_env_dims = {key: len(ops) for key, ops in s_kd.ops.items()}
-    g = assemble_g(w, pad, s.source_hom, s.target_hom, s_env_dims, completion, tol)
+    g = assemble_g(w, pad, s.source_hom, s.target_hom, s_env_dims, tol)
     bound = max(bounds.values())
     if pad.p_dim > bound:
         raise BoundViolatedError(f"p_dim {pad.p_dim} exceeds bound {bound}")
@@ -417,7 +414,7 @@ def realize(s: Supermap, tol: float = VERIFY_TOL, completion: str = "pure-state"
 # -- circuit evaluation --------------------------------------------------------
 
 
-def circuit_choi_action(
+def _circuit_choi(
     e: CpMap,
     g: CpMap,
     p_dim: int,
@@ -425,37 +422,30 @@ def circuit_choi_action(
     b: MultiMatrixAlgebra,
     c: MultiMatrixAlgebra,
     d: MultiMatrixAlgebra,
-    x: BlockOperator,
-) -> BlockOperator:
-    """Linear action of the circuit on an arbitrary Hom(A, B) element.
+) -> CpMap:
+    """Choi family Hom(A, B) -> Hom(C, D) of the circuit E -> slot -> G.
 
-    Contracts the Choi families of E and G against the slotted element at
-    the tensor level, so the input need not be positive; on the Choi
-    operator of a channel this agrees with evaluating the circuit.
+    The link product over the memory P: block ((l, k), (j, i)) contracts E's
+    block (i, k) with G's block (l, (i, j, k)).  No positivity check.
     """
     hom_ab = hom_algebra(a, b)
     hom_cd = hom_algebra(c, d)
-    if x.algebra != hom_ab.base:
-        raise AlgebraMismatchError("element must live in Hom(A, B)")
     nb, nc = len(b), len(c)
-    out = [
-        [np.zeros((d.dims[l] * c.dims[k],) * 2, dtype=complex) for k in range(nc)]
-        for l in range(len(d))
-    ]
-    for k, dk in enumerate(c.dims):
-        for i, dhi in enumerate(a.dims):
+    blocks = []
+    for l, k in hom_cd.pairs:
+        dl, dk = d.dims[l], c.dims[k]
+        row = []
+        for j, i in hom_ab.pairs:
+            dhj, dhi = b.dims[j], a.dims[i]
             e6 = e.choi(i, k).reshape(p_dim, dhi, dk, p_dim, dhi, dk)
-            for j, dhj in enumerate(b.dims):
-                x4 = x.block(hom_ab.block_index(j, i)).reshape(dhj, dhi, dhj, dhi)
-                mid6 = np.einsum("paqPbQ,cadb->pcqPdQ", e6, x4)
-                gsrc = _g_source_index(i, j, k, nb, nc)
-                for l, dl in enumerate(d.dims):
-                    g6 = g.choi(l, gsrc).reshape(dl, p_dim, dhj, dl, p_dim, dhj)
-                    out[l][k] += np.einsum("opcOPC,pcqPCQ->oqOQ", g6, mid6).reshape(
-                        dl * dk, dl * dk
-                    )
-    mats = [out[l][k] for l in range(len(d)) for k in range(nc)]
-    return BlockOperator(hom_cd.base, mats)
+            g6 = g.choi(l, _g_source_index(i, j, k, nb, nc)).reshape(
+                dl, p_dim, dhj, dl, p_dim, dhj
+            )
+            s8 = np.einsum("paqPbQ,opcOPd->oqcaOQdb", e6, g6, optimize=True)
+            n = dl * dk * dhj * dhi
+            row.append(s8.reshape(n, n))
+        blocks.append(row)
+    return CpMap(hom_ab.base, hom_cd.base, blocks)
 
 
 def circuit_supermap(
@@ -468,17 +458,24 @@ def circuit_supermap(
     d: MultiMatrixAlgebra,
     tol: float = DEFAULT_TOL,
 ) -> Supermap:
-    """The supermap presented by a circuit with plugged channels E and G."""
-    hom_ab = hom_algebra(a, b)
-    hom_cd = hom_algebra(c, d)
-    inner = choi_from_action(
-        lambda u: circuit_choi_action(e, g, p_dim, a, b, c, d, u),
-        hom_ab.base,
-        hom_cd.base,
-        tol=max(tol, 1e-8),
-        require_cp=True,
-    )
-    return Supermap(inner, hom_ab, hom_cd, validate=False)
+    """The supermap presented by a circuit with plugged channels E and G.
+
+    Raises NotCompletelyPositiveError when its Choi family is not PSD.
+    """
+    inner = require_cp_map(_circuit_choi(e, g, p_dim, a, b, c, d), max(tol, 1e-8))
+    return Supermap(inner, hom_algebra(a, b), hom_algebra(c, d), validate=False)
+
+
+def _lift(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, block) -> CpMap:
+    """The CpMap whose Choi block (t, s) is block(t, s), or zero where that is None."""
+    rows = []
+    for t, dt in enumerate(target.dims):
+        row = []
+        for s, ds in enumerate(source.dims):
+            c = block(t, s)
+            row.append(np.zeros((dt * ds,) * 2, dtype=complex) if c is None else c)
+        rows.append(row)
+    return CpMap(source, target, rows)
 
 
 def evaluate_circuit(r: CircuitRealisation, f: Channel, tol: float = 1e-7) -> Channel:
@@ -492,53 +489,27 @@ def evaluate_circuit(r: CircuitRealisation, f: Channel, tol: float = 1e-7) -> Ch
         raise AlgebraMismatchError("plugged channel type must match the realisation")
     p = r.p_dim
     na, nb, nc = len(r.a), len(r.b), len(r.c)
+    copies = [(k, i) for k in range(nc) for i in range(na)]  # blocks of m1
+    slots = [(k, i, j) for k, i in copies for j in range(nb)]  # blocks of m2
+    m1 = MultiMatrixAlgebra(tuple(
+        ((r.c.labels[k], r.a.labels[i]), p * r.a.dims[i]) for k, i in copies
+    ))
+    m2 = MultiMatrixAlgebra(tuple(
+        ((r.c.labels[k], r.a.labels[i], r.b.labels[j]), p * r.b.dims[j]) for k, i, j in slots
+    ))
     stage1 = copy_channel(r.c)
-    m1 = MultiMatrixAlgebra(
-        tuple(
-            ((lk, li), p * r.a.dims[i])
-            for k, (lk, _) in enumerate(r.c.blocks)
-            for i, (li, _) in enumerate(r.a.blocks)
-        )
-    )
-    blocks2 = []
-    for k in range(nc):
-        for i in range(na):
-            row = []
-            for kp, dkp in enumerate(r.c.dims):
-                if kp == k:
-                    row.append(r.e_channel.choi(i, k))
-                else:
-                    row.append(np.zeros((p * r.a.dims[i] * dkp,) * 2, dtype=complex))
-            blocks2.append(row)
-    stage2 = CpMap(stage1.target, m1, blocks2)
-    m2 = MultiMatrixAlgebra(
-        tuple(
-            ((lk, li, lj), p * r.b.dims[j])
-            for k, (lk, _) in enumerate(r.c.blocks)
-            for i, (li, _) in enumerate(r.a.blocks)
-            for j, (lj, _) in enumerate(r.b.blocks)
-        )
-    )
-    f_kd = kraus_from_choi(f)
-    ops3: Dict[Tuple[int, int], list] = {}
-    for k in range(nc):
-        for i in range(na):
-            src = k * na + i
-            for j in range(nb):
-                tgt = (k * na + i) * nb + j
-                ops3[(src, tgt)] = [
-                    np.kron(np.eye(p, dtype=complex), kf) for kf in f_kd.ops[(i, j)]
-                ]
-    stage3 = CpMap.from_kraus(m1, m2, ops3)
-    blocks4 = []
-    for l in range(len(r.d)):
-        row = []
-        for k in range(nc):
-            for i in range(na):
-                for j in range(nb):
-                    row.append(r.g_channel.choi(l, _g_source_index(i, j, k, nb, nc)))
-        blocks4.append(row)
-    stage4 = CpMap(m2, r.d, blocks4)
+    stage2 = _lift(stage1.target, m1, lambda t, k: (
+        r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
+    ))
+    # f (x) Id_P on every classical copy (k, i), memory factor first
+    f_p = tensor(identity_cpmap(MultiMatrixAlgebra.single(p)), f)
+    stage3 = _lift(m1, m2, lambda t, s: (
+        f_p.choi(slots[t][2], copies[s][1]) if slots[t][:2] == copies[s] else None
+    ))
+    del f_p  # a large operand at q4 and above; stage3 holds its own copy
+    stage4 = _lift(m2, r.d, lambda l, t: r.g_channel.choi(
+        l, _g_source_index(slots[t][1], slots[t][2], slots[t][0], nb, nc)
+    ))
     out = compose(stage4, compose(stage3, compose(stage2, stage1)))
     return as_channel(out, tol=tol)
 
@@ -579,13 +550,17 @@ def check_realisation(
         raise ValueError("trials must be >= 0")
     hom_ab = s.source_hom
     hom_cd = s.target_hom
+    circuit = _circuit_choi(r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
+    if circuit.source != s.inner.source or circuit.target != s.inner.target:
+        raise AlgebraMismatchError("realisation and supermap act on different algebras")
+    # Choi column (t_ab, u, v) is the image of one matrix unit, spread over t_cd
     spanning = 0.0
-    for _, _, _, unit in hom_ab.base.matrix_units():
-        lhs = circuit_choi_action(
-            r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d, unit
+    for t_ab in range(len(hom_ab.base)):
+        unit_sq = sum(
+            (np.abs(circuit.choi4(t_cd, t_ab) - s.inner.choi4(t_cd, t_ab)) ** 2).sum(axis=(0, 2))
+            for t_cd in range(len(hom_cd.base))
         )
-        rhs = apply(s.inner, unit)
-        spanning = max(spanning, (lhs - rhs).norm())
+        spanning = max(spanning, float(np.sqrt(unit_sq.max())))
     trial_dev = 0.0
     if trials > 0:
         from . import gen

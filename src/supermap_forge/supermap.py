@@ -21,6 +21,13 @@ where ``N(x) = Tr_out S(section(x))`` with the uniform section
 ``section(x) = (Id (x) x) / dim(B)``.  These three conditions hold exactly
 when the supermap sends trace-preserving Choi operators to trace-preserving
 Choi operators.
+
+Kernel containment is the factorisation ``Phi = N o Tr_out`` of the marginal
+map ``Phi = Tr_out o S``, checked on Choi blocks: every block of Phi must
+equal ``Id_B (x) N``.  The reported ``kernel_residual`` is the Frobenius
+distance ``||Phi - Id_B (x) N||`` over all blocks, which is the
+Hilbert-Schmidt norm of Phi restricted to ``ker Tr_out``; it is at least the
+largest ``||Tr_out S(b)||`` over any orthonormal basis b of that kernel.
 """
 
 from dataclasses import dataclass
@@ -28,10 +35,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._linalg import hermitian_basis
+from ._linalg import frob, hermitian_basis
 from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, hs_inner
-from .cpmaps import CpMap, apply, choi_from_action, identity_cpmap, is_cp
-from .errors import AlgebraMismatchError, NotCompletelyPositiveError, ShapeMismatchError
+from .cpmaps import (
+    CpMap, apply, identity_cpmap, is_cp, require_cp_map, trace_out_target_group,
+)
+from .errors import AlgebraMismatchError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -99,16 +108,6 @@ def partial_trace_out(c: BlockOperator, hom: HomAlgebra) -> BlockOperator:
         dj, di = hom.out_algebra.dims[j], hom.in_algebra.dims[i]
         mats[i] += np.einsum("xaxb->ab", c.block(t).reshape(dj, di, dj, di))
     return BlockOperator(hom.in_algebra, mats)
-
-
-def partial_trace_in(c: BlockOperator, hom: HomAlgebra) -> BlockOperator:
-    if c.algebra != hom.base:
-        raise AlgebraMismatchError("element does not live in the Hom-algebra")
-    mats = [np.zeros((d, d), dtype=complex) for d in hom.out_algebra.dims]
-    for t, (j, i) in enumerate(hom.pairs):
-        dj, di = hom.out_algebra.dims[j], hom.in_algebra.dims[i]
-        mats[j] += np.einsum("axbx->ab", c.block(t).reshape(dj, di, dj, di))
-    return BlockOperator(hom.out_algebra, mats)
 
 
 def tp_residual(c: BlockOperator, hom: HomAlgebra) -> float:
@@ -188,12 +187,7 @@ class Supermap:
         if inner.source != source_hom.base or inner.target != target_hom.base:
             raise AlgebraMismatchError("inner map does not match the Hom-algebras")
         if validate:
-            witness = is_cp(inner, tol)
-            if not witness:
-                raise NotCompletelyPositiveError(
-                    f"supermap Choi block {witness.block!r} not PSD "
-                    f"(min eigenvalue {witness.min_eigenvalue:.3g})"
-                )
+            require_cp_map(inner, tol, what="supermap Choi block")
         self.inner = inner
         self.source_hom = source_hom
         self.target_hom = target_hom
@@ -230,20 +224,37 @@ def extract_n(s: Supermap, tol: float = DEFAULT_TOL, require_cp: bool = True) ->
 
     For a deterministic supermap N is unital and CP, and
     Tr_out[S(c)] = N(Tr_out[c]) for every Hom element c.
+
+    Read off the Choi blocks of S directly: N's block (k, i) is
+    (1/dim B) sum over (l, j) of S's block ((l, k), (j, i)) traced over both
+    out factors, D_l and B_j.  Raises NotCompletelyPositiveError when
+    require_cp is set and N fails the PSD check.
     """
-    src = s.source_hom.in_algebra
-    tgt = s.target_hom.in_algebra
-
-    def action(x: BlockOperator) -> BlockOperator:
-        return partial_trace_out(
-            apply(s.inner, tp_section(x, s.source_hom)), s.target_hom
-        )
-
-    return choi_from_action(action, src, tgt, tol=tol, require_cp=require_cp)
+    src_hom, tgt_hom = s.source_hom, s.target_hom
+    src, tgt = src_hom.in_algebra, tgt_hom.in_algebra
+    blocks = [[np.zeros((dk, di, dk, di), dtype=complex) for di in src.dims]
+              for dk in tgt.dims]
+    for t_cd, (l, k) in enumerate(tgt_hom.pairs):
+        dl, dk = tgt_hom.out_algebra.dims[l], tgt.dims[k]
+        for t_ab, (j, i) in enumerate(src_hom.pairs):
+            dj, di = src_hom.out_algebra.dims[j], src.dims[i]
+            s8 = s.inner.choi(t_cd, t_ab).reshape(dl, dk, dj, di, dl, dk, dj, di)
+            blocks[k][i] += np.einsum("oqcaoQcb->qaQb", s8)
+    scale = 1.0 / src_hom.out_algebra.dim
+    n = CpMap(src, tgt, [[scale * b.reshape(b.shape[0] * b.shape[1], -1) for b in row]
+                         for row in blocks])
+    return require_cp_map(n, tol) if require_cp else n
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Outcome of verify_deterministic.
+
+    ``kernel_residual`` is ||Phi - Id_B (x) N||_F over all Choi blocks of the
+    marginal map Phi = Tr_out o S: the Hilbert-Schmidt norm of Phi on
+    ker Tr_out, zero exactly when kernel containment holds.
+    """
+
     cp_ok: bool
     kernel_residual: float
     n_map: CpMap
@@ -265,21 +276,25 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
     """Decide whether the supermap sends trace-preserving Choi operators to
     trace-preserving Choi operators.
 
-    Checks CP-ness, kernel containment on an orthonormal basis of
-    {c : Tr_out c = 0}, and unitality of the induced map N.  N's CP-ness is
-    recorded as a consistency field (it is implied when the verdict is true).
-    On a true verdict the supermap instance is marked deterministic.
+    Checks CP-ness, kernel containment as the Choi-level factorisation
+    Phi = N o Tr_out of the marginal map Phi = Tr_out o S, and unitality of
+    the induced map N.  N's CP-ness is recorded as a consistency field (it is
+    implied when the verdict is true).  On a true verdict the supermap
+    instance is marked deterministic.
     """
     if tol <= 0:
         raise ShapeMismatchError("tolerance must be positive")
     cp_ok = bool(is_cp(s.inner, tol))
-    kernel_residual = 0.0
-    for b in traceout_kernel_basis(s.source_hom):
-        image = apply(s.inner, b)
-        kernel_residual = max(
-            kernel_residual, partial_trace_out(image, s.target_hom).norm()
-        )
     n_map = extract_n(s, require_cp=False)
+    phi = trace_out_target_group(s.inner, s.target_hom, "out")
+    b_dims = s.source_hom.out_algebra.dims
+    kernel_sq = 0.0
+    for k in range(len(n_map.target)):
+        for t, (j, i) in enumerate(s.source_hom.pairs):
+            dk, dj, di = n_map.target.dims[k], b_dims[j], n_map.source.dims[i]
+            id_n = np.einsum("cC,qaQb->qcaQCb", np.eye(dj), n_map.choi4(k, i))
+            kernel_sq += frob(phi.choi(k, t) - id_n.reshape(dk * dj * di, -1)) ** 2
+    kernel_residual = float(np.sqrt(kernel_sq))
     n_unital_residual = (
         apply(n_map, n_map.source.identity()) - n_map.target.identity()
     ).norm()

@@ -171,6 +171,35 @@ def test_compose_is_associative():
         assert lhs.choi_distance(rhs) < 1e-9
 
 
+def _random_linear_map(source, target, seed):
+    """A CpMap with arbitrary complex Choi blocks (neither CP nor TP)."""
+    rng = np.random.default_rng(seed)
+    return sf.CpMap(
+        source,
+        target,
+        [[rng.standard_normal((dk * dh,) * 2) + 1j * rng.standard_normal((dk * dh,) * 2)
+          for dh in source.dims]
+         for dk in target.dims],
+    )
+
+
+def test_compose_matches_probe_composition():
+    # oracle: rebuild g o f from its action on every matrix unit
+    a = MultiMatrixAlgebra((("x", 3), ("y", 1), ("z", 2)))
+    b = MultiMatrixAlgebra((("u", 2), ("v", 3)))
+    c = MultiMatrixAlgebra((("p", 1), ("q", 2), ("r", 3)))
+    pairs = [(gen.random_channel(a, b, seed=1), gen.random_channel(b, c, seed=2))]
+    pairs.append((_random_linear_map(a, b, 3), _random_linear_map(b, c, 4)))
+    for f, g in pairs:
+        probed = sf.choi_from_action(
+            lambda x: sf.apply(g, sf.apply(f, x)), a, c, require_cp=False
+        )
+        composed = sf.compose(g, f)
+        assert composed.source == a and composed.target == c
+        scale = probed.choi_distance(sf.zero_cpmap(a, c))
+        assert composed.choi_distance(probed) <= 1e-12 * scale
+
+
 def test_tensor_of_channels_is_channel_and_acts_as_product():
     a = MultiMatrixAlgebra((("x", 2), ("y", 1)))
     b = MultiMatrixAlgebra.single(2, "u")

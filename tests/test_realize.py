@@ -1,5 +1,7 @@
 """Tests for the circuit realisation engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
 from supermap_forge.realize import (
     _right_dilation,
-    circuit_choi_action,
     left_dilation,
     pad_environment,
     solve_w,
@@ -309,13 +310,12 @@ def test_evaluate_circuit_matches_supermap_action():
 def test_evaluate_circuit_agrees_with_linear_action():
     s = verified_supermap(seed=33)
     r = sf.realize(s)
-    f = gen.random_channel(r.a, r.b, seed=0)
-    via_stages = sf.choi_element(sf.evaluate_circuit(r, f), s.target_hom)
-    via_contraction = circuit_choi_action(
-        r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d,
-        sf.choi_element(f, s.source_hom),
-    )
-    assert (via_stages - via_contraction).norm() < 1e-10
+    circuit = sf.circuit_supermap(r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
+    for seed in range(2):
+        f = gen.random_channel(r.a, r.b, seed=seed)
+        via_stages = sf.choi_element(sf.evaluate_circuit(r, f), s.target_hom)
+        via_contraction = sf.apply_to_choi(circuit, sf.choi_element(f, s.source_hom))
+        assert (via_stages - via_contraction).norm() < 1e-10
 
 
 def test_evaluate_circuit_rejects_wrong_channel_type():
@@ -324,18 +324,6 @@ def test_evaluate_circuit_rejects_wrong_channel_type():
     wrong = gen.random_channel(r.c, r.b, seed=0)
     with pytest.raises(sf.AlgebraMismatchError):
         sf.evaluate_circuit(r, wrong)
-
-
-def test_completion_policies_agree_on_circuits():
-    s = verified_supermap(seed=37)
-    ra = sf.realize(s, completion="pure-state")
-    rb = sf.realize(s, completion="maximally-mixed")
-    for seed in range(3):
-        f = gen.random_channel(ra.a, ra.b, seed=seed)
-        da = sf.evaluate_circuit(ra, f)
-        db = sf.evaluate_circuit(rb, f)
-        assert da.choi_distance(db) < 1e-8
-    assert sf.check_realisation(rb, s, trials=1, tol=1e-6).passed
 
 
 def test_check_realisation_zero_trials_runs_spanning_set():
@@ -351,6 +339,36 @@ def test_check_realisation_detects_wrong_supermap():
     r = sf.realize(s1)
     chk = sf.check_realisation(r, s2, trials=0, tol=1e-6)
     assert not chk.passed
+    # the spanning deviation is the largest image difference of one matrix unit
+    circuit = sf.circuit_supermap(r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
+    per_unit = max(
+        (sf.apply_to_choi(circuit, unit) - sf.apply_to_choi(s2, unit)).norm()
+        for _, _, _, unit in s2.source_hom.base.matrix_units()
+    )
+    assert abs(chk.spanning_deviation - per_unit) <= 1e-12 * per_unit
+
+
+def test_check_realisation_fails_on_non_cp_circuit():
+    s = verified_supermap(seed=45)
+    r = sf.realize(s)
+    broken = dataclasses.replace(r, e_channel=r.e_channel.scaled(-1.0))
+    with pytest.raises(sf.NotCompletelyPositiveError):
+        sf.circuit_supermap(broken.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
+    chk = sf.check_realisation(broken, s, trials=0, tol=1e-6)
+    assert not chk.passed and chk.spanning_deviation > 1e-3
+
+
+def test_realize_keeps_small_supermap_eigenvalues():
+    # M5 algebras, p_dim 1: S's Choi has a true eigenvalue of ~3.6e-11, below
+    # a 1e-10 relative Kraus cutoff; dropping it from the left dilation
+    # leaves a W isometry defect of ~1e-6 after division by N's smallest
+    # Gram eigenvalue (~1.7e-5)
+    algs = [MultiMatrixAlgebra.single(5, lbl) for lbl in "abcd"]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=1, seed=3125774064)
+    assert sf.verify_deterministic(s, tol=1e-8).verdict
+    r = sf.realize(s, tol=1e-8)
+    assert r.w_isometry_defect < 1e-9
+    assert sf.check_realisation(r, s, trials=0).passed
 
 
 def test_realize_convex_mixture_of_supermaps():

@@ -132,6 +132,70 @@ def test_extract_n_matches_circuit_marginal():
         assert (sf.apply(n_star, rho) - marginal).norm() < 1e-10
 
 
+def three_block_shape():
+    a = MultiMatrixAlgebra((("i0", 1), ("i1", 2), ("i2", 3)))
+    b = MultiMatrixAlgebra((("j0", 2), ("j1", 1)))
+    c = MultiMatrixAlgebra((("k0", 3),))
+    d = MultiMatrixAlgebra((("l0", 1), ("l1", 2)))
+    return a, b, c, d
+
+
+def random_cp_supermap(a, b, c, d, seed):
+    """A CP map between the Hom-algebras that is in general not deterministic."""
+    hom_ab, hom_cd = sf.hom_algebra(a, b), sf.hom_algebra(c, d)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for dt in hom_cd.base.dims:
+        row = []
+        for ds in hom_ab.base.dims:
+            g = rng.standard_normal((dt * ds,) * 2) + 1j * rng.standard_normal((dt * ds,) * 2)
+            row.append(g @ g.conj().T / (dt * ds))
+        blocks.append(row)
+    inner = sf.CpMap(hom_ab.base, hom_cd.base, blocks)
+    return sf.Supermap(inner, hom_ab, hom_cd, validate=False)
+
+
+def test_extract_n_matches_probe_oracle():
+    # oracle: N(x) = Tr_out S(section(x)) on every matrix unit
+    for shape in (small_shape(), three_block_shape()):
+        a, b, c, d = shape
+        for s in (
+            gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=50),
+            random_cp_supermap(a, b, c, d, seed=51),
+        ):
+            probed = sf.choi_from_action(
+                lambda x: partial_trace_out(
+                    sf.apply_to_choi(s, sf.tp_section(x, s.source_hom)), s.target_hom
+                ),
+                a,
+                c,
+                require_cp=False,
+            )
+            assert sf.extract_n(s, require_cp=False).choi_distance(probed) < 1e-12
+
+
+def test_kernel_residual_bounded_by_kernel_basis_images():
+    # the residual is the Hilbert-Schmidt norm of Phi = Tr_out o S on
+    # ker Tr_out, so it lies between the largest image of an orthonormal
+    # kernel basis element and sqrt(basis size) times that
+    for shape in (small_shape(), three_block_shape()):
+        a, b, c, d = shape
+        s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=60)
+        for bad in (
+            gen.perturb_supermap(s, 1e-3, "tp-breaking", seed=61),
+            random_cp_supermap(a, b, c, d, seed=62),
+        ):
+            basis = sf.traceout_kernel_basis(bad.source_hom)
+            largest = max(
+                partial_trace_out(sf.apply_to_choi(bad, e), bad.target_hom).norm()
+                for e in basis
+            )
+            residual = sf.verify_deterministic(bad).kernel_residual
+            assert largest > 1e-6
+            assert largest * (1 - 1e-12) <= residual
+            assert residual <= np.sqrt(len(basis)) * largest * (1 + 1e-12)
+
+
 def test_verify_identity_and_random_circuit():
     a, b, c, d = small_shape()
     s_id = sf.identity_supermap(a, b)
