@@ -21,10 +21,11 @@ bad_cp = gen.perturb_supermap(s, 5e-3, "cp-breaking", seed=2)
 witness = sf.is_cp(bad_cp.inner)
 print(f"cp-broken: block {witness.block} has eigenvalue {witness.min_eigenvalue:.3e}")
 
-# Realisation refuses unverified input.
+# Realisation checks the conditions itself: the two dilations of the
+# marginal map disagree, so kernel containment fails.
 try:
     sf.realize(bad_tp)
-except sf.VerificationRequiredError as exc:
+except sf.ResidualTooLargeError as exc:
     print("realize on damaged supermap:", exc)
 
 # The decomposition residual quantifies how far an element sits from the

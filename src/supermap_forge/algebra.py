@@ -11,8 +11,9 @@ Conventions used throughout the package:
 
 * all matrices are complex128; tolerances are absolute Frobenius-norm
   thresholds with default ``DEFAULT_TOL = 1e-9``, overridable per call;
-* Hermiticity drift below tolerance is repaired by symmetrising
-  ``(x + x†)/2`` before eigendecompositions; larger drift is an error;
+* one PSD rule serves every positivity check: entries are finite, the
+  Hermiticity defect ``||x - x†||_F`` is at most tol, and after
+  symmetrising ``(x + x†)/2`` the smallest eigenvalue is at least -tol;
 * block labels are ordered, and all cross-algebra identifications are made
   by block order, never by label text.
 """
@@ -210,18 +211,39 @@ class PositivityWitness:
         return self.ok
 
 
-def is_positive(x: BlockOperator, tol: float = DEFAULT_TOL) -> PositivityWitness:
-    """Check that every block is Hermitian within tol with eigenvalues >= -tol."""
+def _psd_block(m: np.ndarray, tol: float, vectors: bool = False):
+    """The one PSD rule: finite entries, ||m - m†||_F <= tol, and smallest
+    eigenvalue >= -tol; the block passes exactly when ``lo >= -tol``.
+
+    Returns (lo, defect, eigenvalues, eigenvectors or None) of (m + m†)/2;
+    lo is nan, and nothing is decomposed, when an earlier condition fails.
+    """
+    if not np.isfinite(m).all():
+        return np.nan, np.nan, None, None
+    defect = frob(m - dag(m))
+    if defect > tol:
+        return np.nan, defect, None, None
+    h = herm_part(m)
+    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    return float(w.min()), defect, w, v
+
+
+def _psd_blocks(labelled_blocks, tol: float) -> PositivityWitness:
+    """The PSD rule on each (label, block): the first failure, or a pass
+    carrying the smallest eigenvalue seen."""
     worst_eig = np.inf
-    for lbl, m in zip(x.algebra.labels, x.mats):
-        defect = frob(m - dag(m))
-        if defect > tol:
-            return PositivityWitness(False, lbl, np.nan, defect)
-        lo = float(np.linalg.eigvalsh(herm_part(m)).min()) if m.size else 0.0
-        if lo < -tol:
+    for lbl, m in labelled_blocks:
+        lo, defect, _, _ = _psd_block(m, tol)
+        if not lo >= -tol:
             return PositivityWitness(False, lbl, lo, defect)
         worst_eig = min(worst_eig, lo)
     return PositivityWitness(True, None, worst_eig, 0.0)
+
+
+def is_positive(x: BlockOperator, tol: float = DEFAULT_TOL) -> PositivityWitness:
+    """Check every block against the PSD rule (finite, Hermitian within tol,
+    eigenvalues >= -tol); the witness names the first failing block."""
+    return _psd_blocks(zip(x.algebra.labels, x.mats), tol)
 
 
 def psd_factor(x: BlockOperator, tol: float = DEFAULT_TOL) -> BlockOperator:

@@ -20,18 +20,21 @@ Applying a map uses the componentwise rule
     m(x)_j = sum_i Tr_src[(Id (x) x_i^T) C[j, i]],
 
 which for C[j, i] = |K>><<K| reduces to K x K†.  Kraus families come from the
-eigendecomposition of each Choi block (eigenvalue cutoff relative to the
-largest eigenvalue), Stinespring dilations from stacking the Kraus operators
-against an orthonormal environment basis.
+eigendecomposition of each Choi block (the PSD rule at an absolute tol, then
+a rank cutoff relative to the largest eigenvalue), Stinespring dilations from
+stacking the Kraus operators against an orthonormal environment basis.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import dag, frob, herm_part, unvec, vec
-from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness
+from ._linalg import dag, frob, unvec, vec
+from .algebra import (
+    DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _psd_block,
+    _psd_blocks,
+)
 from .errors import (
     AlgebraMismatchError,
     NotCompletelyPositiveError,
@@ -220,10 +223,6 @@ class TpReport:
     ok: bool
     residuals: Tuple[float, ...]
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
-
     def __bool__(self) -> bool:
         return self.ok
 
@@ -241,28 +240,23 @@ def is_tp(m: CpMap, tol: float = DEFAULT_TOL) -> TpReport:
 
 
 def is_cp(m: CpMap, tol: float = DEFAULT_TOL) -> PositivityWitness:
-    """PSD check across all Choi blocks; the witness names the block pair."""
-    worst = np.inf
-    for j in range(len(m.target)):
-        for i in range(len(m.source)):
-            blk = m.choi(j, i)
-            defect = frob(blk - dag(blk))
-            if defect > tol:
-                return PositivityWitness(False, (j, i), np.nan, defect)
-            lo = float(np.linalg.eigvalsh(herm_part(blk)).min())
-            if lo < -tol:
-                return PositivityWitness(False, (j, i), lo, defect)
-            worst = min(worst, lo)
-    return PositivityWitness(True, None, worst, 0.0)
+    """The PSD rule on every Choi block; the witness names the block pair."""
+    pairs = [(j, i) for j in range(len(m.target)) for i in range(len(m.source))]
+    return _psd_blocks(((p, m.choi(*p)) for p in pairs), tol)
+
+
+def _not_cp(witness: PositivityWitness, what: str = "Choi block") -> NotCompletelyPositiveError:
+    return NotCompletelyPositiveError(
+        f"{what} {witness.block!r} not PSD (min eigenvalue {witness.min_eigenvalue:.3g}, "
+        f"Hermiticity defect {witness.hermiticity_defect:.3g})"
+    )
 
 
 def require_cp_map(m: CpMap, tol: float = DEFAULT_TOL, what: str = "Choi block") -> CpMap:
     """Return m, or raise NotCompletelyPositiveError naming a non-PSD block."""
     witness = is_cp(m, tol)
     if not witness:
-        raise NotCompletelyPositiveError(
-            f"{what} {witness.block!r} not PSD (min eigenvalue {witness.min_eigenvalue:.3g})"
-        )
+        raise _not_cp(witness, what)
     return m
 
 
@@ -328,25 +322,24 @@ class KrausDecomposition:
         return CpMap.from_kraus(self.source, self.target, self.ops)
 
 
-def kraus_from_choi(m: CpMap, rank_tol: Optional[float] = None) -> KrausDecomposition:
+def kraus_from_choi(
+    m: CpMap, rank_tol: float = KRAUS_RANK_REL_TOL, tol: float = DEFAULT_TOL
+) -> KrausDecomposition:
     """Eigendecompose each Choi block and keep eigenvalues above the cutoff.
 
-    The cutoff defaults to 1e-10 times the block's largest eigenvalue.
-    Eigenvalues below minus the cutoff mean the map is not CP.
+    Raises NotCompletelyPositiveError when a block fails the PSD rule at
+    tol (the rule is_cp applies).  The rank cutoff is rank_tol times the
+    block's largest eigenvalue, and never below the eigensolver's roundoff
+    (block size times machine epsilon, relative), so eigenvalues that are
+    numerically zero never become Kraus operators of size sqrt(roundoff).
     """
     ops: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
     for j, dk in enumerate(m.target.dims):
         for i, dh in enumerate(m.source.dims):
-            blk = m.choi(j, i)
-            if frob(blk - dag(blk)) > 1e-8 * max(frob(blk), 1.0):
-                raise NotCompletelyPositiveError(f"Choi block ({j},{i}) is not Hermitian")
-            w, v = np.linalg.eigh(herm_part(blk))
-            top = max(float(w.max(initial=0.0)), 0.0)
-            cut = rank_tol if rank_tol is not None else KRAUS_RANK_REL_TOL * max(top, 1e-300)
-            if float(w.min(initial=0.0)) < -max(cut, 10 * KRAUS_RANK_REL_TOL * max(top, 1.0)):
-                raise NotCompletelyPositiveError(
-                    f"Choi block ({j},{i}) has eigenvalue {w.min():.3g}"
-                )
+            lo, defect, w, v = _psd_block(m.choi(j, i), tol, vectors=True)
+            if not lo >= -tol:
+                raise _not_cp(PositivityWitness(False, (j, i), lo, defect))
+            cut = max(rank_tol, dk * dh * np.finfo(float).eps) * max(float(w.max()), 0.0)
             keep = [
                 np.sqrt(lam) * unvec(v[:, k], dk, dh)
                 for k, lam in enumerate(w)
@@ -431,14 +424,13 @@ def dilation_from_kraus(m: CpMap, kd: KrausDecomposition) -> StinespringDilation
     return StinespringDilation(m, kd, env_dims, tuple(isoms))
 
 
-def minimal_stinespring(m: CpMap, rank_tol: Optional[float] = None) -> StinespringDilation:
-    """Minimal dilation via the Choi eigendecomposition.
+def minimal_stinespring(m: CpMap, tol: float = DEFAULT_TOL) -> StinespringDilation:
+    """Minimal dilation via the Choi eigendecomposition (PSD rule at tol).
 
     Minimality holds by construction: each per-pair Kraus family is an
     orthogonal set, so its Gram matrix is diagonal with positive entries.
     """
-    kd = kraus_from_choi(m, rank_tol)
-    return dilation_from_kraus(m, kd)
+    return dilation_from_kraus(m, kraus_from_choi(m, tol=tol))
 
 
 def environment_intertwiner(

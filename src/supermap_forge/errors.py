@@ -37,10 +37,6 @@ class StructureMissingError(SupermapForgeError):
     """A block/factor pair structure was required but not supplied or wrong."""
 
 
-class VerificationRequiredError(SupermapForgeError):
-    """The supermap must pass verify_deterministic before this operation."""
-
-
 class NotMinimalError(SupermapForgeError):
     """A dilation assumed minimal is rank deficient."""
 

@@ -140,9 +140,7 @@ class TpAffineBasis:
     base_point is the uniform section of the identity (strictly positive and
     trace preserving); directions are an orthonormal Hermitian basis of the
     kernel of Tr_out; epsilon is half the base point's smallest eigenvalue,
-    so every probe base + eps * direction stays strictly positive.  The
-    construction is deterministic; the seed parameter is accepted only for
-    interface uniformity.
+    so every probe base + eps * direction stays strictly positive.
     """
 
     hom: HomAlgebra
@@ -156,7 +154,7 @@ class TpAffineBasis:
         ]
 
 
-def tp_affine_basis(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra, seed=None) -> TpAffineBasis:
+def tp_affine_basis(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> TpAffineBasis:
     hom = hom_algebra(a, b)
     base = tp_section(a.identity(), hom)
     directions = tuple(traceout_kernel_basis(hom))

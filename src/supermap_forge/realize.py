@@ -61,9 +61,8 @@ from .errors import (
     IsometryDefectError,
     NotUnitalError,
     ResidualTooLargeError,
-    VerificationRequiredError,
 )
-from .supermap import HomAlgebra, Supermap, choi_element, hom_algebra
+from .supermap import HomAlgebra, Supermap, choi_element, extract_n, hom_algebra
 
 VERIFY_TOL = 1e-8
 
@@ -95,19 +94,15 @@ def _g_source_index(i: int, j: int, k: int, nb: int, nc: int) -> int:
 # -- dilations of the marginal map Phi ----------------------------------------
 
 
-def left_dilation(s: Supermap, s_kraus: KrausDecomposition = None) -> StinespringDilation:
+def left_dilation(s: Supermap, s_kraus: KrausDecomposition) -> StinespringDilation:
     """Dilation of Phi = Tr_out o S obtained by bending the traced factor of
-    the supermap's own minimal dilation into the environment.
+    the supermap's dilation from s_kraus into the environment.
 
     The returned blocks satisfy ``V_k† (x (x) Id) V_k = Phi(x)_k``; the
     environment for (source k, target block (j,i)) is the direct sum over
     target-out blocks l of (K_out_l)-tagged copies of the supermap
     environment, ordered (l, a, mu).
     """
-    if not s.deterministic:
-        raise VerificationRequiredError("left_dilation requires a verified supermap")
-    if s_kraus is None:
-        s_kraus = kraus_from_choi(s.inner)
     src = s.target_hom.in_algebra  # C-shaped
     tgt = s.source_hom.base
     out_alg = s.target_hom.out_algebra  # D-shaped
@@ -127,25 +122,18 @@ def left_dilation(s: Supermap, s_kraus: KrausDecomposition = None) -> Stinesprin
     return dilation_from_kraus(CpMap.from_kraus(src, tgt, ops), kd)
 
 
-def right_dilation(n: CpMap, source_hom: HomAlgebra,
-                   tol: float = DEFAULT_TOL) -> StinespringDilation:
-    """Dilation of Phi = N o Tr_out built from N's minimal Kraus family.
+def right_dilation(
+    n_dilation: StinespringDilation, source_hom: HomAlgebra
+) -> StinespringDilation:
+    """Dilation of Phi = N o Tr_out built from a dilation of N.
 
     Environment for (source k, target (j, i)) is H_out_j (x) E_N_ik with the
     tagged basis ordered (b, beta).  Minimal whenever N's dilation is, by
     Gram invertibility of the composite Kraus family.
     """
+    n = n_dilation.cpmap
     if n.source != source_hom.in_algebra:
         raise AlgebraMismatchError("induced map must act on the in-factor algebra")
-    if not is_unital(n, max(tol, 1e-8)):
-        raise NotUnitalError("the induced map must be unital")
-    return _right_dilation(minimal_stinespring(n), source_hom)
-
-
-def _right_dilation(
-    n_dilation: StinespringDilation, source_hom: HomAlgebra
-) -> StinespringDilation:
-    n = n_dilation.cpmap
     src = n.target  # C-shaped (K_in blocks)
     tgt = source_hom.base  # Hom(A, B)
     b_alg = source_hom.out_algebra
@@ -254,7 +242,7 @@ def assemble_e(n_dilation: StinespringDilation, pad: PaddedEnvironment,
     exactly when N is unital.
     """
     n = n_dilation.cpmap
-    if not is_unital(n, max(tol, 1e-8)):
+    if not is_unital(n, tol):
         raise NotUnitalError("assemble_e requires a unital induced map")
     a_alg = n.source
     c_alg = n.target
@@ -357,29 +345,28 @@ class CircuitRealisation:
 
 
 def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
-    """Build the circuit (E, G, P) realising a verified deterministic supermap.
+    """Build the circuit (E, G, P) realising a deterministic supermap.
 
     Orchestrates: induced map N -> minimal dilation -> the two dilations of
     the marginal map -> environment isometry W -> padding -> channel
     assembly.  The realised memory dimension always respects the bound
     max_{i,k} dim(H_in_i) * dim(K_in_k).
 
+    Needs no prior verification: the steps check determinism at tol with
+    verify's PSD rule, raising NotCompletelyPositiveError when S or the
+    induced map N is not CP, ResidualTooLargeError when kernel containment
+    fails (the two dilations of Phi differ by more than tol), and
+    NotUnitalError when N is not unital.
+
     Only the right dilation (from N) must be minimal.  S's Kraus family, and
-    so the left dilation, keeps every positive eigenvalue of S's Choi
-    blocks: a small true eigenvalue dropped by a relative cutoff would be
+    so the left dilation, keeps every eigenvalue of S's Choi blocks above
+    roundoff: a small true eigenvalue dropped by a relative cutoff would be
     divided by N's smallest Gram eigenvalue in the W solve.
     """
-    if not s.deterministic:
-        raise VerificationRequiredError(
-            "realize requires verify_deterministic to have passed"
-        )
-    from .supermap import extract_n
-
-    n = extract_n(s)
-    n_dil = minimal_stinespring(n)
-    s_kd = kraus_from_choi(s.inner, rank_tol=0.0)
-    v_left = left_dilation(s, s_kraus=s_kd)
-    v_right = _right_dilation(n_dil, s.source_hom)
+    n_dil = minimal_stinespring(extract_n(s, tol), tol)
+    s_kd = kraus_from_choi(s.inner, rank_tol=0.0, tol=tol)
+    v_left = left_dilation(s, s_kd)
+    v_right = right_dilation(n_dil, s.source_hom)
     w = solve_w(v_right, v_left, tol)
     a_alg = s.source_hom.in_algebra
     c_alg = s.target_hom.in_algebra

@@ -4,17 +4,20 @@ One self-describing format for algebras, channels, supermaps, realisations
 and reports.  Complex matrices are nested arrays of [re, im] decimal strings
 with 17 significant digits, so a save/load round trip is bit exact.  Block
 labels are strings or (recursively) lists of labels; lists deserialize to
-tuples.
+tuples.  Loading raises ShapeMismatchError on any malformed payload,
+non-finite entry or missing or repeated Choi entry.
 """
 
 import json
+import operator
+from contextlib import contextmanager
 from typing import Any, Dict
 
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import Channel, CpMap
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, SupermapForgeError
 from .realize import CircuitRealisation
 from .supermap import Supermap, hom_algebra
 
@@ -30,10 +33,13 @@ def encode_matrix(m: np.ndarray):
 
 
 def decode_matrix(rows) -> np.ndarray:
-    return np.array(
+    m = np.array(
         [[complex(float(re), float(im)) for re, im in row] for row in rows],
         dtype=complex,
     )
+    if not np.isfinite(m).all():
+        raise ShapeMismatchError("matrix entries must be finite")
+    return m
 
 
 def _encode_label(lbl):
@@ -54,7 +60,7 @@ def algebra_payload(a: MultiMatrixAlgebra) -> Dict[str, Any]:
 
 def algebra_from_payload(p: Dict[str, Any]) -> MultiMatrixAlgebra:
     return MultiMatrixAlgebra(
-        tuple((_decode_label(b["label"]), int(b["dim"])) for b in p["blocks"])
+        tuple((_decode_label(b["label"]), operator.index(b["dim"])) for b in p["blocks"])
     )
 
 
@@ -79,15 +85,15 @@ def cpmap_payload(m: CpMap) -> Dict[str, Any]:
 def cpmap_from_payload(p: Dict[str, Any], channel: bool = False) -> CpMap:
     source = algebra_from_payload(p["source"])
     target = algebra_from_payload(p["target"])
-    blocks = [
-        [np.zeros((target.dims[j] * source.dims[i],) * 2, dtype=complex)
-         for i in range(len(source))]
-        for j in range(len(target))
-    ]
+    blocks = [[None] * len(source) for _ in range(len(target))]
     for entry in p["choi"]:
         j = target.index(_decode_label(entry["target_block"]))
         i = source.index(_decode_label(entry["source_block"]))
+        if blocks[j][i] is not None:
+            raise ShapeMismatchError(f"repeated Choi entry for block pair ({j},{i})")
         blocks[j][i] = decode_matrix(entry["matrix"])
+    if any(b is None for row in blocks for b in row):
+        raise ShapeMismatchError("one Choi entry per block pair expected")
     if channel:
         return Channel(source, target, blocks, validate=False)
     return CpMap(source, target, blocks)
@@ -101,6 +107,17 @@ def save_document(path, doc: Dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
+
+
+@contextmanager
+def _decoding(kind: str):
+    """Report any failure to decode a payload as ShapeMismatchError."""
+    try:
+        yield
+    except SupermapForgeError:
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ShapeMismatchError(f"malformed {kind} document: {exc!r}") from exc
 
 
 def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
@@ -126,7 +143,8 @@ def channel_document(ch: CpMap) -> Dict[str, Any]:
 
 def load_channel(path) -> Channel:
     doc = load_document(path, "channel")
-    return cpmap_from_payload(doc["payload"], channel=True)
+    with _decoding("channel"):
+        return cpmap_from_payload(doc["payload"], channel=True)
 
 
 def supermap_document(s: Supermap) -> Dict[str, Any]:
@@ -142,17 +160,18 @@ def supermap_document(s: Supermap) -> Dict[str, Any]:
 
 def load_supermap(path) -> Supermap:
     doc = load_document(path, "supermap")
-    p = doc["payload"]
-    hom_ab = hom_algebra(algebra_from_payload(p["a"]), algebra_from_payload(p["b"]))
-    hom_cd = hom_algebra(algebra_from_payload(p["c"]), algebra_from_payload(p["d"]))
-    inner = cpmap_from_payload(
-        {
-            "source": algebra_payload(hom_ab.base),
-            "target": algebra_payload(hom_cd.base),
-            "choi": p["choi"],
-        }
-    )
-    return Supermap(inner, hom_ab, hom_cd, validate=False)
+    with _decoding("supermap"):
+        p = doc["payload"]
+        hom_ab = hom_algebra(algebra_from_payload(p["a"]), algebra_from_payload(p["b"]))
+        hom_cd = hom_algebra(algebra_from_payload(p["c"]), algebra_from_payload(p["d"]))
+        inner = cpmap_from_payload(
+            {
+                "source": algebra_payload(hom_ab.base),
+                "target": algebra_payload(hom_cd.base),
+                "choi": p["choi"],
+            }
+        )
+        return Supermap(inner, hom_ab, hom_cd, validate=False)
 
 
 def realisation_document(r: CircuitRealisation) -> Dict[str, Any]:
@@ -174,20 +193,21 @@ def realisation_document(r: CircuitRealisation) -> Dict[str, Any]:
 
 def load_realisation(path) -> CircuitRealisation:
     doc = load_document(path, "realisation")
-    p = doc["payload"]
-    return CircuitRealisation(
-        a=algebra_from_payload(p["a"]),
-        b=algebra_from_payload(p["b"]),
-        c=algebra_from_payload(p["c"]),
-        d=algebra_from_payload(p["d"]),
-        p_dim=int(p["p_dim"]),
-        e_channel=cpmap_from_payload(p["e_channel"], channel=True),
-        g_channel=cpmap_from_payload(p["g_channel"], channel=True),
-        w_residual=float(p["w_residual"]),
-        w_isometry_defect=float(p["w_isometry_defect"]),
-        gram_min_eig=float(p["gram_min_eig"]),
-        p_bound=int(p["p_bound"]),
-    )
+    with _decoding("realisation"):
+        p = doc["payload"]
+        return CircuitRealisation(
+            a=algebra_from_payload(p["a"]),
+            b=algebra_from_payload(p["b"]),
+            c=algebra_from_payload(p["c"]),
+            d=algebra_from_payload(p["d"]),
+            p_dim=operator.index(p["p_dim"]),
+            e_channel=cpmap_from_payload(p["e_channel"], channel=True),
+            g_channel=cpmap_from_payload(p["g_channel"], channel=True),
+            w_residual=float(p["w_residual"]),
+            w_isometry_defect=float(p["w_isometry_defect"]),
+            gram_min_eig=float(p["gram_min_eig"]),
+            p_bound=operator.index(p["p_bound"]),
+        )
 
 
 def report_document(report_type: str, fields: Dict[str, Any]) -> Dict[str, Any]:

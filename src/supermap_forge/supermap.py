@@ -64,12 +64,6 @@ class HomAlgebra:
     def block_index(self, j: int, i: int) -> int:
         return j * len(self.in_algebra) + i
 
-    def out_dim(self, t: int) -> int:
-        return self.out_algebra.dims[self.pairs[t][0]]
-
-    def in_dim(self, t: int) -> int:
-        return self.in_algebra.dims[self.pairs[t][1]]
-
 
 def hom_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> HomAlgebra:
     """Hom(a, b): one block per (b block, a block) with dims multiplied."""
@@ -170,10 +164,10 @@ def traceout_kernel_basis(hom: HomAlgebra) -> List[BlockOperator]:
 
 
 class Supermap:
-    """A CP map between Hom-algebras, with a verification flag.
+    """A CP map between Hom-algebras.
 
-    ``deterministic`` is False until verify_deterministic has passed on this
-    instance; realisation requires it.
+    Holds no verification state: verify_deterministic returns a report, and
+    realize checks the conditions it needs itself.
     """
 
     def __init__(
@@ -191,20 +185,11 @@ class Supermap:
         self.inner = inner
         self.source_hom = source_hom
         self.target_hom = target_hom
-        self._verified = False
-
-    @property
-    def deterministic(self) -> bool:
-        return self._verified
-
-    def _mark_verified(self) -> None:
-        self._verified = True
 
     def __repr__(self) -> str:
         s = "+".join(str(d) for d in self.source_hom.base.dims)
         t = "+".join(str(d) for d in self.target_hom.base.dims)
-        flag = "verified" if self._verified else "unverified"
-        return f"Supermap(Hom[{s}] -> Hom[{t}], {flag})"
+        return f"Supermap(Hom[{s}] -> Hom[{t}])"
 
 
 def identity_supermap(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> Supermap:
@@ -278,9 +263,10 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
 
     Checks CP-ness, kernel containment as the Choi-level factorisation
     Phi = N o Tr_out of the marginal map Phi = Tr_out o S, and unitality of
-    the induced map N.  N's CP-ness is recorded as a consistency field (it is
-    implied when the verdict is true).  On a true verdict the supermap
-    instance is marked deterministic.
+    the induced map N.  The verdict also requires N to pass the PSD rule:
+    exact CP-ness of S implies it, but N's Choi blocks are partial traces of
+    S's and can sit up to dim D / dim B times further below zero.  These are
+    the conditions realize checks.  Pure: the supermap is left unchanged.
     """
     if tol <= 0:
         raise ShapeMismatchError("tolerance must be positive")
@@ -299,9 +285,7 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
         apply(n_map, n_map.source.identity()) - n_map.target.identity()
     ).norm()
     n_cp_ok = bool(is_cp(n_map, tol))
-    verdict = cp_ok and kernel_residual <= tol and n_unital_residual <= tol
-    if verdict:
-        s._mark_verified()
+    verdict = cp_ok and n_cp_ok and kernel_residual <= tol and n_unital_residual <= tol
     return VerificationReport(
         cp_ok, kernel_residual, n_map, n_unital_residual, n_cp_ok, verdict, tol
     )

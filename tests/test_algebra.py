@@ -101,6 +101,14 @@ def test_is_positive_non_hermitian_witnessed():
     assert not witness and witness.hermiticity_defect > 0.1
 
 
+def test_is_positive_rejects_non_finite_blocks():
+    alg = c_plus_m2()
+    for value in (np.nan, np.inf):
+        x = BlockOperator(alg, [np.eye(1), np.diag([1.0, value])])
+        witness = sf.is_positive(x)
+        assert not witness and witness.block == "q"
+
+
 def test_psd_factor_identity_and_sqrt():
     alg = MultiMatrixAlgebra.single(2)
     ident = alg.identity()

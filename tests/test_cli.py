@@ -67,6 +67,45 @@ def test_realize_rejects_non_deterministic(broken_fixture, tmp_path):
     assert run(["realize", str(broken_fixture), "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_realize_accepts_a_null_push_within_tol(tmp_path):
+    # the identity supermap on M2 with its Choi block pushed 5e-9 below zero
+    # along a null vector: verify accepts it at 1e-8, and so must realize
+    m2 = MultiMatrixAlgebra.single(2, "q")
+    s = gen.perturb_supermap(sf.identity_supermap(m2, m2), 5e-9, "cp-breaking")
+    sm, real = tmp_path / "push.json", tmp_path / "real.json"
+    serialize.save_document(sm, serialize.supermap_document(s))
+    assert run(["realize", str(sm), "--out", str(real)]) == 0
+    assert run(["check", str(sm), str(real), "--tol", "1e-6"]) == 0
+
+
+def _set_first_entry(value):
+    def damage(doc):
+        doc["payload"]["choi"][0]["matrix"][0][0][0] = value
+    return damage
+
+
+MALFORMED = {
+    "non-numeric entry": _set_first_entry("abc"),
+    "nan entry": _set_first_entry("nan"),
+    "inf entry": _set_first_entry("inf"),
+    "ragged row": lambda doc: doc["payload"]["choi"][0]["matrix"][0].pop(),
+    "non-integer dim": lambda doc: doc["payload"]["a"]["blocks"][0].update(dim="2.5"),
+    "list payload": lambda doc: doc.update(payload=[doc["payload"]]),
+    "empty choi list": lambda doc: doc["payload"].update(choi=[]),
+    "repeated choi entry": lambda doc: doc["payload"]["choi"].append(doc["payload"]["choi"][0]),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MALFORMED))
+def test_malformed_supermap_document_is_input_error(variant, identity_fixture, capsys):
+    doc = json.loads(identity_fixture.read_text())
+    MALFORMED[variant](doc)
+    identity_fixture.write_text(json.dumps(doc))
+    assert run(["verify", str(identity_fixture)]) == 2
+    assert run(["realize", str(identity_fixture)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_realize_prints_bound_six(tmp_path, capsys):
     # H_in dims (2, 3) with K_in dims (2, 2): the memory bound is 6
     sm = tmp_path / "fixture.json"

@@ -127,6 +127,17 @@ def test_kraus_from_choi_rejects_non_cp():
         sf.kraus_from_choi(m)
 
 
+def test_non_finite_choi_blocks_are_not_cp():
+    for value in (np.nan, np.inf):
+        blk = sf.identity_channel(M2).choi(0, 0).copy()
+        blk[1, 2] = value
+        m = sf.CpMap(M2, M2, [[blk]])
+        witness = sf.is_cp(m)
+        assert not witness and witness.block == (0, 0)
+        with pytest.raises(sf.NotCompletelyPositiveError):
+            sf.kraus_from_choi(m)
+
+
 def test_hs_dual_identity_unitality_and_involution():
     ident = sf.identity_channel(M2)
     assert sf.hs_dual(ident).choi_distance(ident) < 1e-14

@@ -9,12 +9,7 @@ import supermap_forge as sf
 from supermap_forge import gen
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
-from supermap_forge.realize import (
-    _right_dilation,
-    left_dilation,
-    pad_environment,
-    solve_w,
-)
+from supermap_forge.realize import left_dilation, pad_environment, right_dilation, solve_w
 from supermap_forge.supermap import partial_trace_out
 
 
@@ -33,18 +28,21 @@ def verified_supermap(seed=42, p_dim=2):
     return s
 
 
-def test_left_dilation_requires_verification():
+def test_realize_gates_its_own_preconditions():
+    # no prior verify_deterministic: realize accepts a deterministic input
+    # and names the failed condition on damaged ones
     a, b, c, d = small_shape()
     s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=1, seed=0)
-    with pytest.raises(sf.VerificationRequiredError):
-        left_dilation(s)
-    with pytest.raises(sf.VerificationRequiredError):
-        sf.realize(s)
+    assert sf.check_realisation(sf.realize(s), s, trials=0).passed
+    with pytest.raises(sf.ResidualTooLargeError):
+        sf.realize(gen.perturb_supermap(s, 1e-3, "tp-breaking", seed=1))
+    with pytest.raises(sf.NotCompletelyPositiveError):
+        sf.realize(gen.perturb_supermap(s, 1e-3, "cp-breaking"))
 
 
 def test_left_dilation_presents_the_marginal_map():
     s = verified_supermap()
-    vl = left_dilation(s)
+    vl = left_dilation(s, sf.kraus_from_choi(s.inner))
     for t in range(5):
         x = gen.random_block_operator(s.source_hom.base, seed=t)
         lhs = vl.heisenberg_apply(x)
@@ -57,8 +55,7 @@ def test_left_dilation_scalar_supermap_presents_the_trace():
     # the (trivial) trace map, and the dilation reproduces it
     triv = MultiMatrixAlgebra.single(1, "t")
     s = sf.identity_supermap(triv, triv)
-    sf.verify_deterministic(s)
-    vl = left_dilation(s)
+    vl = left_dilation(s, sf.kraus_from_choi(s.inner))
     x = BlockOperator(s.source_hom.base, [np.array([[2.5 + 0.5j]])])
     lhs = vl.heisenberg_apply(x)
     rhs = partial_trace_out(sf.apply_to_choi(s, x), s.target_hom)
@@ -73,9 +70,8 @@ def test_left_dilation_trivial_out_matches_plain_ranks():
     c = MultiMatrixAlgebra.single(2, "K")
     d = MultiMatrixAlgebra.single(1, "triv")
     s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=8)
-    sf.verify_deterministic(s)
-    vl = left_dilation(s)
     kd = sf.kraus_from_choi(s.inner)
+    vl = left_dilation(s, kd)
     for t in range(len(s.source_hom.base)):
         assert vl.env_dims[(0, t)] == kd.rank(t, 0)
 
@@ -83,7 +79,7 @@ def test_left_dilation_trivial_out_matches_plain_ranks():
 def test_right_dilation_presents_the_marginal_map():
     s = verified_supermap()
     n = sf.extract_n(s)
-    vr = sf.right_dilation(n, s.source_hom)
+    vr = sf.right_dilation(sf.minimal_stinespring(n), s.source_hom)
     for t in range(5):
         x = gen.random_block_operator(s.source_hom.base, seed=50 + t)
         lhs = vr.heisenberg_apply(x)
@@ -92,24 +88,21 @@ def test_right_dilation_presents_the_marginal_map():
     assert vr.kraus.min_gram_eig() > 1e-12
 
 
-def test_right_dilation_rejects_non_unital():
-    # the reset-to-|0> channel is TP but not unital
-    a = MultiMatrixAlgebra.single(2, "H")
-    b = MultiMatrixAlgebra.single(2, "Ho")
-    squash = sf.CpMap.from_kraus(
-        a,
-        a,
-        {(0, 0): [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])]},
-    )
-    assert sf.is_tp(squash, 1e-10).ok and not sf.is_unital(squash)
-    with pytest.raises(sf.NotUnitalError):
-        sf.right_dilation(squash, sf.hom_algebra(a, b))
+def test_realize_rejects_non_unital():
+    # c S is CP and satisfies kernel containment, but its induced map is c N;
+    # unitality is checked at realize's own tol, also below 1e-8
+    s = verified_supermap(seed=5)
+    for factor, tol in ((1.5, 1e-8), (1 + 1e-9, 1e-10)):
+        scaled = sf.Supermap(s.inner.scaled(factor), s.source_hom, s.target_hom)
+        assert not sf.verify_deterministic(scaled, tol).verdict
+        with pytest.raises(sf.NotUnitalError):
+            sf.realize(scaled, tol)
 
 
 def test_solve_w_identity_case():
     s = verified_supermap()
     n = sf.extract_n(s)
-    vr = _right_dilation(sf.minimal_stinespring(n), s.source_hom)
+    vr = right_dilation(sf.minimal_stinespring(n), s.source_hom)
     w = solve_w(vr, vr, 1e-8)
     assert w.residual < 1e-10 and w.isometry_defect < 1e-10
     for key, x in w.blocks.items():
@@ -119,7 +112,7 @@ def test_solve_w_identity_case():
 def test_solve_w_recovers_planted_unitary():
     s = verified_supermap(seed=7)
     n = sf.extract_n(s)
-    vr = _right_dilation(sf.minimal_stinespring(n), s.source_hom)
+    vr = right_dilation(sf.minimal_stinespring(n), s.source_hom)
     rng = np.random.default_rng(1)
     mixed = {}
     planted = {}
@@ -146,7 +139,7 @@ def test_solve_w_recovers_planted_unitary():
 def test_solve_w_padded_inclusion():
     s = verified_supermap(seed=9)
     n = sf.extract_n(s)
-    vr = _right_dilation(sf.minimal_stinespring(n), s.source_hom)
+    vr = right_dilation(sf.minimal_stinespring(n), s.source_hom)
     padded_ops = {
         key: tuple(list(ops) + [np.zeros_like(ops[0])]) if ops else ops
         for key, ops in vr.kraus.ops.items()
@@ -167,8 +160,8 @@ def test_solve_w_rejects_mismatched_dilations():
     s2 = verified_supermap(seed=12)
     n1 = sf.extract_n(s1)
     n2 = sf.extract_n(s2)
-    vr = _right_dilation(sf.minimal_stinespring(n1), s1.source_hom)
-    vl = left_dilation(s2)
+    vr = right_dilation(sf.minimal_stinespring(n1), s1.source_hom)
+    vl = left_dilation(s2, sf.kraus_from_choi(s2.inner))
     with pytest.raises(sf.ResidualTooLargeError):
         solve_w(vr, vl, 1e-8)
     del n2
@@ -369,6 +362,70 @@ def test_realize_keeps_small_supermap_eigenvalues():
     r = sf.realize(s, tol=1e-8)
     assert r.w_isometry_defect < 1e-9
     assert sf.check_realisation(r, s, trials=0).passed
+
+
+def test_realize_identity_supermaps_ignore_roundoff_eigenvalues():
+    # the identity supermap's Choi block has rank one; its other eigenvalues
+    # are roundoff (~1e-15), and kept as Kraus operators of size ~3e-8 they
+    # would push the W residual past 10 * tol from M4 (x) M2 on
+    for da, db in ((3, 3), (4, 2), (4, 4)):
+        a, b = MultiMatrixAlgebra.single(da, "a"), MultiMatrixAlgebra.single(db, "b")
+        s = sf.identity_supermap(a, b)
+        r = sf.realize(s)
+        assert r.w_residual < 1e-12 and r.p_dim == 1
+        assert sf.check_realisation(r, s, trials=0, tol=1e-9).passed
+
+
+def agreement_inputs():
+    m2 = MultiMatrixAlgebra.single(2, "q")
+    identity = sf.identity_supermap(m2, m2)
+    for eps in (2e-9, 5e-9, 9e-9, 2e-8):
+        # the rank-one Choi block pushed eps below zero along a null vector
+        yield f"identity push {eps}", gen.perturb_supermap(identity, eps, "cp-breaking")
+    # S(F) = F (x) sigma with B trivial and D = M2, pushed along Id_D (x) |u><u|
+    # for u orthogonal to N's Choi vector: N's eigenvalue falls twice as far
+    a, b = m2, MultiMatrixAlgebra.single(1, "t")
+    hom_ab, hom_cd = sf.hom_algebra(a, b), sf.hom_algebra(a, m2)
+    inner = sf.choi_from_action(
+        lambda x: BlockOperator(hom_cd.base, [np.kron(np.diag([0.7, 0.3]), x.block(0))]),
+        hom_ab.base, hom_cd.base,
+    )
+    u = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
+    for eps in (4e-9, 6e-9):
+        pushed = inner.choi(0, 0) - eps * np.kron(np.eye(2), np.outer(u, u))
+        yield f"doubled push {eps}", sf.Supermap(
+            sf.CpMap(inner.source, inner.target, [[pushed]]), hom_ab, hom_cd, validate=False
+        )
+    m3 = MultiMatrixAlgebra.single(3, "r")
+    shapes = (
+        small_shape(),
+        (m3, m2, m2, m3),
+        (MultiMatrixAlgebra.classical(3), m2, m3, MultiMatrixAlgebra.from_dims((1, 2), "d")),
+    )
+    # tp-breaking below tol is left out: N's Gram conditioning amplifies it
+    # in W, and G's TP check at tol can then reject what verify accepts
+    for k, shape in enumerate(shapes):
+        s = gen.random_supermap_from_circuit(*shape, p_dim=2, seed=70 + k)
+        yield f"shape {k} clean", s
+        for eps in (2e-8, 1e-6, 1e-3):
+            yield f"shape {k} tp {eps}", gen.perturb_supermap(s, eps, "tp-breaking", seed=k)
+        for eps in (5e-9, 2e-8, 1e-3):
+            yield f"shape {k} cp {eps}", gen.perturb_supermap(s, eps, "cp-breaking")
+        yield f"shape {k} x1.5", sf.Supermap(s.inner.scaled(1.5), s.source_hom, s.target_hom)
+
+
+def test_verify_verdict_holds_exactly_when_realize_succeeds():
+    tol = 1e-8
+    for name, s in agreement_inputs():
+        verdict = sf.verify_deterministic(s, tol).verdict
+        try:
+            r = sf.realize(s, tol)
+        except (sf.NotCompletelyPositiveError, sf.ResidualTooLargeError,
+                sf.NotUnitalError) as exc:
+            assert not verdict, f"{name}: verified, but realize raised {exc!r}"
+        else:
+            assert verdict, f"{name}: rejected, but realize succeeded"
+            assert sf.check_realisation(r, s, trials=0, tol=1e-6).passed, name
 
 
 def test_realize_convex_mixture_of_supermaps():

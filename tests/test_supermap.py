@@ -199,8 +199,9 @@ def test_kernel_residual_bounded_by_kernel_basis_images():
 def test_verify_identity_and_random_circuit():
     a, b, c, d = small_shape()
     s_id = sf.identity_supermap(a, b)
+    before = dict(vars(s_id))
     assert sf.verify_deterministic(s_id).verdict
-    assert s_id.deterministic
+    assert vars(s_id) == before  # verification is pure
     s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=1, seed=3)
     report = sf.verify_deterministic(s)
     assert report.verdict and report.cp_ok and report.n_cp_ok
@@ -213,10 +214,11 @@ def test_verify_rejects_kernel_violating_perturbation():
     s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=1, seed=4)
     sf.verify_deterministic(s)
     bad = gen.perturb_supermap(s, 1e-2, "tp-breaking", seed=5)
+    before = dict(vars(bad))
     report = sf.verify_deterministic(bad)
     assert not report.verdict
     assert report.cp_ok  # the damage is TP-only
-    assert not bad.deterministic
+    assert vars(bad) == before
     basis = gen.tp_affine_basis(a, b)
     assert not gen.brute_force_tp_preservation(bad, basis)
 
