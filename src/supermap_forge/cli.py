@@ -8,6 +8,7 @@ overridden per run with --tol or globally with SUPERMAP_FORGE_TOL.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,12 +25,34 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite tolerance, got {text!r}"
+        )
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _default_tol() -> float:
     env = os.environ.get("SUPERMAP_FORGE_TOL")
     if env is not None:
         try:
-            return float(env)
-        except ValueError:
+            return _tolerance(env)
+        except argparse.ArgumentTypeError:
             print(f"warning: ignoring bad SUPERMAP_FORGE_TOL={env!r}", file=sys.stderr)
     return 1e-8
 
@@ -154,22 +177,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a supermap document is deterministic")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=tol)
     p.add_argument("--out", default=None, help="write a report document here")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("realize", help="realise a verified supermap as a circuit")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=_tolerance, default=tol)
     p.add_argument("--out", default=None, help="realisation document path")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("check", help="certify a realisation against its supermap")
     p.add_argument("supermap")
     p.add_argument("realisation")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--tol", type=float, default=tol)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_non_negative_int, default=10)
+    p.add_argument("--tol", type=_tolerance, default=tol)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 
@@ -179,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random channel or supermap document")
     p.add_argument("kind", choices=["channel", "supermap"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--source-dims", default="2", help="channel source block dims, e.g. 2,3")
     p.add_argument("--target-dims", default="2")

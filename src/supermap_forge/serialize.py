@@ -6,6 +6,12 @@ with 17 significant digits, so a save/load round trip is bit exact.  Block
 labels are strings or (recursively) lists of labels; lists deserialize to
 tuples.  Loading raises ShapeMismatchError on any malformed payload,
 non-finite entry or missing or repeated Choi entry.
+
+A document built here holds each Choi block as its ndarray until
+save_document encodes it, so only one block's strings are alive at a time.
+Documents are written as compact single-line JSON through json's C encoder
+(any indent makes CPython fall back to its pure-Python encoder); indented
+documents load the same.
 """
 
 import json
@@ -72,7 +78,7 @@ def cpmap_payload(m: CpMap) -> Dict[str, Any]:
                 {
                     "target_block": _encode_label(lj),
                     "source_block": _encode_label(li),
-                    "matrix": encode_matrix(m.choi(j, i)),
+                    "matrix": m.choi(j, i),
                 }
             )
     return {
@@ -103,9 +109,18 @@ def document(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
 
 
+def _encode_array(obj):
+    # Looked up by name on each call, so a wrapper installed on encode_matrix
+    # sees every matrix a document writes.
+    if isinstance(obj, np.ndarray):
+        return encode_matrix(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def save_document(path, doc: Dict[str, Any]) -> None:
+    text = json.dumps(doc, default=_encode_array, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
+        f.write(text)
         f.write("\n")
 
 
@@ -121,8 +136,11 @@ def _decoding(kind: str):
 
 
 def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except UnicodeDecodeError as exc:
+        raise ShapeMismatchError(f"not a UTF-8 document: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ShapeMismatchError("not an interchange document")
     if doc["format_version"] != FORMAT_VERSION:

@@ -268,8 +268,8 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
     S's and can sit up to dim D / dim B times further below zero.  These are
     the conditions realize checks.  Pure: the supermap is left unchanged.
     """
-    if tol <= 0:
-        raise ShapeMismatchError("tolerance must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ShapeMismatchError("tolerance must be positive and finite")
     cp_ok = bool(is_cp(s.inner, tol))
     n_map = extract_n(s, require_cp=False)
     phi = trace_out_target_group(s.inner, s.target_hom, "out")

@@ -216,12 +216,95 @@ def test_document_version_and_kind_checks(tmp_path):
         serialize.load_document(path, "supermap")
 
 
-def test_env_var_overrides_default_tolerance(broken_fixture, monkeypatch):
+def test_env_var_overrides_default_tolerance(broken_fixture, monkeypatch, capsys):
     # with an absurdly large tolerance the broken fixture passes verification
     monkeypatch.setenv("SUPERMAP_FORGE_TOL", "10.0")
     assert run(["verify", str(broken_fixture)]) == 0
     monkeypatch.setenv("SUPERMAP_FORGE_TOL", "1e-8")
     assert run(["verify", str(broken_fixture)]) == 1
+    # unparseable, non-finite and non-positive values are ignored with a warning
+    for bad in ("abc", "nan", "inf", "-inf", "0", "-1e-8"):
+        monkeypatch.setenv("SUPERMAP_FORGE_TOL", bad)
+        capsys.readouterr()
+        assert run(["verify", str(broken_fixture)]) == 1, bad
+        assert f"ignoring bad SUPERMAP_FORGE_TOL={bad!r}" in capsys.readouterr().err
+
+
+def test_bad_tol_is_input_error(identity_fixture, broken_fixture, tmp_path):
+    real = tmp_path / "real.json"
+    assert run(["realize", str(identity_fixture), "--out", str(real)]) == 0
+    for tol in ("nan", "inf", "-inf", "0", "-1e-8", "abc"):
+        for path in (identity_fixture, broken_fixture):
+            assert run(["verify", str(path), "--tol", tol]) == 2, (tol, path)
+            assert run(["realize", str(path), "--tol", tol]) == 2, (tol, path)
+        assert run(["check", str(identity_fixture), str(real), "--tol", tol]) == 2, tol
+
+
+def test_negative_trials_or_seed_is_input_error(identity_fixture, tmp_path):
+    real = tmp_path / "real.json"
+    assert run(["realize", str(identity_fixture), "--out", str(real)]) == 0
+    check = ["check", str(identity_fixture), str(real)]
+    assert run([*check, "--trials", "0"]) == 0
+    for flag in ("--trials", "--seed"):
+        assert run([*check, flag, "-1"]) == 2, flag
+        assert run([*check, flag, "two"]) == 2, flag
+    assert run(["gen", "supermap", "--seed", "-1", "--out", str(tmp_path / "g.json")]) == 2
+
+
+def test_non_utf8_document_is_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"format_version": "1"}'.encode("utf-16-le"))
+    with pytest.raises(sf.ShapeMismatchError):
+        serialize.load_document(path)
+    assert run(["verify", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+# Signed zero, the smallest subnormal, the smallest normal, the largest
+# finite magnitudes, and two values with no short decimal form.
+EDGE_VALUES = (
+    -0.0, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+)
+
+
+def _bits(m):
+    return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
+
+
+def _assert_same_blocks(loaded, s):
+    for j in range(len(s.inner.target)):
+        for i in range(len(s.inner.source)):
+            assert np.array_equal(_bits(loaded.inner.choi(j, i)), _bits(s.inner.choi(j, i)))
+
+
+def test_codec_edge_values_and_old_layout_are_bit_exact(tmp_path):
+    a = MultiMatrixAlgebra((("i0", 2), ("i1", 1)))
+    b = MultiMatrixAlgebra.single(2, "j")
+    s = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=13)
+    blocks = [[s.inner.choi(j, i) for i in range(len(s.inner.source))]
+              for j in range(len(s.inner.target))]
+    n = blocks[0][0].size
+    vals = np.array(EDGE_VALUES)
+    edge = vals[np.arange(n) % len(vals)] + 1j * vals[(np.arange(n) + 3) % len(vals)]
+    blocks[0][0] = edge.reshape(blocks[0][0].shape)
+    s = sf.Supermap(sf.CpMap(s.inner.source, s.inner.target, blocks),
+                    s.source_hom, s.target_hom, validate=False)
+    path = tmp_path / "sm.json"
+    serialize.save_document(path, serialize.supermap_document(s))
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    _assert_same_blocks(serialize.load_supermap(path), s)
+    # every entry is stored as the [re, im] strings encode_matrix gives
+    doc = json.loads(text)
+    assert doc["format_version"] == "1"
+    assert doc["payload"]["choi"][0]["matrix"] == serialize.encode_matrix(blocks[0][0])
+    # the indented layout written by earlier versions loads to the same blocks
+    old = tmp_path / "old.json"
+    with open(old, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    _assert_same_blocks(serialize.load_supermap(old), s)
 
 
 def test_cli_rejects_unknown_arguments():

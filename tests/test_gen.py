@@ -1,7 +1,5 @@
 """Tests for the seeded generators and brute-force oracles."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -173,14 +171,15 @@ def test_verifier_oracle_agreement_sample():
         )
 
 
-def test_seeded_supermap_documents_are_bit_identical():
+def test_seeded_supermap_documents_are_bit_identical(tmp_path):
     a = MultiMatrixAlgebra((("i0", 2),))
     b = MultiMatrixAlgebra.classical(2)
     s1 = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=77)
     s2 = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=77)
-    d1 = json.dumps(serialize.supermap_document(s1), sort_keys=True)
-    d2 = json.dumps(serialize.supermap_document(s2), sort_keys=True)
-    assert d1 == d2
+    p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
+    serialize.save_document(p1, serialize.supermap_document(s1))
+    serialize.save_document(p2, serialize.supermap_document(s2))
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_singular_marginal_raise_path():

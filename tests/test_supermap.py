@@ -319,5 +319,6 @@ def test_supermap_constructor_validates():
     wrong = sf.identity_cpmap(MultiMatrixAlgebra.single(5))
     with pytest.raises(sf.AlgebraMismatchError):
         sf.Supermap(wrong, hom, hom)
-    with pytest.raises(sf.ShapeMismatchError):
-        sf.verify_deterministic(sf.identity_supermap(a, b), tol=-1.0)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(sf.ShapeMismatchError):
+            sf.verify_deterministic(sf.identity_supermap(a, b), tol=tol)
