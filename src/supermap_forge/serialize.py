@@ -5,7 +5,8 @@ and reports.  Complex matrices are nested arrays of [re, im] decimal strings
 with 17 significant digits, so a save/load round trip is bit exact.  Block
 labels are strings or (recursively) lists of labels; lists deserialize to
 tuples.  Loading raises ShapeMismatchError on any malformed payload,
-non-finite entry or missing or repeated Choi entry.
+non-finite entry or missing or repeated Choi entry, and on a realisation
+whose E and G channels do not have the types its algebras and p_dim give.
 
 A document built here holds each Choi block as its ndarray until
 save_document encodes it, so only one block's strings are alive at a time.
@@ -24,7 +25,7 @@ import numpy as np
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import Channel, CpMap
 from .errors import ShapeMismatchError, SupermapForgeError
-from .realize import CircuitRealisation
+from .realize import CircuitRealisation, g_source_algebra, memory_target_algebra
 from .supermap import Supermap, hom_algebra
 
 FORMAT_VERSION = "1"
@@ -213,7 +214,7 @@ def load_realisation(path) -> CircuitRealisation:
     doc = load_document(path, "realisation")
     with _decoding("realisation"):
         p = doc["payload"]
-        return CircuitRealisation(
+        r = CircuitRealisation(
             a=algebra_from_payload(p["a"]),
             b=algebra_from_payload(p["b"]),
             c=algebra_from_payload(p["c"]),
@@ -226,6 +227,18 @@ def load_realisation(path) -> CircuitRealisation:
             gram_min_eig=float(p["gram_min_eig"]),
             p_bound=operator.index(p["p_bound"]),
         )
+        e, g = r.e_channel, r.g_channel
+        if (e.source, e.target, g.source, g.target) != (
+            r.c,
+            memory_target_algebra(r.a, r.p_dim),
+            g_source_algebra(r.a, r.b, r.c, r.p_dim),
+            r.d,
+        ):
+            raise ShapeMismatchError(
+                "realisation channels do not match its algebras and p_dim "
+                f"(p_dim {r.p_dim}; E: {e!r}, G: {g!r})"
+            )
+    return r
 
 
 def report_document(report_type: str, fields: Dict[str, Any]) -> Dict[str, Any]:

@@ -142,6 +142,46 @@ def test_check_mismatched_algebras_is_input_error(tmp_path):
     assert run(["check", str(sm2), str(real)]) == 2
 
 
+@pytest.fixture()
+def p4_realisation(tmp_path):
+    # M2 algebras, generation p_dim 2: the realisation has p_dim 4
+    sm, real = tmp_path / "sm.json", tmp_path / "real.json"
+    assert run(["gen", "supermap", "--seed", "3", "--p-dim", "2", "--out", str(sm)]) == 0
+    assert run(["realize", str(sm), "--out", str(real)]) == 0
+    return sm, real
+
+
+def test_check_verdict_on_a_non_tp_circuit_depends_on_tol_only(p4_realisation, capsys):
+    # every G Choi entry scaled by 1 + 3e-7: G's TP residual is 4.2e-7, the
+    # spanning deviation 1.8e-7 and the trial deviation about 3.1e-7
+    sm, real = p4_realisation
+    doc = json.loads(real.read_text())
+    for entry in doc["payload"]["g_channel"]["choi"]:
+        m = serialize.decode_matrix(entry["matrix"]) * (1 + 3e-7)
+        entry["matrix"] = serialize.encode_matrix(m)
+    real.write_text(json.dumps(doc))
+    for trials in ([], ["--trials", "0"]):
+        check = ["check", str(sm), str(real), *trials]
+        assert run([*check, "--tol", "1e-6"]) == 0, trials
+        assert "PASS" in capsys.readouterr().out
+        assert run([*check, "--tol", "1e-8"]) == 1, trials
+        assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p_dim", [3, 5])
+def test_check_realisation_with_wrong_p_dim_is_input_error(p_dim, p4_realisation, capsys):
+    sm, real = p4_realisation
+    doc = json.loads(real.read_text())
+    assert doc["payload"]["p_dim"] == 4
+    doc["payload"]["p_dim"] = p_dim
+    real.write_text(json.dumps(doc))
+    with pytest.raises(sf.ShapeMismatchError):
+        serialize.load_realisation(real)
+    capsys.readouterr()
+    assert run(["check", str(sm), str(real)]) == 2
+    assert "p_dim" in capsys.readouterr().err
+
+
 def test_demo_names(capsys):
     for name in ("cdp08", "multimeter", "povm-to-state", "state-to-povm",
                  "classical-to-quantum", "quantum-to-classical"):

@@ -1,6 +1,7 @@
 """Tests for the circuit realisation engine."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,105 @@ def test_evaluate_circuit_rejects_wrong_channel_type():
         sf.evaluate_circuit(r, wrong)
 
 
+def _dense_evaluate_circuit(r, f):
+    """The circuit's four stages with f (x) Id_P built as a dense Choi family."""
+    p = r.p_dim
+    na, nb, nc = len(r.a), len(r.b), len(r.c)
+    copies = [(k, i) for k in range(nc) for i in range(na)]
+    slots = [(k, i, j) for k, i in copies for j in range(nb)]
+    m1 = MultiMatrixAlgebra(tuple(
+        ((r.c.labels[k], r.a.labels[i]), p * r.a.dims[i]) for k, i in copies
+    ))
+    m2 = MultiMatrixAlgebra(tuple(
+        ((r.c.labels[k], r.a.labels[i], r.b.labels[j]), p * r.b.dims[j])
+        for k, i, j in slots
+    ))
+
+    def lift(source, target, block):
+        rows = []
+        for t, dt in enumerate(target.dims):
+            row = []
+            for s, ds in enumerate(source.dims):
+                c = block(t, s)
+                row.append(np.zeros((dt * ds,) * 2, dtype=complex) if c is None else c)
+            rows.append(row)
+        return sf.CpMap(source, target, rows)
+
+    stage1 = sf.copy_channel(r.c)
+    stage2 = lift(stage1.target, m1, lambda t, k: (
+        r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
+    ))
+    f_p = sf.tensor(sf.identity_cpmap(MultiMatrixAlgebra.single(p)), f)
+    stage3 = lift(m1, m2, lambda t, s: (
+        f_p.choi(slots[t][2], copies[s][1]) if slots[t][:2] == copies[s] else None
+    ))
+    stage4 = lift(m2, r.d, lambda l, t: r.g_channel.choi(
+        l, (slots[t][1] * nb + slots[t][2]) * nc + slots[t][0]
+    ))
+    return sf.compose(stage4, sf.compose(stage3, sf.compose(stage2, stage1)))
+
+
+@pytest.mark.parametrize("shape", [
+    ((("i0", 2), ("i1", 1), ("i2", 3)), (("j0", 3), ("j1", 1)),
+     (("k0", 1), ("k1", 2)), (("l0", 2), ("l1", 1), ("l2", 3))),
+    ((("i0", 3),), (("j0", 1), ("j1", 2), ("j2", 3)),
+     (("k0", 2), ("k1", 1), ("k2", 1)), (("l0", 3),)),
+])
+def test_evaluate_circuit_matches_dense_oracle(shape):
+    a, b, c, d = (MultiMatrixAlgebra(x) for x in shape)
+    s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=47)
+    r = sf.realize(s)
+    for seed in range(2):
+        f = gen.random_channel(a, b, seed=seed)
+        fast = sf.evaluate_circuit(r, f)
+        dense = _dense_evaluate_circuit(r, f)
+        assert (fast.source, fast.target) == (dense.source, dense.target)
+        dev = max(
+            np.abs(fast.choi(l, k) - dense.choi(l, k)).max()
+            for l in range(len(d)) for k in range(len(c))
+        )
+        assert dev <= 1e-13
+
+
+def test_evaluate_circuit_memory_stays_small_at_q4():
+    # realised p_dim 16: a dense f (x) Id_P Choi block alone would be 268 MB
+    algs = [MultiMatrixAlgebra.single(4, lbl) for lbl in "abcd"]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=4)
+    r = sf.realize(s)
+    assert r.p_dim == 16
+    f = gen.random_channel(r.a, r.b, seed=0)
+    tracemalloc.start()
+    try:
+        sf.evaluate_circuit(r, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _g_scaled(r, factor):
+    g = r.g_channel
+    return dataclasses.replace(r, g_channel=sf.Channel(
+        g.source, g.target, g.scaled(factor).choi_blocks, validate=False
+    ))
+
+
+def test_check_trials_measure_deviation_not_channel_validity():
+    # G scaled by 1 + 3e-7: its TP residual (4.2e-7) fails evaluate_circuit's
+    # validation at 1e-7, but the trials still report a deviation (~3.1e-7)
+    m2 = [MultiMatrixAlgebra.from_dims([2], lbl) for lbl in "abcd"]
+    s = gen.random_supermap_from_circuit(*m2, p_dim=2, seed=3)
+    r = _g_scaled(sf.realize(s), 1 + 3e-7)
+    f = gen.random_channel(r.a, r.b, seed=0)
+    with pytest.raises(sf.NotTracePreservingError):
+        sf.evaluate_circuit(r, f)
+    for trials in (0, 1, 10):
+        chk = sf.check_realisation(r, s, trials=trials, tol=1e-6)
+        assert chk.passed, chk.summary()
+        assert not sf.check_realisation(r, s, trials=trials, tol=1e-8).passed
+    assert 1e-7 < chk.trial_deviation < 1e-6
+
+
 def test_check_realisation_zero_trials_runs_spanning_set():
     s = verified_supermap(seed=39)
     r = sf.realize(s)
@@ -349,6 +449,9 @@ def test_check_realisation_fails_on_non_cp_circuit():
         sf.circuit_supermap(broken.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
     chk = sf.check_realisation(broken, s, trials=0, tol=1e-6)
     assert not chk.passed and chk.spanning_deviation > 1e-3
+    # the trials report the deviation too, not the channel check's error
+    chk = sf.check_realisation(broken, s, trials=1, tol=1e-6)
+    assert not chk.passed and chk.trial_deviation > 1e-3
 
 
 def test_realize_keeps_small_supermap_eigenvalues():
