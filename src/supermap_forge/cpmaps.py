@@ -26,7 +26,7 @@ stacking the Kraus operators against an orthonormal environment basis.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .algebra import (
 from .errors import (
     AlgebraMismatchError,
     NotCompletelyPositiveError,
+    NotMinimalError,
     NotTracePreservingError,
     ShapeMismatchError,
     StructureMissingError,
@@ -246,10 +247,14 @@ def is_cp(m: CpMap, tol: float = DEFAULT_TOL) -> PositivityWitness:
 
 
 def _not_cp(witness: PositivityWitness, what: str = "Choi block") -> NotCompletelyPositiveError:
-    return NotCompletelyPositiveError(
-        f"{what} {witness.block!r} not PSD (min eigenvalue {witness.min_eigenvalue:.3g}, "
-        f"Hermiticity defect {witness.hermiticity_defect:.3g})"
-    )
+    """Name the part of the PSD rule the witness's block failed."""
+    if np.isnan(witness.hermiticity_defect):
+        reason = "non-finite entries"
+    elif np.isnan(witness.min_eigenvalue):
+        reason = f"Hermiticity defect {witness.hermiticity_defect:.3g}"
+    else:
+        reason = f"min eigenvalue {witness.min_eigenvalue:.3g}"
+    return NotCompletelyPositiveError(f"{what} {witness.block!r} not PSD ({reason})")
 
 
 def require_cp_map(m: CpMap, tol: float = DEFAULT_TOL, what: str = "Choi block") -> CpMap:
@@ -351,77 +356,77 @@ def kraus_from_choi(
 
 @dataclass(frozen=True)
 class StinespringDilation:
-    """Environment dimensions and stacked isometry blocks for a CP map.
+    """Environment dimensions and stacked isometry blocks for a CP map A -> B.
 
-    For a map ``m: A -> B`` with Kraus family ``{K_alpha: H_i -> K_j}``, the
-    block for source index i is
+    For a map with Kraus family ``{K_alpha: H_i -> K_j}``, the block for
+    source index i is
 
         V_i = (+)_j sum_alpha K_alpha (x) |alpha>  :  H_i -> (+)_j K_j (x) E_ij,
 
     so ``m(rho)_j = Tr_env[(component j of V_i) rho (...)†]`` and
     ``V_i† (y (x) Id) V_i`` computes the Hilbert-Schmidt dual of m.  For a
-    channel every V_i is an isometry.
+    channel every V_i is an isometry.  The Kraus family is read off the
+    blocks.
     """
 
-    cpmap: CpMap
-    kraus: KrausDecomposition
+    source: MultiMatrixAlgebra
+    target: MultiMatrixAlgebra
     env_dims: Dict[Tuple[int, int], int]
     isometries: Tuple[np.ndarray, ...]
 
+    @property
+    def kraus(self) -> KrausDecomposition:
+        """K_alpha of pair (i, j): slice alpha of component (i, j)'s environment."""
+        ops = {}
+        for (i, j), r in self.env_dims.items():
+            c = self.component(i, j).reshape(self.target.dims[j], r, self.source.dims[i])
+            ops[(i, j)] = tuple(c[:, alpha, :] for alpha in range(r))
+        return KrausDecomposition(self.source, self.target, ops)
+
     def component(self, i: int, j: int) -> np.ndarray:
         """Slice of V_i landing in K_j (x) E_ij; shape (dK_j * r_ij, dH_i)."""
-        offset = 0
-        for jj in range(j):
-            offset += self.cpmap.target.dims[jj] * self.env_dims[(i, jj)]
-        size = self.cpmap.target.dims[j] * self.env_dims[(i, j)]
+        offset = sum(self.target.dims[jj] * self.env_dims[(i, jj)] for jj in range(j))
+        size = self.target.dims[j] * self.env_dims[(i, j)]
         return self.isometries[i][offset : offset + size, :]
 
     def isometry_defect(self) -> float:
         """max_i || V_i† V_i - Id ||_F; ~0 exactly when the map is a channel."""
         worst = 0.0
-        for v, dh in zip(self.isometries, self.cpmap.source.dims):
+        for v, dh in zip(self.isometries, self.source.dims):
             worst = max(worst, frob(dag(v) @ v - np.eye(dh)))
         return worst
 
     def heisenberg_apply(self, y: BlockOperator) -> BlockOperator:
-        """V† (y (x) Id_E) V blockwise; equals hs_dual(cpmap) applied to y."""
-        if y.algebra != self.cpmap.target:
+        """V† (y (x) Id_E) V blockwise; equals the Hilbert-Schmidt dual applied to y."""
+        if y.algebra != self.target:
             raise AlgebraMismatchError("operator is not in the dilation's target algebra")
         outs = []
-        for i in range(len(self.cpmap.source)):
-            mid = [
-                np.kron(y.block(j), np.eye(self.env_dims[(i, j)]))
-                for j in range(len(self.cpmap.target))
-            ]
-            big = _block_diag(mid)
-            v = self.isometries[i]
-            outs.append(dag(v) @ big @ v)
-        return BlockOperator(self.cpmap.source, outs)
+        for i, dh in enumerate(self.source.dims):
+            acc = np.zeros((dh, dh), dtype=complex)
+            for j in range(len(self.target)):
+                c = self.component(i, j)
+                acc += dag(c) @ np.kron(y.block(j), np.eye(self.env_dims[(i, j)])) @ c
+            outs.append(acc)
+        return BlockOperator(self.source, outs)
 
 
-def _block_diag(mats: List[np.ndarray]) -> np.ndarray:
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=complex)
-    k = 0
-    for m in mats:
-        out[k : k + m.shape[0], k : k + m.shape[1]] = m
-        k += m.shape[0]
-    return out
+def _stack_dilation(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
+                    components) -> StinespringDilation:
+    """The dilation whose component (i, j) is components[(i, j)], an array
+    (dK_j, r_ij, dH_i) holding K_alpha[x, y] at [x, alpha, y]."""
+    isoms = tuple(np.concatenate(
+        [components[(i, j)].reshape(-1, dh) for j in range(len(target))], dtype=complex
+    ) for i, dh in enumerate(source.dims))
+    env_dims = {key: c.shape[1] for key, c in components.items()}
+    return StinespringDilation(source, target, env_dims, isoms)
 
 
 def dilation_from_kraus(m: CpMap, kd: KrausDecomposition) -> StinespringDilation:
-    env_dims = {(i, j): kd.rank(i, j) for i in range(len(m.source)) for j in range(len(m.target))}
-    isoms = []
-    for i, dh in enumerate(m.source.dims):
-        segments = []
-        for j, dk in enumerate(m.target.dims):
-            ks = kd.ops[(i, j)]
-            if ks:
-                # row (x, alpha) of the segment is row x of K_alpha
-                seg = np.stack(ks, axis=1).reshape(dk * len(ks), dh)
-                segments.append(seg.astype(complex, copy=False))
-        isoms.append(np.vstack(segments) if segments else np.zeros((0, dh), dtype=complex))
-    return StinespringDilation(m, kd, env_dims, tuple(isoms))
+    """Stack each Kraus list against an orthonormal environment basis."""
+    return _stack_dilation(m.source, m.target, {
+        (i, j): np.stack(kd.ops[(i, j)], axis=1) if kd.ops[(i, j)] else np.zeros((dk, 0, dh))
+        for i, dh in enumerate(m.source.dims) for j, dk in enumerate(m.target.dims)
+    })
 
 
 def minimal_stinespring(m: CpMap, tol: float = DEFAULT_TOL) -> StinespringDilation:
@@ -444,14 +449,11 @@ def environment_intertwiner(
     relating the two dilations.  Returns (blocks, residual, partial-isometry
     defect); blocks maps (i, j) to the solved environment matrix.
     """
-    from .errors import NotMinimalError
-
-    m = d_from.cpmap
     blocks: Dict[Tuple[int, int], np.ndarray] = {}
     res_sq = 0.0
     pi_sq = 0.0
-    for i, dh in enumerate(m.source.dims):
-        for j, dk in enumerate(m.target.dims):
+    for i, dh in enumerate(d_from.source.dims):
+        for j, dk in enumerate(d_from.target.dims):
             ra = d_from.env_dims[(i, j)]
             rb = d_to.env_dims[(i, j)]
             va = d_from.component(i, j).reshape(dk, ra, dh)

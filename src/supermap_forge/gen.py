@@ -13,7 +13,7 @@ import numpy as np
 
 from ._linalg import dag, psd_root_inverse
 from .algebra import BlockOperator, HybridState, MultiMatrixAlgebra
-from .cpmaps import Channel, CpMap, apply
+from .cpmaps import Channel, CpMap, apply, is_tp
 from .errors import ShapeMismatchError, SingularMarginalError
 from .realize import circuit_supermap, g_source_algebra, memory_target_algebra
 from .supermap import (
@@ -66,34 +66,47 @@ def random_channel(
 
     Per source block i the marginal R_i = sum_j Tr_target M_ji is inverted
     as R_i^{-1/2}; a singular marginal triggers a fresh draw, and after
-    max_attempts failures SingularMarginalError is raised.
+    max_attempts failures SingularMarginalError is raised.  R_i^{-1/2} loses
+    accuracy with R_i's condition number, so a source block whose TP
+    residual then exceeds 1e-10 is renormalised once more, by its new
+    marginal.
     """
     rng = _rng(seed)
     for _ in range(max_attempts):
-        blocks = [
-            [None for _ in range(len(a))] for _ in range(len(b))
-        ]
-        ok = True
-        for i, dh in enumerate(a.dims):
+        columns = []
+        for dh in a.dims:
             raw = []
-            marginal = np.zeros((dh, dh), dtype=complex)
-            for j, dk in enumerate(b.dims):
+            for dk in b.dims:
                 g = _gaussian_matrix(rng, dk * dh, dk * dh)
-                m = g @ dag(g) / (dk * dh)
-                raw.append(m)
-                marginal += np.einsum("rarb->ab", m.reshape(dk, dh, dk, dh))
-            root_inv = psd_root_inverse(marginal, 1e-12)
-            if root_inv is None:
-                ok = False
+                raw.append(g @ dag(g) / (dk * dh))
+            col = _tp_renormalise(raw, b.dims, dh)
+            if col is None:
                 break
-            for j, dk in enumerate(b.dims):
-                fix = np.kron(np.eye(dk, dtype=complex), root_inv)
-                blocks[j][i] = fix @ raw[j] @ dag(fix)
-        if ok:
-            return Channel(a, b, blocks, tol=1e-10)
+            columns.append(col)
+        else:
+            ch = Channel(a, b, list(zip(*columns)), validate=False)
+            report = is_tp(ch, 1e-10)
+            if report:
+                return ch
+            columns = [_tp_renormalise(col, b.dims, dh) if res > 1e-10 else col
+                       for col, dh, res in zip(columns, a.dims, report.residuals)]
+            return Channel(a, b, list(zip(*columns)), tol=1e-10)
     raise SingularMarginalError(
         f"no invertible marginal after {max_attempts} attempts"
     )
+
+
+def _tp_renormalise(col, dims, dh):
+    """Conjugate one source block's Choi blocks by Id (x) R^{-1/2}, with R
+    their marginal sum_j Tr_target; None when R is near singular."""
+    marginal = np.zeros((dh, dh), dtype=complex)
+    for m, dk in zip(col, dims):
+        marginal += np.einsum("rarb->ab", m.reshape(dk, dh, dk, dh))
+    root_inv = psd_root_inverse(marginal, 1e-12)
+    if root_inv is None:
+        return None
+    fixes = [np.kron(np.eye(dk, dtype=complex), root_inv) for dk in dims]
+    return [fix @ m @ dag(fix) for fix, m in zip(fixes, col)]
 
 
 def random_supermap_from_circuit(

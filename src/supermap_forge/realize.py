@@ -42,6 +42,7 @@ from .cpmaps import (
     CpMap,
     KrausDecomposition,
     StinespringDilation,
+    _stack_dilation,
     apply,
     as_channel,
     compose,
@@ -50,7 +51,6 @@ from .cpmaps import (
     environment_intertwiner,
     is_unital,
     kraus_from_choi,
-    minimal_stinespring,
     require_cp_map,
 )
 from .errors import (
@@ -60,7 +60,9 @@ from .errors import (
     NotUnitalError,
     ResidualTooLargeError,
 )
-from .supermap import HomAlgebra, Supermap, choi_element, extract_n, hom_algebra
+from .supermap import (
+    HomAlgebra, Supermap, choi_element, extract_n, hom_algebra, kernel_residual,
+)
 
 VERIFY_TOL = 1e-8
 
@@ -103,21 +105,17 @@ def left_dilation(s: Supermap, s_kraus: KrausDecomposition) -> StinespringDilati
     """
     src = s.target_hom.in_algebra  # C-shaped
     tgt = s.source_hom.base
-    out_alg = s.target_hom.out_algebra  # D-shaped
-    n_in = len(s.target_hom.in_algebra)
-    ops: Dict[Tuple[int, int], list] = {}
+    out_dims = s.target_hom.out_algebra.dims  # D-shaped
+    components = {}
     for k, dk in enumerate(src.dims):
-        for t in range(len(tgt)):
-            kraus = []
-            for l, dl in enumerate(out_alg.dims):
-                t_cd = l * n_in + k
-                for a in range(dl):
-                    embed = np.kron(basis_column(dl, a), np.eye(dk, dtype=complex))
-                    for s_mu in s_kraus.ops[(t, t_cd)]:
-                        kraus.append(dag(s_mu) @ embed)
-            ops[(k, t)] = kraus
-    kd = KrausDecomposition(src, tgt, {key: tuple(v) for key, v in ops.items()})
-    return dilation_from_kraus(CpMap.from_kraus(src, tgt, ops), kd)
+        for t, dt in enumerate(tgt.dims):
+            # K_(l, a, mu)[x, y] = conj(S_mu[(a, y), x]), S_mu of pair (t, (l, k))
+            components[(k, t)] = np.concatenate([
+                np.reshape(s_kraus.ops[(t, l * len(src) + k)], (-1, dl, dk, dt))
+                .conj().transpose(3, 1, 0, 2).reshape(dt, -1, dk)
+                for l, dl in enumerate(out_dims)
+            ], axis=1)
+    return _stack_dilation(src, tgt, components)
 
 
 def right_dilation(
@@ -129,25 +127,20 @@ def right_dilation(
     tagged basis ordered (b, beta).  Minimal whenever N's dilation is, by
     Gram invertibility of the composite Kraus family.
     """
-    n = n_dilation.cpmap
-    if n.source != source_hom.in_algebra:
+    if n_dilation.source != source_hom.in_algebra:
         raise AlgebraMismatchError("induced map must act on the in-factor algebra")
-    src = n.target  # C-shaped (K_in blocks)
-    tgt = source_hom.base  # Hom(A, B)
-    b_alg = source_hom.out_algebra
-    ops: Dict[Tuple[int, int], list] = {}
+    src = n_dilation.target  # C-shaped (K_in blocks)
+    b_dims = source_hom.out_algebra.dims
+    components = {}
     for k, dk in enumerate(src.dims):
         for t, (j, i) in enumerate(source_hom.pairs):
-            dj = b_alg.dims[j]
-            dhi = source_hom.in_algebra.dims[i]
-            kraus = []
-            for bb in range(dj):
-                embed = np.kron(basis_column(dj, bb), np.eye(dhi, dtype=complex))
-                for n_beta in n_dilation.kraus.ops[(i, k)]:
-                    kraus.append(embed @ dag(n_beta))
-            ops[(k, t)] = kraus
-    kd = KrausDecomposition(src, tgt, {key: tuple(v) for key, v in ops.items()})
-    return dilation_from_kraus(CpMap.from_kraus(src, tgt, ops), kd)
+            di, r = source_hom.in_algebra.dims[i], n_dilation.env_dims[(i, k)]
+            n3 = n_dilation.component(i, k).reshape(dk, r, di)
+            # K_(b, beta) = |b> (x) N_beta†
+            components[(k, t)] = np.einsum(
+                "cb,xry->cybrx", np.eye(b_dims[j]), n3.conj()
+            ).reshape(b_dims[j] * di, -1, dk)
+    return _stack_dilation(src, source_hom.base, components)
 
 
 @dataclass(frozen=True)
@@ -164,24 +157,22 @@ def solve_w(
 ) -> SolvedW:
     """Least-squares solve of (Id (x) W) V_right = V_left per block pair.
 
-    Requires both dilations to present the same CP map (checked on the Choi
-    families); the right dilation must be minimal, otherwise the solve is
-    rank deficient.  Residual and isometry defect must stay below 10 * tol.
+    The right dilation must be minimal, otherwise the solve is rank
+    deficient.  Raises ResidualTooLargeError when the residual, and
+    IsometryDefectError when W's isometry defect, exceeds 10 * tol:
+    dilations of different maps can solve to a small residual, but not to
+    an isometry.
     """
-    mismatch = v_right.cpmap.choi_distance(v_left.cpmap)
-    if mismatch > tol:
-        raise ResidualTooLargeError(
-            f"dilations disagree: Choi distance {mismatch:.3e} > {tol:.1e}"
-        )
     blocks, residual, _ = environment_intertwiner(v_right, v_left)
-    defect_sq = 0.0
-    for x in blocks.values():
-        defect_sq += frob(dag(x) @ x - np.eye(x.shape[1])) ** 2
-    defect = float(np.sqrt(defect_sq))
     if residual > 10 * tol:
         raise ResidualTooLargeError(
             f"intertwiner residual {residual:.3e} exceeds {10 * tol:.1e}"
         )
+    defect = float(np.sqrt(sum(
+        frob(dag(x) @ x - np.eye(x.shape[1])) ** 2 for x in blocks.values()
+    )))
+    if defect > 10 * tol:
+        raise IsometryDefectError(f"W isometry defect {defect:.3e} exceeds {10 * tol:.1e}")
     return SolvedW(blocks, residual, defect)
 
 
@@ -230,27 +221,24 @@ def pad_environment(env_dims: Dict[Tuple[int, int], int],
 # -- channel assembly ----------------------------------------------------------
 
 
-def assemble_e(n_dilation: StinespringDilation, pad: PaddedEnvironment,
+def assemble_e(n_kraus: KrausDecomposition, pad: PaddedEnvironment,
                tol: float = DEFAULT_TOL) -> Channel:
     """The pre-processing channel E: C -> (+)_i B(P (x) H_in_i).
 
     Component (k -> i) is conjugation by the single operator
     ``U_ik = sum_beta iota|beta> (x) N_beta^T`` (transposes, not adjoints:
     the open channel slot attaches to the dual wire).  E is trace preserving
-    exactly when N is unital.
+    exactly when N is unital, which realize checks first.
     """
-    n = n_dilation.cpmap
-    if not is_unital(n, tol):
-        raise NotUnitalError("assemble_e requires a unital induced map")
-    a_alg = n.source
-    c_alg = n.target
+    a_alg = n_kraus.source
+    c_alg = n_kraus.target
     target = memory_target_algebra(a_alg, pad.p_dim)
     ops: Dict[Tuple[int, int], list] = {}
     for k, dk in enumerate(c_alg.dims):
         for i, dhi in enumerate(a_alg.dims):
             iota = pad.injection(i, k)
             u = np.zeros((pad.p_dim * dhi, dk), dtype=complex)
-            for beta, n_beta in enumerate(n_dilation.kraus.ops[(i, k)]):
+            for beta, n_beta in enumerate(n_kraus.ops[(i, k)]):
                 u += np.kron(iota[:, beta : beta + 1], n_beta.T)
             ops[(k, i)] = [u]
     m = CpMap.from_kraus(c_alg, target, ops)
@@ -273,10 +261,6 @@ def assemble_g(
     complement it prepares the first basis state of the first D block; the
     embedding annihilates that summand, so it never affects the circuit.
     """
-    if w.isometry_defect > 10 * tol:
-        raise IsometryDefectError(
-            f"W isometry defect {w.isometry_defect:.3e} exceeds {10 * tol:.1e}"
-        )
     a_alg = source_hom.in_algebra
     b_alg = source_hom.out_algebra
     c_alg = target_hom.in_algebra
@@ -301,8 +285,7 @@ def assemble_g(
                         r_s = s_env_dims.get((t_ab, l * n_in_cd + k), 0)
                         if r_s > 0:
                             seg = wbar[offset : offset + dl * r_s, :].reshape(dl, r_s, -1)
-                            for mu in range(r_s):
-                                ops[(src, l)].append(seg[:, mu, :] @ pre)
+                            ops[(src, l)].extend(seg.transpose(1, 0, 2) @ pre)
                         offset += dl * r_s
                 perp = pad.complement(i, k)
                 if perp.shape[1] > 0:
@@ -350,37 +333,36 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     assembly.  The realised memory dimension always respects the bound
     max_{i,k} dim(H_in_i) * dim(K_in_k).
 
-    Needs no prior verification: the steps check determinism at tol with
-    verify's PSD rule, raising NotCompletelyPositiveError when S or the
-    induced map N is not CP, ResidualTooLargeError when kernel containment
-    fails (the two dilations of Phi differ by more than tol), and
-    NotUnitalError when N is not unital.
+    Needs no prior verification: it gates on verify's quantities at tol,
+    in verify's order.  kraus_from_choi applies the PSD rule to N and to S
+    (NotCompletelyPositiveError), kernel_residual above tol raises
+    ResidualTooLargeError, and N failing is_unital raises NotUnitalError.
 
     Only the right dilation (from N) must be minimal.  S's Kraus family, and
     so the left dilation, keeps every eigenvalue of S's Choi blocks above
     roundoff: a small true eigenvalue dropped by a relative cutoff would be
     divided by N's smallest Gram eigenvalue in the W solve.
     """
-    n_dil = minimal_stinespring(extract_n(s, tol), tol)
+    n = extract_n(s)
+    n_kd = kraus_from_choi(n, tol=tol)
     s_kd = kraus_from_choi(s.inner, rank_tol=0.0, tol=tol)
-    v_left = left_dilation(s, s_kd)
-    v_right = right_dilation(n_dil, s.source_hom)
-    w = solve_w(v_right, v_left, tol)
+    residual = kernel_residual(s, n)
+    if residual > tol:
+        raise ResidualTooLargeError(
+            f"kernel containment fails: residual {residual:.3e} > {tol:.1e}"
+        )
+    if not is_unital(n, tol):
+        raise NotUnitalError("the induced map N is not unital")
+    v_right = right_dilation(dilation_from_kraus(n, n_kd), s.source_hom)
+    w = solve_w(v_right, left_dilation(s, s_kd), tol)
     a_alg = s.source_hom.in_algebra
     c_alg = s.target_hom.in_algebra
-    env_dims = {key: n_dil.env_dims[key] for key in n_dil.env_dims}
-    bounds = {
-        (i, k): a_alg.dims[i] * c_alg.dims[k]
-        for i in range(len(a_alg))
-        for k in range(len(c_alg))
-    }
-    pad = pad_environment(env_dims, bounds)
-    e = assemble_e(n_dil, pad, tol=tol)
+    bounds = {(i, k): di * dk
+              for i, di in enumerate(a_alg.dims) for k, dk in enumerate(c_alg.dims)}
+    pad = pad_environment({key: len(ops) for key, ops in n_kd.ops.items()}, bounds)
+    e = assemble_e(n_kd, pad, tol=tol)
     s_env_dims = {key: len(ops) for key, ops in s_kd.ops.items()}
     g = assemble_g(w, pad, s.source_hom, s.target_hom, s_env_dims, tol)
-    bound = max(bounds.values())
-    if pad.p_dim > bound:
-        raise BoundViolatedError(f"p_dim {pad.p_dim} exceeds bound {bound}")
     return CircuitRealisation(
         a=a_alg,
         b=s.source_hom.out_algebra,
@@ -391,8 +373,8 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
         g_channel=g,
         w_residual=w.residual,
         w_isometry_defect=w.isometry_defect,
-        gram_min_eig=n_dil.kraus.min_gram_eig(),
-        p_bound=bound,
+        gram_min_eig=n_kd.min_gram_eig(),
+        p_bound=max(bounds.values()),
     )
 
 

@@ -204,7 +204,7 @@ def apply_to_choi(s: Supermap, c: BlockOperator) -> BlockOperator:
     return apply(s.inner, c)
 
 
-def extract_n(s: Supermap, tol: float = DEFAULT_TOL, require_cp: bool = True) -> CpMap:
+def extract_n(s: Supermap) -> CpMap:
     """The induced map N on the source factors: N(x) = Tr_out S(section(x)).
 
     For a deterministic supermap N is unital and CP, and
@@ -212,8 +212,7 @@ def extract_n(s: Supermap, tol: float = DEFAULT_TOL, require_cp: bool = True) ->
 
     Read off the Choi blocks of S directly: N's block (k, i) is
     (1/dim B) sum over (l, j) of S's block ((l, k), (j, i)) traced over both
-    out factors, D_l and B_j.  Raises NotCompletelyPositiveError when
-    require_cp is set and N fails the PSD check.
+    out factors, D_l and B_j.  No positivity check.
     """
     src_hom, tgt_hom = s.source_hom, s.target_hom
     src, tgt = src_hom.in_algebra, tgt_hom.in_algebra
@@ -226,18 +225,31 @@ def extract_n(s: Supermap, tol: float = DEFAULT_TOL, require_cp: bool = True) ->
             s8 = s.inner.choi(t_cd, t_ab).reshape(dl, dk, dj, di, dl, dk, dj, di)
             blocks[k][i] += np.einsum("oqcaoQcb->qaQb", s8)
     scale = 1.0 / src_hom.out_algebra.dim
-    n = CpMap(src, tgt, [[scale * b.reshape(b.shape[0] * b.shape[1], -1) for b in row]
-                         for row in blocks])
-    return require_cp_map(n, tol) if require_cp else n
+    return CpMap(src, tgt, [[scale * b.reshape(b.shape[0] * b.shape[1], -1) for b in row]
+                            for row in blocks])
+
+
+def kernel_residual(s: Supermap, n: CpMap) -> float:
+    """||Phi - Id_B (x) N||_F over all Choi blocks of the marginal map
+    Phi = Tr_out o S, for N = extract_n(s): the Hilbert-Schmidt norm of Phi
+    on ker Tr_out, zero exactly when kernel containment holds."""
+    phi = trace_out_target_group(s.inner, s.target_hom, "out")
+    b_dims = s.source_hom.out_algebra.dims
+    total = 0.0
+    for k, dk in enumerate(n.target.dims):
+        for t, (j, i) in enumerate(s.source_hom.pairs):
+            dj, di = b_dims[j], n.source.dims[i]
+            id_n = np.einsum("cC,qaQb->qcaQCb", np.eye(dj), n.choi4(k, i))
+            total += frob(phi.choi(k, t) - id_n.reshape(dk * dj * di, -1)) ** 2
+    return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of verify_deterministic.
 
-    ``kernel_residual`` is ||Phi - Id_B (x) N||_F over all Choi blocks of the
-    marginal map Phi = Tr_out o S: the Hilbert-Schmidt norm of Phi on
-    ker Tr_out, zero exactly when kernel containment holds.
+    ``kernel_residual`` is kernel_residual(s, n_map): the Frobenius distance
+    ``||Phi - Id_B (x) N||``, zero exactly when kernel containment holds.
     """
 
     cp_ok: bool
@@ -271,24 +283,14 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
     if not (np.isfinite(tol) and tol > 0):
         raise ShapeMismatchError("tolerance must be positive and finite")
     cp_ok = bool(is_cp(s.inner, tol))
-    n_map = extract_n(s, require_cp=False)
-    phi = trace_out_target_group(s.inner, s.target_hom, "out")
-    b_dims = s.source_hom.out_algebra.dims
-    kernel_sq = 0.0
-    for k in range(len(n_map.target)):
-        for t, (j, i) in enumerate(s.source_hom.pairs):
-            dk, dj, di = n_map.target.dims[k], b_dims[j], n_map.source.dims[i]
-            id_n = np.einsum("cC,qaQb->qcaQCb", np.eye(dj), n_map.choi4(k, i))
-            kernel_sq += frob(phi.choi(k, t) - id_n.reshape(dk * dj * di, -1)) ** 2
-    kernel_residual = float(np.sqrt(kernel_sq))
+    n_map = extract_n(s)
+    residual = kernel_residual(s, n_map)
     n_unital_residual = (
         apply(n_map, n_map.source.identity()) - n_map.target.identity()
     ).norm()
     n_cp_ok = bool(is_cp(n_map, tol))
-    verdict = cp_ok and n_cp_ok and kernel_residual <= tol and n_unital_residual <= tol
-    return VerificationReport(
-        cp_ok, kernel_residual, n_map, n_unital_residual, n_cp_ok, verdict, tol
-    )
+    verdict = cp_ok and n_cp_ok and residual <= tol and n_unital_residual <= tol
+    return VerificationReport(cp_ok, residual, n_map, n_unital_residual, n_cp_ok, verdict, tol)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,23 @@ def test_non_finite_choi_blocks_are_not_cp():
             sf.kraus_from_choi(m)
 
 
+def test_not_cp_message_names_the_failed_part_of_the_psd_rule():
+    blk = sf.identity_channel(M2).choi(0, 0).copy()
+    blk[1, 2] = np.nan
+    # a valid channel scaled by 1e12 fails on its absolute Hermiticity defect
+    big = gen.random_channel(M2, M2, seed=0).scaled(1e12)
+    cases = (
+        (sf.CpMap(M2, M2, [[blk]]), r"\(non-finite entries\)"),
+        (big, r"\(Hermiticity defect [0-9.e+-]+\)"),
+        (sf.identity_channel(M2).scaled(-1.0), r"\(min eigenvalue -2\)"),
+    )
+    for m, message in cases:
+        for check in (sf.kraus_from_choi, sf.cpmaps.require_cp_map):
+            with pytest.raises(sf.NotCompletelyPositiveError, match=message) as info:
+                check(m)
+            assert "nan" not in str(info.value)
+
+
 def test_hs_dual_identity_unitality_and_involution():
     ident = sf.identity_channel(M2)
     assert sf.hs_dual(ident).choi_distance(ident) < 1e-14

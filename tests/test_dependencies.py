@@ -1,0 +1,26 @@
+"""The package imports nothing outside numpy and the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import supermap_forge
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "supermap_forge"}
+
+
+def test_package_imports_only_numpy_and_the_stdlib():
+    outside = []
+    for path in sorted(Path(supermap_forge.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names if name.split(".")[0] not in ALLOWED
+            ]
+    assert not outside, outside

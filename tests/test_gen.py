@@ -189,3 +189,16 @@ def test_singular_marginal_raise_path():
     a = MultiMatrixAlgebra.single(2, "H")
     with pytest.raises(sf.SingularMarginalError):
         gen.random_channel(a, a, seed=0, max_attempts=0)
+
+
+def test_random_channel_refines_an_ill_conditioned_marginal():
+    # one source block's marginal has condition number ~2e6; a single
+    # R^{-1/2} pass left a TP residual of 2.53e-10, past the 1e-10 check
+    a = MultiMatrixAlgebra.from_dims((1, 2), "a")
+    b = MultiMatrixAlgebra.from_dims((2, 1), "b")
+    c = MultiMatrixAlgebra.from_dims((1, 1), "c")
+    d = MultiMatrixAlgebra.from_dims((1,), "d")
+    s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=4168864924)
+    assert sf.verify_deterministic(s).verdict
+    r = sf.realize(s)
+    assert sf.check_realisation(r, s, trials=1).passed

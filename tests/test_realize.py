@@ -1,13 +1,15 @@
 """Tests for the circuit realisation engine."""
 
+import collections
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import supermap_forge as sf
-from supermap_forge import gen
+from supermap_forge import cpmaps, gen
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
 from supermap_forge.realize import left_dilation, pad_environment, right_dilation, solve_w
@@ -89,6 +91,45 @@ def test_right_dilation_presents_the_marginal_map():
     assert vr.kraus.min_gram_eig() > 1e-12
 
 
+def _dilation_kraus_by_embedding(s, s_kd, n_kd):
+    """Both dilations' Kraus families, one embedded operator at a time."""
+    c_alg, hom_ab = s.target_hom.in_algebra, s.source_hom
+
+    def embed(d, a, rest):
+        return np.kron(np.eye(d, dtype=complex)[:, [a]], np.eye(rest, dtype=complex))
+
+    left, right = {}, {}
+    for k, dk in enumerate(c_alg.dims):
+        for t, (j, i) in enumerate(hom_ab.pairs):
+            left[(k, t)] = [
+                s_mu.conj().T @ embed(dl, a, dk)
+                for l, dl in enumerate(s.target_hom.out_algebra.dims) for a in range(dl)
+                for s_mu in s_kd.ops[(t, l * len(c_alg) + k)]
+            ]
+            dj, di = hom_ab.out_algebra.dims[j], hom_ab.in_algebra.dims[i]
+            right[(k, t)] = [
+                embed(dj, b, di) @ n_beta.conj().T
+                for b in range(dj) for n_beta in n_kd.ops[(i, k)]
+            ]
+    return left, right
+
+
+def test_dilations_equal_their_embedding_definitions():
+    for seed in (1, 2):
+        s = verified_supermap(seed=seed)
+        n = sf.extract_n(s)
+        s_kd, n_kd = sf.kraus_from_choi(s.inner, rank_tol=0.0), sf.kraus_from_choi(n)
+        left, right = _dilation_kraus_by_embedding(s, s_kd, n_kd)
+        v_left = left_dilation(s, s_kd)
+        v_right = right_dilation(dilation_from_kraus(n, n_kd), s.source_hom)
+        for dilation, expected in ((v_left, left), (v_right, right)):
+            ops = dilation.kraus.ops
+            assert ops.keys() == expected.keys()
+            for key, want in expected.items():
+                assert len(ops[key]) == len(want)
+                assert all(np.array_equal(x, y) for x, y in zip(ops[key], want))
+
+
 def test_realize_rejects_non_unital():
     # c S is CP and satisfies kernel containment, but its induced map is c N;
     # unitality is checked at realize's own tol, also below 1e-8
@@ -129,8 +170,8 @@ def test_solve_w_recovers_planted_unitary():
         mixed[key] = tuple(
             sum(uni[gamma, beta] * ops[beta] for beta in range(r)) for gamma in range(r)
         )
-    kd = KrausDecomposition(vr.cpmap.source, vr.cpmap.target, mixed)
-    vl = dilation_from_kraus(sf.CpMap.from_kraus(vr.cpmap.source, vr.cpmap.target, mixed), kd)
+    kd = KrausDecomposition(vr.source, vr.target, mixed)
+    vl = dilation_from_kraus(sf.CpMap.from_kraus(vr.source, vr.target, mixed), kd)
     w = solve_w(vr, vl, 1e-8)
     assert w.residual < 1e-9 and w.isometry_defect < 1e-9
     for key, uni in planted.items():
@@ -145,9 +186,9 @@ def test_solve_w_padded_inclusion():
         key: tuple(list(ops) + [np.zeros_like(ops[0])]) if ops else ops
         for key, ops in vr.kraus.ops.items()
     }
-    kd = KrausDecomposition(vr.cpmap.source, vr.cpmap.target, padded_ops)
+    kd = KrausDecomposition(vr.source, vr.target, padded_ops)
     vl = dilation_from_kraus(
-        sf.CpMap.from_kraus(vr.cpmap.source, vr.cpmap.target, padded_ops), kd
+        sf.CpMap.from_kraus(vr.source, vr.target, padded_ops), kd
     )
     w = solve_w(vr, vl, 1e-8)
     for key, ops in vr.kraus.ops.items():
@@ -163,7 +204,8 @@ def test_solve_w_rejects_mismatched_dilations():
     n2 = sf.extract_n(s2)
     vr = right_dilation(sf.minimal_stinespring(n1), s1.source_hom)
     vl = left_dilation(s2, sf.kraus_from_choi(s2.inner))
-    with pytest.raises(sf.ResidualTooLargeError):
+    # the least-squares solve fits (residual ~1e-15), but not by an isometry
+    with pytest.raises(sf.IsometryDefectError):
         solve_w(vr, vl, 1e-8)
     del n2
 
@@ -529,6 +571,61 @@ def test_verify_verdict_holds_exactly_when_realize_succeeds():
         else:
             assert verdict, f"{name}: rejected, but realize succeeded"
             assert sf.check_realisation(r, s, trials=0, tol=1e-6).passed, name
+
+
+SWEEP_SHAPES = (
+    ((1,), (2,), (2,), (1,)), ((2,), (2,), (2,), (2,)), ((3,), (2,), (2,), (3,)),
+    ((1, 1), (2,), (2,), (1, 2)), ((2, 1), (2,), (1, 2), (2, 1)),
+    ((1, 1, 1), (2,), (3,), (2,)), ((2,), (1, 1), (2,), (2,)), ((1, 2), (1,), (2, 1), (1,)),
+    ((3,), (1,), (1,), (3,)), ((2,), (3,), (1,), (2,)), ((1, 1), (1, 1), (1, 1), (1, 1)),
+    ((2, 2), (1,), (2,), (1,)), ((1,), (1,), (3,), (2, 1)), ((2,), (1, 2), (1, 1), (2,)),
+)
+
+
+def test_realize_rejects_kernel_containment_exactly_when_verify_does():
+    # realize gates on verify's kernel_residual: among inputs whose S and N
+    # pass the PSD rule, it raises ResidualTooLargeError iff that residual
+    # exceeds tol.  Pushes of exactly tol are left out: there the PSD rule's
+    # verdict rests on roundoff in the eigensolver.
+    tol = 1e-8
+    for n, dims in enumerate(SWEEP_SHAPES):
+        algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+        s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=100 * n)
+        for eps in (1e-9, 5e-9, 2e-8, 1e-7, 1e-6):
+            for mode in ("tp-breaking", "cp-breaking"):
+                bad = gen.perturb_supermap(s, eps, mode, seed=0)
+                rep = sf.verify_deterministic(bad, tol)
+                expected = rep.cp_ok and rep.n_cp_ok and rep.kernel_residual > tol
+                try:
+                    sf.realize(bad, tol)
+                    raised = False
+                except sf.SupermapForgeError as exc:
+                    raised = isinstance(exc, sf.ResidualTooLargeError)
+                assert raised == expected, (dims, eps, mode, rep.summary())
+
+
+def test_realize_decomposes_each_choi_block_once(monkeypatch):
+    s = verified_supermap(seed=13)
+    calls = collections.Counter()
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(sys.modules["supermap_forge.realize"], "kraus_from_choi")
+    count(cpmaps, "_psd_block")
+    count(sf.CpMap, "from_kraus")
+    count(sf.CpMap, "choi_distance")
+    sf.realize(s)
+    a, c = s.source_hom.in_algebra, s.target_hom.in_algebra
+    s_blocks = len(s.inner.source) * len(s.inner.target)
+    assert calls == {"kraus_from_choi": 2, "_psd_block": s_blocks + len(a) * len(c),
+                     "from_kraus": 2}
 
 
 def test_realize_convex_mixture_of_supermaps():

@@ -80,6 +80,22 @@ def test_isometry_built_channel_recovers_smaller_environment():
     assert dil.env_dims[(0, 0)] <= 3 < len(redundant)
 
 
+def test_dilation_reads_back_its_kraus_family_bit_for_bit():
+    a = MultiMatrixAlgebra((("x", 2), ("y", 1)))
+    b = MultiMatrixAlgebra((("u", 2), ("v", 3)))
+    # the copy channel has empty Kraus lists off the diagonal
+    maps = [gen.random_channel(a, b, seed=seed) for seed in range(3)]
+    maps.append(sf.copy_channel(MultiMatrixAlgebra.classical(2)))
+    for m in maps:
+        kd = sf.kraus_from_choi(m)
+        back = dilation_from_kraus(m, kd).kraus.ops
+        assert back.keys() == kd.ops.keys()
+        for key, ops in kd.ops.items():
+            assert len(back[key]) == len(ops)
+            for x, y in zip(back[key], ops):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_dilation_uniqueness_partial_isometry():
     a = MultiMatrixAlgebra((("x", 2), ("y", 1)))
     b = MultiMatrixAlgebra((("u", 2),))

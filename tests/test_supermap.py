@@ -171,7 +171,7 @@ def test_extract_n_matches_probe_oracle():
                 c,
                 require_cp=False,
             )
-            assert sf.extract_n(s, require_cp=False).choi_distance(probed) < 1e-12
+            assert sf.extract_n(s).choi_distance(probed) < 1e-12
 
 
 def test_kernel_residual_bounded_by_kernel_basis_images():
