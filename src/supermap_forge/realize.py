@@ -70,6 +70,12 @@ VERIFY_TOL = 1e-8
 # -- algebra shapes used by the circuit ---------------------------------------
 
 
+def memory_bound(a: MultiMatrixAlgebra, c: MultiMatrixAlgebra) -> int:
+    """The proven bound on the realised memory dimension for input algebras
+    A and C: max_i dim(A_i) * max_k dim(C_k)."""
+    return max(a.dims) * max(c.dims)
+
+
 def memory_target_algebra(a: MultiMatrixAlgebra, p_dim: int) -> MultiMatrixAlgebra:
     """(+)_i B(P (x) H_in_i): one block per block of ``a``, memory factor first."""
     return MultiMatrixAlgebra(tuple((lbl, p_dim * d) for lbl, d in a.blocks))
@@ -374,7 +380,7 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
         w_residual=w.residual,
         w_isometry_defect=w.isometry_defect,
         gram_min_eig=n_kd.min_gram_eig(),
-        p_bound=max(bounds.values()),
+        p_bound=memory_bound(a_alg, c_alg),
     )
 
 

@@ -1,22 +1,33 @@
 """Versioned JSON interchange documents.
 
 One self-describing format for algebras, channels, supermaps, realisations
-and reports.  Complex matrices are nested arrays of [re, im] decimal strings
-with 17 significant digits, so a save/load round trip is bit exact.  Block
+and reports: a JSON envelope {"format_version", "kind", "payload"}.  Block
 labels are strings or (recursively) lists of labels; lists deserialize to
-tuples.  Loading raises ShapeMismatchError on any malformed payload,
-non-finite entry or missing or repeated Choi entry, and on a realisation
-whose E and G channels do not have the types its algebras and p_dim give.
+tuples.  Scalars in realisations are decimal strings with 17 significant
+digits.
+
+Only format "2" is written.  It stores each complex matrix as
+{"shape": [r, c], "c16": base64 of its entries as little-endian complex128
+in C order}, the dtype, shape and raw bytes of NumPy's .npy files, so a
+save/load round trip is bit exact.  Format "1" documents, whose matrices
+are nested arrays of [re, im] decimal strings, still load.
+
+Loading raises ShapeMismatchError on any malformed payload: a matrix whose
+layout is not its document's version, base64 that is not strict, a byte
+length other than 16*r*c, a boolean where an integer belongs, a non-finite
+entry, a missing or repeated Choi entry, a document nested too deeply to
+parse, and a realisation whose E and G channels do not have the types its
+algebras and p_dim give or whose p_bound is not the bound its algebras give.
 
 A document built here holds each Choi block as its ndarray until
-save_document encodes it, so only one block's strings are alive at a time.
+save_document encodes it, so only one block's encoding is alive at a time.
 Documents are written as compact single-line JSON through json's C encoder
 (any indent makes CPython fall back to its pure-Python encoder); indented
 documents load the same.
 """
 
+import base64
 import json
-import operator
 from contextlib import contextmanager
 from typing import Any, Dict
 
@@ -25,28 +36,67 @@ import numpy as np
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import Channel, CpMap
 from .errors import ShapeMismatchError, SupermapForgeError
-from .realize import CircuitRealisation, g_source_algebra, memory_target_algebra
+from .realize import (
+    CircuitRealisation, g_source_algebra, memory_bound, memory_target_algebra,
+)
 from .supermap import Supermap, hom_algebra
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
+READABLE_VERSIONS = ("1", FORMAT_VERSION)
+_C16 = np.dtype("<c16")
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def encode_matrix(m: np.ndarray):
-    return [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+def _integer(x, what: str) -> int:
+    """An integer field of a document; JSON true and false are not integers."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ShapeMismatchError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
-def decode_matrix(rows) -> np.ndarray:
-    m = np.array(
-        [[complex(float(re), float(im)) for re, im in row] for row in rows],
-        dtype=complex,
-    )
-    if not np.isfinite(m).all():
+def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
+    m = np.ascontiguousarray(m, dtype=_C16)
+    return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
+
+
+def decode_matrix(m, version: str = FORMAT_VERSION) -> np.ndarray:
+    """Decode one matrix stored in a document of the given format version."""
+    if version == "1":
+        if not isinstance(m, list):
+            raise ShapeMismatchError("a format 1 matrix is a list of [re, im] rows")
+        out = np.array(
+            [[complex(float(re), float(im)) for re, im in row] for row in m],
+            dtype=complex,
+        )
+    else:
+        if not isinstance(m, dict):
+            raise ShapeMismatchError('a format 2 matrix is {"shape": [r, c], "c16": ...}')
+        shape, text = m["shape"], m["c16"]
+        if not isinstance(shape, list) or len(shape) != 2:
+            raise ShapeMismatchError(f"matrix shape must be [rows, cols], got {shape!r}")
+        r, c = (_integer(x, "matrix shape") for x in shape)
+        if r < 0 or c < 0:
+            raise ShapeMismatchError(f"matrix shape must be non-negative, got {shape!r}")
+        nbytes = _C16.itemsize * r * c
+        if not isinstance(text, str) or len(text) != 4 * -(-nbytes // 3):
+            raise ShapeMismatchError(
+                f"c16 must be the base64 text of {nbytes} bytes for shape {shape!r}"
+            )
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:
+            raise ShapeMismatchError(f"c16 is not strict base64: {exc}") from exc
+        if len(raw) != nbytes:
+            raise ShapeMismatchError(
+                f"c16 holds {len(raw)} bytes, shape {shape!r} needs {nbytes}"
+            )
+        out = np.frombuffer(raw, dtype=_C16).reshape(r, c)
+    if not np.isfinite(out).all():
         raise ShapeMismatchError("matrix entries must be finite")
-    return m
+    return out
 
 
 def _encode_label(lbl):
@@ -67,7 +117,7 @@ def algebra_payload(a: MultiMatrixAlgebra) -> Dict[str, Any]:
 
 def algebra_from_payload(p: Dict[str, Any]) -> MultiMatrixAlgebra:
     return MultiMatrixAlgebra(
-        tuple((_decode_label(b["label"]), operator.index(b["dim"])) for b in p["blocks"])
+        tuple((_decode_label(b["label"]), _integer(b["dim"], "block dim")) for b in p["blocks"])
     )
 
 
@@ -89,18 +139,25 @@ def cpmap_payload(m: CpMap) -> Dict[str, Any]:
     }
 
 
-def cpmap_from_payload(p: Dict[str, Any], channel: bool = False) -> CpMap:
-    source = algebra_from_payload(p["source"])
-    target = algebra_from_payload(p["target"])
+def _choi_blocks(entries, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
+                 version: str):
     blocks = [[None] * len(source) for _ in range(len(target))]
-    for entry in p["choi"]:
+    for entry in entries:
         j = target.index(_decode_label(entry["target_block"]))
         i = source.index(_decode_label(entry["source_block"]))
         if blocks[j][i] is not None:
             raise ShapeMismatchError(f"repeated Choi entry for block pair ({j},{i})")
-        blocks[j][i] = decode_matrix(entry["matrix"])
+        blocks[j][i] = decode_matrix(entry["matrix"], version)
     if any(b is None for row in blocks for b in row):
         raise ShapeMismatchError("one Choi entry per block pair expected")
+    return blocks
+
+
+def cpmap_from_payload(p: Dict[str, Any], version: str = FORMAT_VERSION,
+                       channel: bool = False) -> CpMap:
+    source = algebra_from_payload(p["source"])
+    target = algebra_from_payload(p["target"])
+    blocks = _choi_blocks(p["choi"], source, target, version)
     if channel:
         return Channel(source, target, blocks, validate=False)
     return CpMap(source, target, blocks)
@@ -132,7 +189,7 @@ def _decoding(kind: str):
         yield
     except SupermapForgeError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ShapeMismatchError(f"malformed {kind} document: {exc!r}") from exc
 
 
@@ -142,9 +199,11 @@ def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
             doc = json.load(f)
     except UnicodeDecodeError as exc:
         raise ShapeMismatchError(f"not a UTF-8 document: {exc}") from exc
+    except RecursionError as exc:
+        raise ShapeMismatchError("document nests too deeply to parse") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ShapeMismatchError("not an interchange document")
-    if doc["format_version"] != FORMAT_VERSION:
+    if doc["format_version"] not in READABLE_VERSIONS:
         raise ShapeMismatchError(f"unsupported format version {doc['format_version']!r}")
     if expect_kind is not None and doc.get("kind") != expect_kind:
         raise ShapeMismatchError(
@@ -163,7 +222,7 @@ def channel_document(ch: CpMap) -> Dict[str, Any]:
 def load_channel(path) -> Channel:
     doc = load_document(path, "channel")
     with _decoding("channel"):
-        return cpmap_from_payload(doc["payload"], channel=True)
+        return cpmap_from_payload(doc["payload"], doc["format_version"], channel=True)
 
 
 def supermap_document(s: Supermap) -> Dict[str, Any]:
@@ -183,13 +242,8 @@ def load_supermap(path) -> Supermap:
         p = doc["payload"]
         hom_ab = hom_algebra(algebra_from_payload(p["a"]), algebra_from_payload(p["b"]))
         hom_cd = hom_algebra(algebra_from_payload(p["c"]), algebra_from_payload(p["d"]))
-        inner = cpmap_from_payload(
-            {
-                "source": algebra_payload(hom_ab.base),
-                "target": algebra_payload(hom_cd.base),
-                "choi": p["choi"],
-            }
-        )
+        blocks = _choi_blocks(p["choi"], hom_ab.base, hom_cd.base, doc["format_version"])
+        inner = CpMap(hom_ab.base, hom_cd.base, blocks)
         return Supermap(inner, hom_ab, hom_cd, validate=False)
 
 
@@ -213,20 +267,25 @@ def realisation_document(r: CircuitRealisation) -> Dict[str, Any]:
 def load_realisation(path) -> CircuitRealisation:
     doc = load_document(path, "realisation")
     with _decoding("realisation"):
-        p = doc["payload"]
+        p, version = doc["payload"], doc["format_version"]
         r = CircuitRealisation(
             a=algebra_from_payload(p["a"]),
             b=algebra_from_payload(p["b"]),
             c=algebra_from_payload(p["c"]),
             d=algebra_from_payload(p["d"]),
-            p_dim=operator.index(p["p_dim"]),
-            e_channel=cpmap_from_payload(p["e_channel"], channel=True),
-            g_channel=cpmap_from_payload(p["g_channel"], channel=True),
+            p_dim=_integer(p["p_dim"], "p_dim"),
+            e_channel=cpmap_from_payload(p["e_channel"], version, channel=True),
+            g_channel=cpmap_from_payload(p["g_channel"], version, channel=True),
             w_residual=float(p["w_residual"]),
             w_isometry_defect=float(p["w_isometry_defect"]),
             gram_min_eig=float(p["gram_min_eig"]),
-            p_bound=operator.index(p["p_bound"]),
+            p_bound=_integer(p["p_bound"], "p_bound"),
         )
+        bound = memory_bound(r.a, r.c)
+        if r.p_bound != bound:
+            raise ShapeMismatchError(
+                f"p_bound {r.p_bound} is not the memory bound {bound} its algebras give"
+            )
         e, g = r.e_channel, r.g_channel
         if (e.source, e.target, g.source, g.target) != (
             r.c,

@@ -1,6 +1,10 @@
 """Tests for the CLI commands, exit codes, and document round trips."""
 
+import base64
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,23 @@ from supermap_forge import cli, gen, serialize
 from supermap_forge.algebra import MultiMatrixAlgebra
 
 
+# format "1" documents written by the last release that wrote that version;
+# see fixtures/v1/README.md
+V1 = Path(__file__).parent / "fixtures" / "v1"
+V1_MANIFEST = json.loads((V1 / "MANIFEST.json").read_text())
+
+
 def run(argv):
     return cli.main(argv)
+
+
+def _v1_copy(tmp_path, name):
+    return Path(shutil.copy(V1 / name, tmp_path / name))
+
+
+def _v1_layout(m):
+    """A matrix in format 1's nested [re, im] decimal strings."""
+    return [[[f"{v.real:.17g}", f"{v.imag:.17g}"] for v in row] for row in m]
 
 
 @pytest.fixture()
@@ -84,6 +103,9 @@ def _set_first_entry(value):
     return damage
 
 
+# These damage format 1's [re, im] layout, so they run on a format 1 document;
+# MALFORMED_V2 holds their format 2 counterparts.
+ON_V1_DOCUMENT = {"non-numeric entry", "nan entry", "inf entry", "ragged row"}
 MALFORMED = {
     "non-numeric entry": _set_first_entry("abc"),
     "nan entry": _set_first_entry("nan"),
@@ -97,13 +119,184 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("variant", sorted(MALFORMED))
-def test_malformed_supermap_document_is_input_error(variant, identity_fixture, capsys):
-    doc = json.loads(identity_fixture.read_text())
+def test_malformed_supermap_document_is_input_error(variant, identity_fixture, tmp_path,
+                                                    capsys):
+    path = _v1_copy(tmp_path, "supermap.json") if variant in ON_V1_DOCUMENT else identity_fixture
+    doc = json.loads(path.read_text())
     MALFORMED[variant](doc)
-    identity_fixture.write_text(json.dumps(doc))
-    assert run(["verify", str(identity_fixture)]) == 2
-    assert run(["realize", str(identity_fixture)]) == 2
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    assert run(["realize", str(path)]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def _raw(m):
+    return base64.b64decode(m["c16"])
+
+
+def _b64(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _set_first_value(value):
+    def damage(m):
+        a = serialize.decode_matrix(m).copy()
+        a[0, 0] = value
+        return serialize.encode_matrix(a)
+    return damage
+
+
+def _update(**fields):
+    def damage(m):
+        return {**m, **{k: f(m) for k, f in fields.items()}}
+    return damage
+
+
+# Each case maps the first stored matrix of a document of the given format
+# version to its damaged form.
+MALFORMED_V2 = {
+    "non-alphabet base64": ("2", _update(c16=lambda m: "*" + m["c16"][1:])),
+    "bad padding": ("2", _update(c16=lambda m: m["c16"] + "=")),
+    "one byte short": ("2", _update(c16=lambda m: _b64(_raw(m)[:-1]))),
+    "one byte long": ("2", _update(c16=lambda m: _b64(_raw(m) + b"\0"))),
+    "shape disagrees with algebra": (
+        "2", _update(shape=lambda m: [m["shape"][0] * m["shape"][1], 1])),
+    "negative shape": ("2", _update(shape=lambda m: [-x for x in m["shape"]])),
+    "non-integer shape": ("2", _update(shape=lambda m: [2.5, m["shape"][1]])),
+    "missing shape": ("2", lambda m: {"c16": m["c16"]}),
+    "nan packed": ("2", _set_first_value(complex(np.nan, 0))),
+    "inf packed": ("2", _set_first_value(complex(0, np.inf))),
+    "c16 is a list": ("2", _update(c16=lambda m: [m["c16"]])),
+    "format 1 matrix in a format 2 document": (
+        "2", lambda m: _v1_layout(serialize.decode_matrix(m))),
+    "format 2 matrix in a format 1 document": (
+        "1", lambda m: serialize.encode_matrix(serialize.decode_matrix(m, "1"))),
+}
+
+
+def _c16(shape, raw):
+    return {"shape": shape, "c16": _b64(raw)}
+
+
+# (format version, stored matrix, what the error names); each case fails
+# exactly one of the decoder's checks
+DECODE_ERRORS = {
+    "format 2 matrix read as format 1": ("1", _c16([1, 1], bytes(16)), "format 1 matrix"),
+    "format 1 matrix read as format 2": ("2", [[["0", "0"]]], "format 2 matrix"),
+    "shape of three": ("2", _c16([1, 1, 2], bytes(32)), r"\[rows, cols\]"),
+    "negative shape": ("2", _c16([-1, -2], bytes(32)), "non-negative"),
+    "boolean shape": ("2", _c16([True, 1], bytes(16)), "must be an integer"),
+    # 48 bytes need no padding, so the text is one character too long
+    "excess padding": ("2", {"shape": [1, 3], "c16": _b64(bytes(48)) + "="}, "of 48 bytes"),
+    # a lenient decoder would skip the four stars and find 45 bytes
+    "non-alphabet": ("2", {"shape": [1, 3], "c16": "****" + _b64(bytes(48))[4:]},
+                     "not strict base64"),
+    # 31 and 32 bytes both encode to 44 characters
+    "one byte short, same text length": ("2", _c16([1, 2], bytes(31)), "holds 31 bytes"),
+    "nan": ("2", _c16([1, 1], np.array([np.nan], "<c16").tobytes()), "finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_ERRORS))
+def test_decode_matrix_names_what_is_malformed(case):
+    version, m, message = DECODE_ERRORS[case]
+    with pytest.raises(sf.ShapeMismatchError, match=message):
+        serialize.decode_matrix(m, version)
+
+
+@pytest.fixture()
+def documents(tmp_path):
+    """A deterministic supermap and its realisation, in each format version."""
+    a = MultiMatrixAlgebra((("i0", 2), ("i1", 1)))
+    s = sf.identity_supermap(a, MultiMatrixAlgebra.single(2, "j"))
+    sm, real = tmp_path / "sm.json", tmp_path / "real.json"
+    serialize.save_document(sm, serialize.supermap_document(s))
+    serialize.save_document(real, serialize.realisation_document(sf.realize(s)))
+    return {"2": (sm, real),
+            "1": (_v1_copy(tmp_path, "supermap.json"), _v1_copy(tmp_path, "realisation.json"))}
+
+
+@pytest.mark.parametrize("command", ["verify", "realize", "check"])
+@pytest.mark.parametrize("variant", sorted(MALFORMED_V2))
+def test_malformed_v2_payload_is_input_error(variant, command, documents, capsys):
+    version, damage = MALFORMED_V2[variant]
+    sm, real = documents[version]
+    # check loads a good supermap and the damaged realisation
+    path = real if command == "check" else sm
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == version
+    payload = doc["payload"]
+    entries = payload["g_channel"]["choi"] if command == "check" else payload["choi"]
+    entries[0]["matrix"] = damage(entries[0]["matrix"])
+    path.write_text(json.dumps(doc))
+    argv = ["check", str(sm), str(real)] if command == "check" else [command, str(sm)]
+    assert run(argv) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def _set_bool(doc, field):
+    p = doc["payload"]
+    if field == "dim":
+        assert p["a"]["blocks"][1]["dim"] == 1
+        p["a"]["blocks"][1]["dim"] = True
+    elif field == "shape":
+        p["g_channel"]["choi"][0]["matrix"]["shape"][0] = True
+    else:
+        p[field] = True
+
+
+@pytest.mark.parametrize("field", ["dim", "p_dim", "p_bound", "shape"])
+def test_json_booleans_are_not_integers(field, documents, capsys):
+    # before booleans were refused, "dim": true loaded as a dim-1 block and a
+    # realisation with "p_bound": true passed check
+    sm, real = documents["2"]
+    path = sm if field == "dim" else real
+    doc = json.loads(path.read_text())
+    _set_bool(doc, field)
+    path.write_text(json.dumps(doc))
+    argv = ["verify", str(sm)] if field == "dim" else ["check", str(sm), str(real)]
+    assert run(argv) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p_bound", [3, 5, 100])
+def test_realisation_with_a_hand_edited_p_bound_is_input_error(p_bound, p4_realisation,
+                                                               capsys):
+    sm, real = p4_realisation
+    doc = json.loads(real.read_text())
+    assert doc["payload"]["p_bound"] == 4
+    doc["payload"]["p_bound"] = p_bound
+    real.write_text(json.dumps(doc))
+    with pytest.raises(sf.ShapeMismatchError):
+        serialize.load_realisation(real)
+    capsys.readouterr()
+    assert run(["check", str(sm), str(real)]) == 2
+    assert "p_bound" in capsys.readouterr().err
+
+
+def test_deeply_nested_document_is_input_error(identity_fixture, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(sf.ShapeMismatchError, match="nests too deeply"):
+        serialize.load_document(deep)
+    real = tmp_path / "real.json"
+    assert run(["realize", str(identity_fixture), "--out", str(real)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(deep)]) == 2
+    assert run(["realize", str(deep)]) == 2
+    assert run(["check", str(deep), str(real)]) == 2
+    assert run(["check", str(identity_fixture), str(deep)]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+    # a label that json can still parse but that is too deep to decode
+    label = "i1"
+    for _ in range(600):
+        label = [label]
+    doc = json.loads(identity_fixture.read_text())
+    doc["payload"]["a"]["blocks"][1]["label"] = label
+    identity_fixture.write_text(json.dumps(doc))
+    with pytest.raises(sf.ShapeMismatchError, match="RecursionError"):
+        serialize.load_supermap(identity_fixture)
+    assert run(["verify", str(identity_fixture)]) == 2
 
 
 def test_realize_prints_bound_six(tmp_path, capsys):
@@ -159,6 +352,24 @@ def test_check_verdict_on_a_non_tp_circuit_depends_on_tol_only(p4_realisation, c
     for entry in doc["payload"]["g_channel"]["choi"]:
         m = serialize.decode_matrix(entry["matrix"]) * (1 + 3e-7)
         entry["matrix"] = serialize.encode_matrix(m)
+    real.write_text(json.dumps(doc))
+    for trials in ([], ["--trials", "0"]):
+        check = ["check", str(sm), str(real), *trials]
+        assert run([*check, "--tol", "1e-6"]) == 0, trials
+        assert "PASS" in capsys.readouterr().out
+        assert run([*check, "--tol", "1e-8"]) == 1, trials
+        assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_verdict_on_a_non_tp_format_1_circuit_depends_on_tol_only(tmp_path, capsys):
+    # the format 1 fixtures, every G Choi entry scaled by 1 + 3e-7: the
+    # spanning deviation is 1.2e-7 and the trial deviation about 3.0e-7
+    sm, real = _v1_copy(tmp_path, "supermap.json"), _v1_copy(tmp_path, "realisation.json")
+    doc = json.loads(real.read_text())
+    assert doc["format_version"] == "1"
+    for entry in doc["payload"]["g_channel"]["choi"]:
+        m = serialize.decode_matrix(entry["matrix"], "1") * (1 + 3e-7)
+        entry["matrix"] = _v1_layout(m)
     real.write_text(json.dumps(doc))
     for trials in ([], ["--trials", "0"]):
         check = ["check", str(sm), str(real), *trials]
@@ -246,6 +457,18 @@ def test_realisation_round_trip_is_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_channel_round_trip_is_bit_exact(tmp_path):
+    a = MultiMatrixAlgebra(((("x", 0), 2), ("y", 1)))
+    ch = gen.random_channel(a, MultiMatrixAlgebra.single(3, "z"), seed=8)
+    path, path2 = tmp_path / "ch.json", tmp_path / "ch2.json"
+    serialize.save_document(path, serialize.channel_document(ch))
+    loaded = serialize.load_channel(path)
+    assert loaded.source == ch.source and loaded.target == ch.target
+    assert _digests(loaded) == _digests(ch)
+    serialize.save_document(path2, serialize.channel_document(loaded))
+    assert path.read_bytes() == path2.read_bytes()
+
+
 def test_document_version_and_kind_checks(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"format_version": "99", "kind": "supermap", "payload": {}}))
@@ -318,6 +541,11 @@ def _assert_same_blocks(loaded, s):
             assert np.array_equal(_bits(loaded.inner.choi(j, i)), _bits(s.inner.choi(j, i)))
 
 
+def _digests(m):
+    return [hashlib.sha256(_bits(m.choi(j, i)).tobytes()).hexdigest()
+            for j in range(len(m.target)) for i in range(len(m.source))]
+
+
 def test_codec_edge_values_and_old_layout_are_bit_exact(tmp_path):
     a = MultiMatrixAlgebra((("i0", 2), ("i1", 1)))
     b = MultiMatrixAlgebra.single(2, "j")
@@ -335,16 +563,79 @@ def test_codec_edge_values_and_old_layout_are_bit_exact(tmp_path):
     text = path.read_text()
     assert text.count("\n") == 1 and text.endswith("\n")
     _assert_same_blocks(serialize.load_supermap(path), s)
-    # every entry is stored as the [re, im] strings encode_matrix gives
+    # every block is stored as the shape and base64 bytes encode_matrix gives
     doc = json.loads(text)
-    assert doc["format_version"] == "1"
-    assert doc["payload"]["choi"][0]["matrix"] == serialize.encode_matrix(blocks[0][0])
-    # the indented layout written by earlier versions loads to the same blocks
-    old = tmp_path / "old.json"
-    with open(old, "w", encoding="utf-8") as f:
+    assert doc["format_version"] == "2"
+    stored = doc["payload"]["choi"][0]["matrix"]
+    assert stored == serialize.encode_matrix(blocks[0][0])
+    assert _raw(stored) == _bits(blocks[0][0]).tobytes()
+    # an indented layout loads to the same blocks
+    indented = tmp_path / "indented.json"
+    with open(indented, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    _assert_same_blocks(serialize.load_supermap(old), s)
+    _assert_same_blocks(serialize.load_supermap(indented), s)
+
+    # the same edge block in a format 1 document, written by the release
+    # that wrote format 1, as [re, im] strings with 17 significant digits
+    v1 = V1 / "edge_values.json"
+    v1_doc = json.loads(v1.read_text())
+    assert v1_doc["format_version"] == "1"
+    assert v1_doc["payload"]["choi"][0]["matrix"] == _v1_layout(blocks[0][0])
+    old = serialize.load_supermap(v1)
+    assert np.array_equal(_bits(old.inner.choi(0, 0)), _bits(blocks[0][0]))
+    assert _digests(old.inner) == V1_MANIFEST["edge_values.json"]["choi"]
+    # the indented layout written by earlier versions loads to the same blocks
+    with open(indented, "w", encoding="utf-8") as f:
+        json.dump(v1_doc, f, indent=1)
+        f.write("\n")
+    _assert_same_blocks(serialize.load_supermap(indented), old)
+    # and a format 1 document saved again is format 2 with the same bits
+    serialize.save_document(path, serialize.supermap_document(old))
+    assert json.loads(path.read_text())["format_version"] == "2"
+    _assert_same_blocks(serialize.load_supermap(path), old)
+
+
+def _report_scalars(p):
+    return {k: float(p[k]).hex() for k in ("kernel_residual", "n_unital_residual", "tol")}
+
+
+def _load_v1_fixture(name):
+    """The loaded object of one format 1 fixture and its manifest fields."""
+    path = V1 / name
+    if name == "realisation.json":
+        r = serialize.load_realisation(path)
+        return {
+            "e_channel": _digests(r.e_channel),
+            "g_channel": _digests(r.g_channel),
+            "p_dim": r.p_dim,
+            "p_bound": r.p_bound,
+            **{k: float(getattr(r, k)).hex()
+               for k in ("w_residual", "w_isometry_defect", "gram_min_eig")},
+        }
+    if name == "channel.json":
+        return {"choi": _digests(serialize.load_channel(path))}
+    if name == "verify_report.json":
+        doc = serialize.load_document(path, "report")
+        p = doc["payload"]
+        assert p["report_type"] == "verify" and p["verdict"] is True
+        n = serialize.cpmap_from_payload(p["extracted_n"], doc["format_version"])
+        return {"extracted_n": _digests(n), **_report_scalars(p)}
+    return {"choi": _digests(serialize.load_supermap(path).inner)}
+
+
+@pytest.mark.parametrize("name", sorted(V1_MANIFEST))
+def test_v1_fixture_loads_bit_identically(name):
+    assert json.loads((V1 / name).read_text())["format_version"] == "1"
+    assert _load_v1_fixture(name) == V1_MANIFEST[name]
+
+
+def test_v1_fixtures_keep_their_tuple_labels():
+    s = serialize.load_supermap(V1 / "supermap.json")
+    assert s.source_hom.in_algebra.labels == (("x", 0), "y")
+    assert s.target_hom.in_algebra.labels == ("z", ("w", ("v", 1)))
+    r = serialize.load_realisation(V1 / "realisation.json")
+    assert (r.a, r.c) == (s.source_hom.in_algebra, s.target_hom.in_algebra)
 
 
 def test_cli_rejects_unknown_arguments():
