@@ -30,12 +30,6 @@ def matrix_unit(d: int, a: int, b: int) -> np.ndarray:
     return e
 
 
-def basis_column(d: int, a: int) -> np.ndarray:
-    e = np.zeros((d, 1), dtype=complex)
-    e[a, 0] = 1.0
-    return e
-
-
 def hermitian_basis(d: int) -> list:
     """Orthonormal basis of d x d Hermitian matrices under Tr(A B)."""
     out = []
@@ -47,15 +41,6 @@ def hermitian_basis(d: int) -> list:
             out.append(inv * (matrix_unit(d, a, b) + matrix_unit(d, b, a)))
             out.append(1j * inv * (matrix_unit(d, a, b) - matrix_unit(d, b, a)))
     return out
-
-
-def swap_matrix(d1: int, d2: int) -> np.ndarray:
-    """Permutation sending e_i (x) e_j in C^d1 (x) C^d2 to e_j (x) e_i."""
-    s = np.zeros((d2 * d1, d1 * d2), dtype=complex)
-    for i in range(d1):
-        for j in range(d2):
-            s[j * d1 + i, i * d2 + j] = 1.0
-    return s
 
 
 def psd_root_inverse(m: np.ndarray, tol: float) -> np.ndarray:

@@ -45,6 +45,9 @@ from .errors import (
 )
 
 KRAUS_RANK_REL_TOL = 1e-10
+# environment_intertwiner rejects a source dilation whose smallest singular
+# value falls below this fraction of its largest: it is then not minimal
+INTERTWINER_REL_CUT = 1e-10
 
 
 class CpMap:
@@ -282,8 +285,8 @@ class Channel(CpMap):
                 )
 
 
-def as_channel(m: CpMap, tol: float = DEFAULT_TOL, validate: bool = True) -> Channel:
-    return Channel(m.source, m.target, m.choi_blocks, tol=tol, validate=validate)
+def as_channel(m: CpMap, tol: float = DEFAULT_TOL) -> Channel:
+    return Channel(m.source, m.target, m.choi_blocks, tol=tol)
 
 
 def identity_channel(a: MultiMatrixAlgebra) -> Channel:
@@ -441,7 +444,6 @@ def minimal_stinespring(m: CpMap, tol: float = DEFAULT_TOL) -> StinespringDilati
 def environment_intertwiner(
     d_from: StinespringDilation,
     d_to: StinespringDilation,
-    rel_cut: float = 1e-10,
 ):
     """Least-squares solve of (Id (x) X) V_from = V_to per block pair.
 
@@ -465,7 +467,7 @@ def environment_intertwiner(
                 res_sq += frob(mb) ** 2
             else:
                 u, s, vt = np.linalg.svd(ma, full_matrices=False)
-                if len(s) < ra or s.min() <= rel_cut * s.max():
+                if len(s) < ra or s.min() <= INTERTWINER_REL_CUT * s.max():
                     raise NotMinimalError(
                         f"dilation component ({i},{j}) is rank deficient; "
                         "the source dilation is not minimal"
@@ -574,43 +576,25 @@ def discard_copy_channel(a: MultiMatrixAlgebra) -> Channel:
     return Channel(source, a, m.choi_blocks, validate=False)
 
 
-def trace_out_target_group(m: CpMap, structure=None, group: str = "out") -> CpMap:
-    """Partial trace inside each target Choi factor of a map.
+def trace_out_target_group(m: CpMap, structure) -> CpMap:
+    """Partial trace of the out factor inside each target Choi factor of a map.
 
-    ``group`` selects what to trace: "none" (identity operation), "all"
-    (full trace of the target, leaving the trivial algebra), or "out"/"in",
-    which require ``structure`` to be the pair structure (a HomAlgebra) of
-    ``m.target`` and trace the named factor of every block, merging blocks
-    that share the surviving index.
+    ``structure`` must be the pair structure (a HomAlgebra) of ``m.target``;
+    blocks that share the surviving in index are merged.
     """
-    if group == "none":
-        return CpMap(m.source, m.target, m.choi_blocks)
-    if group == "all":
-        trivial = MultiMatrixAlgebra((("tr", 1),))
-        blocks = [[np.zeros((dh, dh), dtype=complex) for dh in m.source.dims]]
-        for i, dh in enumerate(m.source.dims):
-            for j in range(len(m.target)):
-                blocks[0][i] += np.einsum("rarb->ab", m.choi4(j, i))
-        return CpMap(m.source, trivial, blocks)
-    if group not in ("out", "in"):
-        raise StructureMissingError(f"unknown trace group {group!r}")
-    if structure is None or getattr(structure, "base", None) != m.target:
+    if getattr(structure, "base", None) != m.target:
         raise StructureMissingError(
             "the map's target algebra carries no matching pair structure"
         )
     out_alg = structure.out_algebra
     in_alg = structure.in_algebra
-    reduced = in_alg if group == "out" else out_alg
     blocks = [
-        [np.zeros((reduced.dims[r] * dh,) * 2, dtype=complex) for dh in m.source.dims]
-        for r in range(len(reduced))
+        [np.zeros((di * dh,) * 2, dtype=complex) for dh in m.source.dims]
+        for di in in_alg.dims
     ]
     for t, (j, i) in enumerate(structure.pairs):
         dj, di = out_alg.dims[j], in_alg.dims[i]
         for s, dh in enumerate(m.source.dims):
             c6 = m.choi(t, s).reshape(dj, di, dh, dj, di, dh)
-            if group == "out":
-                blocks[i][s] += np.einsum("xapxbq->apbq", c6).reshape(di * dh, di * dh)
-            else:
-                blocks[j][s] += np.einsum("axpbxq->apbq", c6).reshape(dj * dh, dj * dh)
-    return CpMap(m.source, reduced, blocks)
+            blocks[i][s] += np.einsum("xapxbq->apbq", c6).reshape(di * dh, di * dh)
+    return CpMap(m.source, in_alg, blocks)

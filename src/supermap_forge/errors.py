@@ -49,9 +49,5 @@ class IsometryDefectError(SupermapForgeError):
     """A solved intertwiner deviates too far from an isometry."""
 
 
-class BoundViolatedError(SupermapForgeError):
-    """An environment dimension exceeds its proven upper bound."""
-
-
 class SingularMarginalError(SupermapForgeError):
     """Random channel generation produced a singular marginal repeatedly."""

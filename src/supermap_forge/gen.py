@@ -123,12 +123,7 @@ def random_supermap_from_circuit(
     by evaluating the circuit, so the result is deterministic by
     construction and always passes verification.
     """
-    if p_dim < 1:
-        raise ShapeMismatchError("p_dim must be >= 1")
-    rng = _rng(seed)
-    e = random_channel(c, memory_target_algebra(a, p_dim), seed=rng)
-    g = random_channel(g_source_algebra(a, b, c, p_dim), d, seed=rng)
-    return circuit_supermap(e, g, p_dim, a, b, c, d)
+    return random_circuit_pieces(a, b, c, d, p_dim, seed)[0]
 
 
 def random_circuit_pieces(
@@ -140,6 +135,8 @@ def random_circuit_pieces(
     seed=None,
 ) -> Tuple[Supermap, Channel, Channel]:
     """Like random_supermap_from_circuit but also returns the E, G used."""
+    if p_dim < 1:
+        raise ShapeMismatchError("p_dim must be >= 1")
     rng = _rng(seed)
     e = random_channel(c, memory_target_algebra(a, p_dim), seed=rng)
     g = random_channel(g_source_algebra(a, b, c, p_dim), d, seed=rng)

@@ -13,11 +13,11 @@ which by the factorisation lemma equals ``N o Tr_out`` for the induced unital
 map N.  Both sides are dilated with the environment on the source side
 (``V: C-side -> Hom(A,B)-side (x) E``); the right dilation, built from N's
 minimal Kraus family, is minimal, so a least-squares solve recovers the
-unique environment isometry W with ``(Id (x) W) V_right = V_left``.  E is
-assembled from N's Kraus operators embedded into the padded memory P, and G
-from W restricted to each embedded environment, sending the orthogonal
-complement of each embedded environment to a fixed pure state so that G is
-trace preserving.
+unique environment isometry W with ``(Id (x) W) V_right = V_left``.  P has
+dimension max r_ik, the largest of N's Kraus ranks, and N's environment for
+(i, k) is the span of P's first r_ik basis vectors.  E is assembled from N's
+Kraus operators placed there, and G from W on each such span, sending the
+rest of P to a fixed pure state so that G is trace preserving.
 
 The supermap a circuit presents is one Choi-level contraction (link product)
 of E's and G's blocks per pair of Hom blocks; the certificate diffs it.
@@ -35,7 +35,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ._linalg import basis_column, dag, frob, swap_matrix
+from ._linalg import dag, frob
 from .algebra import DEFAULT_TOL, MultiMatrixAlgebra
 from .cpmaps import (
     Channel,
@@ -47,7 +47,6 @@ from .cpmaps import (
     as_channel,
     compose,
     copy_channel,
-    dilation_from_kraus,
     environment_intertwiner,
     is_unital,
     kraus_from_choi,
@@ -55,7 +54,6 @@ from .cpmaps import (
 )
 from .errors import (
     AlgebraMismatchError,
-    BoundViolatedError,
     IsometryDefectError,
     NotUnitalError,
     ResidualTooLargeError,
@@ -125,23 +123,23 @@ def left_dilation(s: Supermap, s_kraus: KrausDecomposition) -> StinespringDilati
 
 
 def right_dilation(
-    n_dilation: StinespringDilation, source_hom: HomAlgebra
+    n_kraus: KrausDecomposition, source_hom: HomAlgebra
 ) -> StinespringDilation:
-    """Dilation of Phi = N o Tr_out built from a dilation of N.
+    """Dilation of Phi = N o Tr_out built from N's Kraus family.
 
     Environment for (source k, target (j, i)) is H_out_j (x) E_N_ik with the
-    tagged basis ordered (b, beta).  Minimal whenever N's dilation is, by
-    Gram invertibility of the composite Kraus family.
+    tagged basis ordered (b, beta).  Minimal whenever N's Kraus family is,
+    by Gram invertibility of the composite Kraus family.
     """
-    if n_dilation.source != source_hom.in_algebra:
+    if n_kraus.source != source_hom.in_algebra:
         raise AlgebraMismatchError("induced map must act on the in-factor algebra")
-    src = n_dilation.target  # C-shaped (K_in blocks)
+    src = n_kraus.target  # C-shaped (K_in blocks)
     b_dims = source_hom.out_algebra.dims
     components = {}
     for k, dk in enumerate(src.dims):
         for t, (j, i) in enumerate(source_hom.pairs):
-            di, r = source_hom.in_algebra.dims[i], n_dilation.env_dims[(i, k)]
-            n3 = n_dilation.component(i, k).reshape(dk, r, di)
+            di, ops = source_hom.in_algebra.dims[i], n_kraus.ops[(i, k)]
+            n3 = np.stack(ops, axis=1) if ops else np.zeros((dk, 0, di))
             # K_(b, beta) = |b> (x) N_beta†
             components[(k, t)] = np.einsum(
                 "cb,xry->cybrx", np.eye(b_dims[j]), n3.conj()
@@ -182,78 +180,36 @@ def solve_w(
     return SolvedW(blocks, residual, defect)
 
 
-# -- padding -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PaddedEnvironment:
-    """A single memory space P with basis inclusions of every E_N_ik."""
-
-    p_dim: int
-    injections: Dict[Tuple[int, int], np.ndarray]  # (i, k) -> p_dim x r_ik
-    complement_dims: Dict[Tuple[int, int], int]
-
-    def injection(self, i: int, k: int) -> np.ndarray:
-        return self.injections[(i, k)]
-
-    def complement(self, i: int, k: int) -> np.ndarray:
-        """Orthonormal basis of the complement of the embedded environment."""
-        r = self.injections[(i, k)].shape[1]
-        return np.eye(self.p_dim, dtype=complex)[:, r:]
-
-
-def pad_environment(env_dims: Dict[Tuple[int, int], int],
-                    bound_dims: Dict[Tuple[int, int], int]) -> PaddedEnvironment:
-    """P of dimension max r_ik (at least 1), with leading-basis inclusions.
-
-    Raises BoundViolatedError when some r_ik exceeds its proven bound
-    dim(H_in_i) * dim(K_in_k); that signals an upstream rank problem.
-    """
-    for key, r in env_dims.items():
-        if r < 0:
-            raise BoundViolatedError(f"negative environment dimension at {key}")
-        if key in bound_dims and r > bound_dims[key]:
-            raise BoundViolatedError(
-                f"environment dimension {r} at {key} exceeds bound {bound_dims[key]}"
-            )
-    p_dim = max(max(env_dims.values(), default=0), 1)
-    injections = {
-        key: np.eye(p_dim, dtype=complex)[:, :r] for key, r in env_dims.items()
-    }
-    complements = {key: p_dim - r for key, r in env_dims.items()}
-    return PaddedEnvironment(p_dim, injections, complements)
-
-
 # -- channel assembly ----------------------------------------------------------
 
 
-def assemble_e(n_kraus: KrausDecomposition, pad: PaddedEnvironment,
+def assemble_e(n_kraus: KrausDecomposition, p_dim: int,
                tol: float = DEFAULT_TOL) -> Channel:
     """The pre-processing channel E: C -> (+)_i B(P (x) H_in_i).
 
     Component (k -> i) is conjugation by the single operator
-    ``U_ik = sum_beta iota|beta> (x) N_beta^T`` (transposes, not adjoints:
-    the open channel slot attaches to the dual wire).  E is trace preserving
-    exactly when N is unital, which realize checks first.
+    ``U_ik = sum_beta |beta> (x) N_beta^T`` (transposes, not adjoints: the
+    open channel slot attaches to the dual wire), so N's environment for
+    (i, k) is the span of P's first r_ik basis vectors.  E is trace
+    preserving exactly when N is unital, which realize checks first.
     """
     a_alg = n_kraus.source
     c_alg = n_kraus.target
-    target = memory_target_algebra(a_alg, pad.p_dim)
+    target = memory_target_algebra(a_alg, p_dim)
     ops: Dict[Tuple[int, int], list] = {}
     for k, dk in enumerate(c_alg.dims):
         for i, dhi in enumerate(a_alg.dims):
-            iota = pad.injection(i, k)
-            u = np.zeros((pad.p_dim * dhi, dk), dtype=complex)
+            u = np.zeros((p_dim, dhi, dk), dtype=complex)
             for beta, n_beta in enumerate(n_kraus.ops[(i, k)]):
-                u += np.kron(iota[:, beta : beta + 1], n_beta.T)
-            ops[(k, i)] = [u]
+                u[beta] = n_beta.T
+            ops[(k, i)] = [u.reshape(p_dim * dhi, dk)]
     m = CpMap.from_kraus(c_alg, target, ops)
     return Channel(c_alg, target, m.choi_blocks, tol=max(tol, 1e-8))
 
 
 def assemble_g(
     w: SolvedW,
-    pad: PaddedEnvironment,
+    p_dim: int,
     source_hom: HomAlgebra,
     target_hom: HomAlgebra,
     s_env_dims: Dict[Tuple[int, int], int],
@@ -261,18 +217,18 @@ def assemble_g(
 ) -> Channel:
     """The post-processing channel G: (+)_{(i,j,k)} B(P (x) H_out_j) -> D.
 
-    On the embedded environment of each (i, k), G routes through the
-    entrywise conjugate of the solved W block (the dual-wire reshuffle),
-    tracing out the auxiliary supermap environment.  On the orthogonal
-    complement it prepares the first basis state of the first D block; the
-    embedding annihilates that summand, so it never affects the circuit.
+    On N's environment for (i, k), P's first r_ik basis vectors, G routes
+    through the entrywise conjugate of the solved W block (the dual-wire
+    reshuffle), tracing out the auxiliary supermap environment.  On the
+    rest of P it prepares the first basis state of the first D block; E
+    never reaches that part, so it never affects the circuit.
     """
     a_alg = source_hom.in_algebra
     b_alg = source_hom.out_algebra
     c_alg = target_hom.in_algebra
     d_alg = target_hom.out_algebra
     n_in_cd = len(c_alg)
-    source = g_source_algebra(a_alg, b_alg, c_alg, pad.p_dim)
+    source = g_source_algebra(a_alg, b_alg, c_alg, p_dim)
     ops: Dict[Tuple[int, int], list] = {
         (src, l): [] for src in range(len(source)) for l in range(len(d_alg))
     }
@@ -280,25 +236,23 @@ def assemble_g(
         for j, dj in enumerate(b_alg.dims):
             for k, _ in enumerate(c_alg.dims):
                 src = _g_source_index(i, j, k, len(b_alg), len(c_alg))
-                iota = pad.injection(i, k)
-                r_n = iota.shape[1]
-                if r_n > 0:
-                    t_ab = source_hom.block_index(j, i)
-                    wbar = w.blocks[(k, t_ab)].conj()
-                    pre = swap_matrix(r_n, dj) @ np.kron(dag(iota), np.eye(dj, dtype=complex))
-                    offset = 0
-                    for l, dl in enumerate(d_alg.dims):
-                        r_s = s_env_dims.get((t_ab, l * n_in_cd + k), 0)
-                        if r_s > 0:
-                            seg = wbar[offset : offset + dl * r_s, :].reshape(dl, r_s, -1)
-                            ops[(src, l)].extend(seg.transpose(1, 0, 2) @ pre)
-                        offset += dl * r_s
-                perp = pad.complement(i, k)
-                if perp.shape[1] > 0:
-                    phi = np.kron(perp, np.eye(dj, dtype=complex))
-                    chi = basis_column(d_alg.dims[0], 0)
-                    for col in range(phi.shape[1]):
-                        ops[(src, 0)].append(chi @ phi[:, col : col + 1].conj().T)
+                t_ab = source_hom.block_index(j, i)
+                # W's columns are N's environment tagged by H_out_j, ordered (b, beta)
+                wbar = w.blocks[(k, t_ab)].conj()
+                r_n = wbar.shape[1] // dj
+                offset = 0
+                for l, dl in enumerate(d_alg.dims):
+                    r_s = s_env_dims.get((t_ab, l * n_in_cd + k), 0)
+                    if r_n > 0 and r_s > 0:
+                        seg = wbar[offset : offset + dl * r_s, :].reshape(dl, r_s, dj, r_n)
+                        kraus = np.zeros((r_s, dl, p_dim, dj), dtype=complex)
+                        kraus[:, :, :r_n, :] = seg.transpose(1, 0, 3, 2)
+                        ops[(src, l)].extend(kraus.reshape(r_s, dl, p_dim * dj))
+                    offset += dl * r_s
+                for col in range(r_n * dj, p_dim * dj):
+                    op = np.zeros((d_alg.dims[0], p_dim * dj), dtype=complex)
+                    op[0, col] = 1.0
+                    ops[(src, 0)].append(op)
     m = CpMap.from_kraus(source, d_alg, ops)
     return Channel(source, d_alg, m.choi_blocks, tol=max(tol, 1e-8))
 
@@ -334,10 +288,12 @@ class CircuitRealisation:
 def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     """Build the circuit (E, G, P) realising a deterministic supermap.
 
-    Orchestrates: induced map N -> minimal dilation -> the two dilations of
-    the marginal map -> environment isometry W -> padding -> channel
-    assembly.  The realised memory dimension always respects the bound
-    max_{i,k} dim(H_in_i) * dim(K_in_k).
+    Orchestrates: induced map N -> N's minimal Kraus family -> the two
+    dilations of the marginal map -> environment isometry W -> channel
+    assembly.  The memory dimension is N's largest Kraus rank r_ik (at
+    least 1), so it respects the bound max_{i,k} dim(H_in_i) * dim(K_in_k)
+    by construction: r_ik counts eigenvalues of N's (k, i) Choi block, a
+    matrix of that size.
 
     Needs no prior verification: it gates on verify's quantities at tol,
     in verify's order.  kraus_from_choi applies the PSD rule to N and to S
@@ -359,22 +315,19 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
         )
     if not is_unital(n, tol):
         raise NotUnitalError("the induced map N is not unital")
-    v_right = right_dilation(dilation_from_kraus(n, n_kd), s.source_hom)
-    w = solve_w(v_right, left_dilation(s, s_kd), tol)
+    w = solve_w(right_dilation(n_kd, s.source_hom), left_dilation(s, s_kd), tol)
     a_alg = s.source_hom.in_algebra
     c_alg = s.target_hom.in_algebra
-    bounds = {(i, k): di * dk
-              for i, di in enumerate(a_alg.dims) for k, dk in enumerate(c_alg.dims)}
-    pad = pad_environment({key: len(ops) for key, ops in n_kd.ops.items()}, bounds)
-    e = assemble_e(n_kd, pad, tol=tol)
+    p_dim = max(max(map(len, n_kd.ops.values())), 1)
+    e = assemble_e(n_kd, p_dim, tol=tol)
     s_env_dims = {key: len(ops) for key, ops in s_kd.ops.items()}
-    g = assemble_g(w, pad, s.source_hom, s.target_hom, s_env_dims, tol)
+    g = assemble_g(w, p_dim, s.source_hom, s.target_hom, s_env_dims, tol)
     return CircuitRealisation(
         a=a_alg,
         b=s.source_hom.out_algebra,
         c=c_alg,
         d=s.target_hom.out_algebra,
-        p_dim=pad.p_dim,
+        p_dim=p_dim,
         e_channel=e,
         g_channel=g,
         w_residual=w.residual,

@@ -18,6 +18,8 @@ length other than 16*r*c, a boolean where an integer belongs, a non-finite
 entry, a missing or repeated Choi entry, a document nested too deeply to
 parse, and a realisation whose E and G channels do not have the types its
 algebras and p_dim give or whose p_bound is not the bound its algebras give.
+Saving raises it, and writes nothing, for a non-finite number or matrix
+entry: every written document is RFC 8259 JSON that loading accepts.
 
 A document built here holds each Choi block as its ndarray until
 save_document encodes it, so only one block's encoding is alive at a time.
@@ -58,7 +60,10 @@ def _integer(x, what: str) -> int:
 
 
 def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
+    """Encode one matrix; decode_matrix refuses non-finite entries, so this does too."""
     m = np.ascontiguousarray(m, dtype=_C16)
+    if not np.isfinite(m).all():
+        raise ShapeMismatchError("cannot write a matrix with non-finite entries")
     return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
 
 
@@ -176,7 +181,12 @@ def _encode_array(obj):
 
 
 def save_document(path, doc: Dict[str, Any]) -> None:
-    text = json.dumps(doc, default=_encode_array, separators=(",", ":"))
+    """Write doc as RFC 8259 JSON; ShapeMismatchError, and no file, when it
+    holds a non-finite number or matrix entry."""
+    try:
+        text = json.dumps(doc, default=_encode_array, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:  # ShapeMismatchError from encode_matrix is one too
+        raise ShapeMismatchError(f"cannot write the document: {exc}") from exc
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
         f.write("\n")

@@ -233,7 +233,7 @@ def kernel_residual(s: Supermap, n: CpMap) -> float:
     """||Phi - Id_B (x) N||_F over all Choi blocks of the marginal map
     Phi = Tr_out o S, for N = extract_n(s): the Hilbert-Schmidt norm of Phi
     on ker Tr_out, zero exactly when kernel containment holds."""
-    phi = trace_out_target_group(s.inner, s.target_hom, "out")
+    phi = trace_out_target_group(s.inner, s.target_hom)
     b_dims = s.source_hom.out_algebra.dims
     total = 0.0
     for k, dk in enumerate(n.target.dims):

@@ -3,7 +3,10 @@
 import base64
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +142,11 @@ def _b64(raw):
 
 
 def _set_first_value(value):
+    # packs the bytes itself: encode_matrix refuses non-finite entries
     def damage(m):
         a = serialize.decode_matrix(m).copy()
         a[0, 0] = value
-        return serialize.encode_matrix(a)
+        return {"shape": m["shape"], "c16": _b64(a.astype("<c16").tobytes())}
     return damage
 
 
@@ -594,6 +598,34 @@ def test_codec_edge_values_and_old_layout_are_bit_exact(tmp_path):
     serialize.save_document(path, serialize.supermap_document(old))
     assert json.loads(path.read_text())["format_version"] == "2"
     _assert_same_blocks(serialize.load_supermap(path), old)
+
+
+def test_writer_refuses_what_the_reader_refuses(tmp_path):
+    # verify overflows on the edge values, to kernel_residual inf and a
+    # non-finite extracted N; run in a subprocess, since numpy's overflow
+    # RuntimeWarning is an error under this suite's warning filter
+    out = tmp_path / "rep.json"
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "supermap_forge.cli", "verify",
+         str(V1 / "edge_values.json"), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "not JSON compliant" in proc.stderr
+    assert not out.exists()
+    for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
+        with pytest.raises(sf.ShapeMismatchError, match="non-finite"):
+            serialize.encode_matrix(np.array([[0.5, bad]]))
+    report = serialize.report_document("verify", {
+        "kernel_residual": 0.0, "extracted_n": np.array([[np.nan]]),
+    })
+    with pytest.raises(sf.ShapeMismatchError, match="non-finite"):
+        serialize.save_document(out, report)
+    assert not out.exists()
 
 
 def _report_scalars(p):

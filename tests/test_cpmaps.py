@@ -277,17 +277,6 @@ def test_discarding_copy_recovers_identity():
     assert roundtrip.choi_distance(sf.identity_cpmap(a)) < 1e-14
 
 
-def test_trace_out_target_group_none_and_all():
-    a = MultiMatrixAlgebra((("x", 2), ("y", 1)))
-    b = MultiMatrixAlgebra((("u", 2), ("v", 2)))
-    ch = gen.random_channel(a, b, seed=9)
-    assert sf.trace_out_target_group(ch, group="none").choi_distance(ch) == 0.0
-    full = sf.trace_out_target_group(ch, group="all")
-    # tracing the whole target of a channel leaves identity Choi blocks
-    for i, d in enumerate(a.dims):
-        assert np.linalg.norm(full.choi(0, i) - np.eye(d)) < 1e-10
-
-
 def test_trace_out_target_group_matches_brute_force():
     a = MultiMatrixAlgebra((("x", 2), ("y", 1)))
     b = MultiMatrixAlgebra((("u", 2),))
@@ -295,7 +284,7 @@ def test_trace_out_target_group_matches_brute_force():
     d = MultiMatrixAlgebra((("l0", 2), ("l1", 1)))
     s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=17)
     hom_cd = s.target_hom
-    reduced = sf.trace_out_target_group(s.inner, hom_cd, "out")
+    reduced = sf.trace_out_target_group(s.inner, hom_cd)
     # brute force: apply to each matrix unit and partial trace entrywise
     from supermap_forge.supermap import partial_trace_out
 
@@ -306,20 +295,16 @@ def test_trace_out_target_group_matches_brute_force():
         require_cp=False,
     )
     assert reduced.choi_distance(brute) < 1e-12
-    reduced_in = sf.trace_out_target_group(s.inner, hom_cd, "in")
-    assert reduced_in.target == hom_cd.out_algebra
 
 
 def test_trace_out_target_group_requires_structure():
     a = MultiMatrixAlgebra((("x", 2),))
     ch = gen.random_channel(a, a, seed=3)
     with pytest.raises(sf.StructureMissingError):
-        sf.trace_out_target_group(ch, None, "out")
+        sf.trace_out_target_group(ch, None)
     wrong = sf.hom_algebra(a, MultiMatrixAlgebra.single(3, "z"))
     with pytest.raises(sf.StructureMissingError):
-        sf.trace_out_target_group(ch, wrong, "out")
-    with pytest.raises(sf.StructureMissingError):
-        sf.trace_out_target_group(ch, None, "bogus")
+        sf.trace_out_target_group(ch, wrong)
 
 
 def test_choi_action_round_trip_random_maps():

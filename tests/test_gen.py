@@ -56,6 +56,9 @@ def test_random_supermap_verifies():
     for seed in range(10):
         s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=1 + seed % 2, seed=seed)
         assert sf.verify_deterministic(s).verdict
+    for draw in (gen.random_supermap_from_circuit, gen.random_circuit_pieces):
+        with pytest.raises(sf.ShapeMismatchError):
+            draw(a, b, c, d, p_dim=0, seed=0)
 
 
 def test_identity_circuit_pieces_give_identity_supermap():

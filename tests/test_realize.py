@@ -4,16 +4,20 @@ import collections
 import dataclasses
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import supermap_forge as sf
-from supermap_forge import cpmaps, gen
+from supermap_forge import cpmaps, gen, serialize
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
-from supermap_forge.realize import left_dilation, pad_environment, right_dilation, solve_w
+from supermap_forge.realize import left_dilation, right_dilation, solve_w
 from supermap_forge.supermap import partial_trace_out
+
+# see fixtures/v1/README.md
+V1 = Path(__file__).parent / "fixtures" / "v1"
 
 
 def small_shape():
@@ -82,7 +86,7 @@ def test_left_dilation_trivial_out_matches_plain_ranks():
 def test_right_dilation_presents_the_marginal_map():
     s = verified_supermap()
     n = sf.extract_n(s)
-    vr = sf.right_dilation(sf.minimal_stinespring(n), s.source_hom)
+    vr = sf.right_dilation(sf.kraus_from_choi(n), s.source_hom)
     for t in range(5):
         x = gen.random_block_operator(s.source_hom.base, seed=50 + t)
         lhs = vr.heisenberg_apply(x)
@@ -121,7 +125,7 @@ def test_dilations_equal_their_embedding_definitions():
         s_kd, n_kd = sf.kraus_from_choi(s.inner, rank_tol=0.0), sf.kraus_from_choi(n)
         left, right = _dilation_kraus_by_embedding(s, s_kd, n_kd)
         v_left = left_dilation(s, s_kd)
-        v_right = right_dilation(dilation_from_kraus(n, n_kd), s.source_hom)
+        v_right = right_dilation(n_kd, s.source_hom)
         for dilation, expected in ((v_left, left), (v_right, right)):
             ops = dilation.kraus.ops
             assert ops.keys() == expected.keys()
@@ -144,7 +148,7 @@ def test_realize_rejects_non_unital():
 def test_solve_w_identity_case():
     s = verified_supermap()
     n = sf.extract_n(s)
-    vr = right_dilation(sf.minimal_stinespring(n), s.source_hom)
+    vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     w = solve_w(vr, vr, 1e-8)
     assert w.residual < 1e-10 and w.isometry_defect < 1e-10
     for key, x in w.blocks.items():
@@ -154,7 +158,7 @@ def test_solve_w_identity_case():
 def test_solve_w_recovers_planted_unitary():
     s = verified_supermap(seed=7)
     n = sf.extract_n(s)
-    vr = right_dilation(sf.minimal_stinespring(n), s.source_hom)
+    vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     rng = np.random.default_rng(1)
     mixed = {}
     planted = {}
@@ -181,7 +185,7 @@ def test_solve_w_recovers_planted_unitary():
 def test_solve_w_padded_inclusion():
     s = verified_supermap(seed=9)
     n = sf.extract_n(s)
-    vr = right_dilation(sf.minimal_stinespring(n), s.source_hom)
+    vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     padded_ops = {
         key: tuple(list(ops) + [np.zeros_like(ops[0])]) if ops else ops
         for key, ops in vr.kraus.ops.items()
@@ -202,7 +206,7 @@ def test_solve_w_rejects_mismatched_dilations():
     s2 = verified_supermap(seed=12)
     n1 = sf.extract_n(s1)
     n2 = sf.extract_n(s2)
-    vr = right_dilation(sf.minimal_stinespring(n1), s1.source_hom)
+    vr = right_dilation(sf.kraus_from_choi(n1), s1.source_hom)
     vl = left_dilation(s2, sf.kraus_from_choi(s2.inner))
     # the least-squares solve fits (residual ~1e-15), but not by an isometry
     with pytest.raises(sf.IsometryDefectError):
@@ -210,18 +214,45 @@ def test_solve_w_rejects_mismatched_dilations():
     del n2
 
 
-def test_pad_environment_examples():
-    pad = pad_environment({(1, 1): 2, (2, 1): 3}, {(1, 1): 4, (2, 1): 4})
-    assert pad.p_dim == 3
-    assert np.allclose(pad.injection(1, 1), np.eye(3)[:, :2])
-    assert pad.complement_dims == {(1, 1): 1, (2, 1): 0}
-    pad1 = pad_environment({(0, 0): 1, (0, 1): 1}, {(0, 0): 2, (0, 1): 2})
-    assert pad1.p_dim == 1
-    assert np.allclose(pad1.injection(0, 0), [[1.0]])
-    # degenerate all-zero case still yields a one-dimensional memory
-    assert pad_environment({(0, 0): 0}, {(0, 0): 1}).p_dim == 1
-    with pytest.raises(sf.BoundViolatedError):
-        pad_environment({(0, 0): 5}, {(0, 0): 4})
+def test_realize_memory_is_the_largest_kraus_rank_of_n():
+    # P has dimension max r_ik over N's Kraus ranks, at least 1, within the
+    # proven bound; E reaches only P's first r_ik basis vectors for (i, k)
+    triv = MultiMatrixAlgebra.classical(2)
+    m3 = MultiMatrixAlgebra.single(3, "r")
+    cases = [
+        verified_supermap(seed=23),
+        gen.random_supermap_from_circuit(
+            MultiMatrixAlgebra.classical(3), m3, MultiMatrixAlgebra.from_dims((1, 2), "c"),
+            m3, p_dim=2, seed=5,
+        ),
+        sf.identity_supermap(triv, triv),
+    ]
+    below_p, p_dims = 0, []
+    for s in cases:
+        r = sf.realize(s)
+        p_dims.append(r.p_dim)
+        n_kd = sf.kraus_from_choi(sf.extract_n(s))
+        assert r.p_dim == max(max(n_kd.rank(i, k) for i, k in n_kd.ops), 1) <= r.p_bound
+        for i, di in enumerate(r.a.dims):
+            for k, dk in enumerate(r.c.dims):
+                rank = n_kd.rank(i, k)
+                below_p += 0 < rank < r.p_dim
+                e6 = r.e_channel.choi(i, k).reshape(r.p_dim, di, dk, r.p_dim, di, dk)
+                assert not e6[rank:].any() and not e6[:, :, :, rank:].any()
+    assert below_p > 0, "some nonzero r_ik should fall short of p_dim"
+    assert p_dims[-1] == 1  # the classical identity: every r_ik is 0 or 1
+
+
+def test_realize_reproduces_the_v1_realisation_fixture():
+    s = serialize.load_supermap(V1 / "supermap.json")
+    want = serialize.load_realisation(V1 / "realisation.json")
+    r = sf.realize(s)
+    for got, ref in ((r.e_channel, want.e_channel), (r.g_channel, want.g_channel)):
+        assert (got.source, got.target) == (ref.source, ref.target)
+        for row, ref_row in zip(got.choi_blocks, ref.choi_blocks):
+            assert all(np.array_equal(x, y) for x, y in zip(row, ref_row))
+    for field in ("p_dim", "p_bound", "w_residual", "w_isometry_defect", "gram_min_eig"):
+        assert getattr(r, field) == getattr(want, field), field
 
 
 def test_assemble_e_is_tp_and_has_the_right_marginal():
