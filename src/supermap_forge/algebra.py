@@ -13,7 +13,10 @@ Conventions used throughout the package:
   thresholds with default ``DEFAULT_TOL = 1e-9``, overridable per call;
 * one PSD rule serves every positivity check: entries are finite, the
   Hermiticity defect ``||x - x†||_F`` is at most tol, and after
-  symmetrising ``(x + x†)/2`` the smallest eigenvalue is at least -tol;
+  symmetrising ``H = (x + x†)/2`` the smallest eigenvalue is at least -tol,
+  which Cholesky completing on ``H + (tol - delta) Id``, delta a bound on its
+  backward error (Higham, *Accuracy and Stability of Numerical Algorithms*,
+  2nd ed., ch. 10), proves; otherwise the eigenvalues of H decide;
 * block labels are ordered, and all cross-algebra identifications are made
   by block order, never by label text.
 """
@@ -200,7 +203,8 @@ def hs_inner(x: BlockOperator, y: BlockOperator) -> complex:
 
 @dataclass(frozen=True)
 class PositivityWitness:
-    """Outcome of a PSD check, with the offending block when it fails."""
+    """Outcome of a PSD check, with the offending block when it fails.  min_eigenvalue is
+    exact on a failure; on a pass, a certified lower bound >= -tol, exact if eigvalsh decided."""
 
     ok: bool
     block: Label = None
@@ -211,29 +215,39 @@ class PositivityWitness:
         return self.ok
 
 
-def _psd_block(m: np.ndarray, tol: float, vectors: bool = False):
-    """The one PSD rule: finite entries, ||m - m†||_F <= tol, and smallest
-    eigenvalue >= -tol; the block passes exactly when ``lo >= -tol``.
-
-    Returns (lo, defect, eigenvalues, eigenvectors or None) of (m + m†)/2;
-    lo is nan, and nothing is decomposed, when an earlier condition fails.
-    """
+def _psd_block(m: np.ndarray, tol: float):
+    """The one PSD decider: finite entries, ||m - m†||_F <= tol, then
+    lambda_min(H) >= -tol for H = (m + m†)/2.  Returns (lo, defect); the
+    block passes exactly when lo >= -tol (nan: an earlier condition failed).
+    Cholesky completing on H + (tol - delta) Id, delta = 2 (n + 2) eps
+    (tr H + n tol) bounding its backward error (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 10; derivation in the
+    README), certifies lo = -tol; otherwise eigvalsh gives the exact lo."""
     if not np.isfinite(m).all():
-        return np.nan, np.nan, None, None
+        return np.nan, np.nan
     defect = frob(m - dag(m))
     if defect > tol:
-        return np.nan, defect, None, None
+        return np.nan, defect
     h = herm_part(m)
-    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
-    return float(w.min()), defect, w, v
+    n = len(h)
+    diag = h.reshape(-1)[:: n + 1]  # a view: herm_part's result is C-contiguous
+    delta = 2 * (n + 2) * np.finfo(float).eps * (sum(diag.real.tolist()) + n * tol)
+    if 0 <= delta < tol:
+        diag += tol - delta
+        try:
+            np.linalg.cholesky(h)
+            return -tol, defect
+        except np.linalg.LinAlgError:
+            h = herm_part(m)
+    return float(np.linalg.eigvalsh(h).min()), defect
 
 
 def _psd_blocks(labelled_blocks, tol: float) -> PositivityWitness:
     """The PSD rule on each (label, block): the first failure, or a pass
-    carrying the smallest eigenvalue seen."""
+    carrying the smallest certified lower bound seen."""
     worst_eig = np.inf
     for lbl, m in labelled_blocks:
-        lo, defect, _, _ = _psd_block(m, tol)
+        lo, defect = _psd_block(m, tol)
         if not lo >= -tol:
             return PositivityWitness(False, lbl, lo, defect)
         worst_eig = min(worst_eig, lo)

@@ -2,8 +2,8 @@
 
 Exit codes are uniform across commands: 0 success, 1 semantic failure
 (verification or certification rejected), 2 input error (missing files,
-malformed documents, bad shapes).  The default tolerance is 1e-8 and may be
-overridden per run with --tol or globally with SUPERMAP_FORGE_TOL.
+malformed documents, bad shapes, overflowing entries).  The default tolerance
+is 1e-8 and may be overridden per run with --tol or with SUPERMAP_FORGE_TOL.
 """
 
 import argparse
@@ -11,6 +11,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import serialize
 from .algebra import MultiMatrixAlgebra
@@ -222,8 +224,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except (OSError, json.JSONDecodeError, SupermapForgeError, KeyError) as exc:
+        with np.errstate(over="raise"):  # entries too large for arithmetic: input error
+            return args.func(args)
+    except (OSError, json.JSONDecodeError, SupermapForgeError, KeyError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import dag, frob, unvec, vec
+from ._linalg import dag, frob, herm_part, unvec, vec
 from .algebra import (
     DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _psd_block,
     _psd_blocks,
@@ -92,6 +92,10 @@ class CpMap:
         """The same block as a (dK, dH, dK, dH) tensor."""
         dk, dh = self.target.dims[j], self.source.dims[i]
         return self._blocks[j][i].reshape(dk, dh, dk, dh)
+
+    def superop(self, j: int, i: int) -> np.ndarray:
+        """The block realigned to (dK^2, dH^2): x_i -> m(x)_j on row-major vec."""
+        return self.choi4(j, i).transpose(0, 2, 1, 3).reshape(self.target.dims[j] ** 2, -1)
 
     @property
     def choi_blocks(self):
@@ -335,18 +339,20 @@ def kraus_from_choi(
 ) -> KrausDecomposition:
     """Eigendecompose each Choi block and keep eigenvalues above the cutoff.
 
-    Raises NotCompletelyPositiveError when a block fails the PSD rule at
-    tol (the rule is_cp applies).  The rank cutoff is rank_tol times the
-    block's largest eigenvalue, and never below the eigensolver's roundoff
-    (block size times machine epsilon, relative), so eigenvalues that are
-    numerically zero never become Kraus operators of size sqrt(roundoff).
+    Raises NotCompletelyPositiveError when is_cp's decider fails a block at
+    tol; only a passing block is eigendecomposed.  The rank cutoff is
+    rank_tol times the block's largest eigenvalue, and never below the
+    eigensolver's roundoff (block size times machine epsilon, relative), so
+    eigenvalues that are numerically zero never become Kraus operators of
+    size sqrt(roundoff).
     """
     ops: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
     for j, dk in enumerate(m.target.dims):
         for i, dh in enumerate(m.source.dims):
-            lo, defect, w, v = _psd_block(m.choi(j, i), tol, vectors=True)
+            lo, defect = _psd_block(m.choi(j, i), tol)
             if not lo >= -tol:
                 raise _not_cp(PositivityWitness(False, (j, i), lo, defect))
+            w, v = np.linalg.eigh(herm_part(m.choi(j, i)))
             cut = max(rank_tol, dk * dh * np.finfo(float).eps) * max(float(w.max()), 0.0)
             keep = [
                 np.sqrt(lam) * unvec(v[:, k], dk, dh)
@@ -503,21 +509,19 @@ def hs_dual(m: CpMap) -> CpMap:
 def compose(g: CpMap, f: CpMap) -> CpMap:
     """g after f, contracted at the Choi level (the link product):
 
-        C_{g o f}[l, i] = sum_j  sum_{r,s} C_g[l, j][o, r, O, s] C_f[j, i][r, a, s, b].
+        C_{g o f}[l, i] = sum_j  sum_{r,s} C_g[l, j][o, r, O, s] C_f[j, i][r, a, s, b],
+
+    one GEMM per block pair (l, i) of superops, with the sum over j inside it.
     """
     if f.target != g.source:
         raise AlgebraMismatchError("compose: target of f must equal source of g")
-    blocks = []
-    for l, dl in enumerate(g.target.dims):
-        row = []
-        for i, dh in enumerate(f.source.dims):
-            acc = np.zeros((dl, dh, dl, dh), dtype=complex)
-            for j in range(len(f.target)):
-                # no optimize=: the BLAS paths copy the (possibly huge) g block
-                acc += np.einsum("orOs,rasb->oaOb", g.choi4(l, j), f.choi4(j, i))
-            row.append(acc.reshape(dl * dh, dl * dh))
-        blocks.append(row)
-    return CpMap(f.source, g.target, blocks)
+    mid = range(len(f.target))
+    g_rows = [np.concatenate([g.superop(l, j) for j in mid], axis=1) for l in range(len(g.target))]
+    f_cols = [np.concatenate([f.superop(j, i) for j in mid]) for i in range(len(f.source))]
+    return CpMap(f.source, g.target, [
+        [(g_row @ f_col).reshape(dl, dl, dh, dh).transpose(0, 2, 1, 3).reshape(dl * dh, -1)
+         for f_col, dh in zip(f_cols, f.source.dims)]
+        for g_row, dl in zip(g_rows, g.target.dims)])
 
 
 def _pair_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> MultiMatrixAlgebra:

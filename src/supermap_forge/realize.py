@@ -423,18 +423,16 @@ def _evaluate_circuit(r: CircuitRealisation, f: CpMap) -> CpMap:
         r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
     ))
     x = compose(stage2, stage1)
-    # stage 3, (f (x) Id_P) o x: f contracts the A leg of each copy (k, i)
-    # and the memory leg P passes through untouched
+    # stage 3, (f (x) Id_P) o x: f's (bB, aA) superop times each copy (k, i)'s
+    # block as an (aA, pxQX) matrix, one GEMM per block; the memory P passes through
     rows = []
     for t, (k, i) in enumerate(copies):
         da = r.a.dims[i]
-        for j, db in enumerate(r.b.dims):
-            row = []
-            for s, ds in enumerate(r.c.dims):
-                x6 = x.choi4(t, s).reshape(p, da, ds, p, da, ds)
-                y6 = np.einsum("baBA,paxQAX->pbxQBX", f.choi4(j, i), x6)
-                row.append(y6.reshape((p * db * ds,) * 2))
-            rows.append(row)
+        x_cols = [x.choi4(t, s).reshape(p, da, ds, p, da, ds).transpose(1, 4, 0, 2, 3, 5)
+                  .reshape(da * da, -1) for s, ds in enumerate(r.c.dims)]
+        rows.extend([(f.superop(j, i) @ x_col).reshape(db, db, p, ds, p, ds)
+                     .transpose(2, 0, 3, 4, 1, 5).reshape((p * db * ds,) * 2)
+                     for x_col, ds in zip(x_cols, r.c.dims)] for j, db in enumerate(r.b.dims))
     y = CpMap(r.c, m2, rows)
     stage4 = _lift(m2, r.d, lambda l, t: r.g_channel.choi(
         l, _g_source_index(slots[t][1], slots[t][2], slots[t][0], nb, nc)

@@ -162,3 +162,80 @@ def test_hs_inner_nondegenerate():
     for i, a, b, unit in alg.matrix_units():
         recovered = recovered + sf.hs_inner(unit, x) * alg.unit(i, a, b)
     assert (recovered - x).norm() < 1e-12
+
+
+def _eigvalsh_rule(m, tol):
+    """The PSD rule decided by the whole spectrum: the decider's reference."""
+    if not np.isfinite(m).all() or np.linalg.norm(m - m.conj().T) > tol:
+        return False
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() >= -tol
+
+
+def _with_spectrum(w, rng):
+    n = len(w)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * w) @ q.conj().T
+
+
+def _boundary_blocks(n, tol, rng):
+    """(name, block) at each edge of the PSD rule for n x n blocks."""
+    rest = list(rng.uniform(0.1, 1.0, n - 1))
+    # the decider's rounding margin for these blocks, whose trace is sum(rest) - tol
+    delta = 2 * (n + 2) * np.finfo(float).eps * (sum(rest) - tol + n * tol)
+    assert 0 <= delta < tol
+    for f in (1 - 1e-3, 1 + 1e-3):
+        yield f"lambda_min -tol*{f}", _with_spectrum([-tol * f] + rest, rng)
+    for sign in (1, -1):
+        yield f"lambda_min shift{sign:+d}delta", _with_spectrum([-(tol - delta) + sign * delta] + rest, rng)
+    psd = _with_spectrum([0.05] + rest, rng)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = x - x.conj().T
+    for f in (1 - 1e-3, 1 + 1e-3):
+        # (m - m†) = tol * f * skew / ||skew||
+        yield f"defect tol*{f}", psd + 0.5 * tol * f * skew / np.linalg.norm(skew)
+    for bad in (np.nan, np.inf):
+        m = psd.copy()
+        m[0, n - 1] = bad
+        yield f"entry {bad}", m
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 256])
+def test_psd_decider_matches_the_eigenvalue_rule_at_its_edges(n):
+    rng = np.random.default_rng(n)
+    alg = MultiMatrixAlgebra.single(n)
+    for tol in (1e-9, 1e-8):
+        verdicts = {}
+        for name, m in _boundary_blocks(n, tol, rng):
+            witness = sf.is_positive(BlockOperator(alg, [m]), tol)
+            expected = _eigvalsh_rule(m, tol)
+            assert bool(witness) == expected, (n, tol, name)
+            if witness:
+                assert witness.min_eigenvalue >= -tol
+            elif "lambda_min" in name:
+                # a failure reports the exact smallest eigenvalue
+                h = 0.5 * (m + m.conj().T)
+                assert witness.min_eigenvalue == np.linalg.eigvalsh(h).min()
+            verdicts[name] = expected
+        assert verdicts[f"lambda_min -tol*{1 - 1e-3}"]
+        # at n = 1 the trace is -tol, so delta is 0 and both shift points sit at -tol
+        assert verdicts["lambda_min shift+1delta"] or n == 1
+        assert verdicts[f"defect tol*{1 - 1e-3}"]
+        assert not verdicts[f"lambda_min -tol*{1 + 1e-3}"]
+        assert not verdicts[f"defect tol*{1 + 1e-3}"]
+
+
+def test_cholesky_certificate_decides_the_benchmark_shapes(monkeypatch):
+    # q4 at p_dim 2 and q5 at p_dim 1, whose S blocks are 256 and 625 wide:
+    # with eigvalsh gone, is_cp still accepts, so no block needs the fallback
+    q4 = [MultiMatrixAlgebra.single(4, lbl) for lbl in "abcd"]
+    q5 = [MultiMatrixAlgebra.single(5, lbl) for lbl in "abcd"]
+    supermaps = [gen.random_supermap_from_circuit(*q4, p_dim=2, seed=4),
+                 gen.random_supermap_from_circuit(*q5, p_dim=1, seed=5)]
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    for s in supermaps:
+        witness = sf.is_cp(s.inner, 1e-8)
+        assert witness and witness.min_eigenvalue == -1e-8

@@ -601,22 +601,7 @@ def test_codec_edge_values_and_old_layout_are_bit_exact(tmp_path):
 
 
 def test_writer_refuses_what_the_reader_refuses(tmp_path):
-    # verify overflows on the edge values, to kernel_residual inf and a
-    # non-finite extracted N; run in a subprocess, since numpy's overflow
-    # RuntimeWarning is an error under this suite's warning filter
     out = tmp_path / "rep.json"
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "supermap_forge.cli", "verify",
-         str(V1 / "edge_values.json"), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "not JSON compliant" in proc.stderr
-    assert not out.exists()
     for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
         with pytest.raises(sf.ShapeMismatchError, match="non-finite"):
             serialize.encode_matrix(np.array([[0.5, bad]]))
@@ -625,6 +610,32 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path):
     })
     with pytest.raises(sf.ShapeMismatchError, match="non-finite"):
         serialize.save_document(out, report)
+    report = serialize.report_document("verify", {"kernel_residual": np.inf})
+    with pytest.raises(sf.ShapeMismatchError, match="not JSON compliant"):
+        serialize.save_document(out, report)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, write", [("verify", False), ("verify", True),
+                                            ("realize", True)])
+def test_overflowing_entries_are_an_input_error(tmp_path, command, write):
+    # the edge values load (they are finite), but the PSD rule's m - m†
+    # overflows on them; run in a subprocess, since numpy's overflow
+    # RuntimeWarning is an error under this suite's warning filter
+    out = tmp_path / "out.json"
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    args = [command, str(V1 / "edge_values.json")] + (["--out", str(out)] if write else [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "supermap_forge.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "overflow" in proc.stderr and "Warning" not in proc.stderr
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Tests for CP maps: Choi families, application, TP checks, composition."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,74 @@ def test_compose_matches_probe_composition():
         assert composed.source == a and composed.target == c
         scale = probed.choi_distance(sf.zero_cpmap(a, c))
         assert composed.choi_distance(probed) <= 1e-12 * scale
+
+
+def _einsum_compose(g, f):
+    """The link product g o f with one einsum per block triple (l, j, i)."""
+    return sf.CpMap(f.source, g.target, [
+        [sum(np.einsum("orOs,rasb->oaOb", g.choi4(l, j), f.choi4(j, i))
+             for j in range(len(f.target))).reshape(dl * dh, dl * dh)
+         for i, dh in enumerate(f.source.dims)]
+        for l, dl in enumerate(g.target.dims)
+    ])
+
+
+def _max_deviation(x, y):
+    return max(np.abs(bx - by).max()
+               for rx, ry in zip(x.choi_blocks, y.choi_blocks) for bx, by in zip(rx, ry))
+
+
+def test_compose_matches_the_einsum_link_product():
+    shapes = [((1, 2, 1), (1, 3, 1), (2, 1)), ((1, 1), (1, 1, 1), (1,)),
+              ((3,), (1, 2), (1, 1, 2))]
+    for k, dims in enumerate(shapes):
+        a, b, c = (MultiMatrixAlgebra.from_dims(d, pre) for d, pre in zip(dims, "abc"))
+        pairs = [(_random_linear_map(a, b, k), _random_linear_map(b, c, k + 10)),
+                 (gen.random_channel(a, b, seed=k), gen.random_channel(b, c, seed=k))]
+        for f, g in pairs:
+            assert _max_deviation(sf.compose(g, f), _einsum_compose(g, f)) <= 1e-13
+
+
+def _einsum_evaluate_circuit(r, f):
+    """The circuit's stages on f with einsum link products; stage 3 applies
+    f to the A leg of each copy (k, i), the memory leg P passing through."""
+    realize = sys.modules["supermap_forge.realize"]
+    p, nb, nc = r.p_dim, len(r.b), len(r.c)
+    copies = [(k, i) for k in range(nc) for i in range(len(r.a))]
+    slots = [(k, i, j) for k, i in copies for j in range(nb)]
+    m1 = MultiMatrixAlgebra(tuple(((k, i), p * r.a.dims[i]) for k, i in copies))
+    m2 = MultiMatrixAlgebra(tuple(((k, i, j), p * r.b.dims[j]) for k, i, j in slots))
+    stage1 = sf.copy_channel(r.c)
+    stage2 = realize._lift(stage1.target, m1, lambda t, k: (
+        r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
+    ))
+    x = _einsum_compose(stage2, stage1)
+    rows = []
+    for t, (k, i) in enumerate(copies):
+        da = r.a.dims[i]
+        for j, db in enumerate(r.b.dims):
+            rows.append([np.einsum(
+                "baBA,paxQAX->pbxQBX", f.choi4(j, i),
+                x.choi4(t, s).reshape(p, da, ds, p, da, ds),
+            ).reshape((p * db * ds,) * 2) for s, ds in enumerate(r.c.dims)])
+    y = sf.CpMap(r.c, m2, rows)
+    stage4 = realize._lift(m2, r.d, lambda l, t: r.g_channel.choi(
+        l, (slots[t][1] * nb + slots[t][2]) * nc + slots[t][0]
+    ))
+    return _einsum_compose(stage4, y)
+
+
+def test_evaluate_circuit_matches_its_einsum_stages_at_p_dim_3():
+    a = MultiMatrixAlgebra.from_dims((1, 3), "a")
+    b = MultiMatrixAlgebra.from_dims((2, 1), "b")
+    c = MultiMatrixAlgebra.from_dims((1, 1), "c")
+    d = MultiMatrixAlgebra.from_dims((2,), "d")
+    s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=3, seed=9)
+    r = sf.realize(s)
+    assert r.p_dim == 3
+    for seed in range(2):
+        f = gen.random_channel(a, b, seed=seed)
+        assert _max_deviation(sf.evaluate_circuit(r, f), _einsum_evaluate_circuit(r, f)) <= 1e-13
 
 
 def test_tensor_of_channels_is_channel_and_acts_as_product():

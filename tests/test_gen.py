@@ -1,5 +1,7 @@
 """Tests for the seeded generators and brute-force oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -175,14 +177,22 @@ def test_verifier_oracle_agreement_sample():
 
 
 def test_seeded_supermap_documents_are_bit_identical(tmp_path):
+    # SHA-256 of the documents written by the release before the Cholesky
+    # PSD certificate: gen's CP gate may change how it decides, not what
+    # gen draws
     a = MultiMatrixAlgebra((("i0", 2),))
     b = MultiMatrixAlgebra.classical(2)
-    s1 = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=77)
-    s2 = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=77)
-    p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    serialize.save_document(p1, serialize.supermap_document(s1))
-    serialize.save_document(p2, serialize.supermap_document(s2))
-    assert p1.read_bytes() == p2.read_bytes()
+    q3 = [MultiMatrixAlgebra.single(3, lbl) for lbl in "abcd"]
+    pinned = [
+        (gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=77),
+         "b8cdebd1b2889775daab814717a67031bbafe80b99b2fee1e1b88745033f5b23"),
+        (gen.random_supermap_from_circuit(*q3, p_dim=2, seed=3),
+         "dfb4c17b3ffde3143e4a0562b06c1218ed6f6dd03b8d9b3a96c6f0fd8df41649"),
+    ]
+    path = tmp_path / "s.json"
+    for s, digest in pinned:
+        serialize.save_document(path, serialize.supermap_document(s))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_singular_marginal_raise_path():

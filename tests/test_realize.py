@@ -613,6 +613,23 @@ SWEEP_SHAPES = (
 )
 
 
+def test_is_cp_and_kraus_from_choi_share_one_psd_verdict():
+    # pushes of exactly tol put a Choi block's smallest eigenvalue at -tol,
+    # where two eigensolvers' roundoff once gave opposite verdicts
+    tol = 1e-8
+    for n, dims in enumerate(SWEEP_SHAPES):
+        algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+        for seed in range(3):
+            s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=100 * n + seed)
+            bad = gen.perturb_supermap(s, tol, "cp-breaking")
+            try:
+                sf.kraus_from_choi(bad.inner, rank_tol=0.0, tol=tol)
+                kraus_ok = True
+            except sf.NotCompletelyPositiveError:
+                kraus_ok = False
+            assert bool(sf.is_cp(bad.inner, tol)) == kraus_ok, (dims, seed)
+
+
 def test_realize_rejects_kernel_containment_exactly_when_verify_does():
     # realize gates on verify's kernel_residual: among inputs whose S and N
     # pass the PSD rule, it raises ResidualTooLargeError iff that residual
