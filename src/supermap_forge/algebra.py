@@ -21,8 +21,8 @@ Conventions used throughout the package:
   by block order, never by label text.
 """
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,20 +36,30 @@ Label = Union[str, int, Tuple]
 
 @dataclass(frozen=True)
 class MultiMatrixAlgebra:
-    """An ordered list of labelled matrix blocks describing (+)_i B(H_i)."""
+    """An ordered list of labelled matrix blocks describing (+)_i B(H_i).
+
+    ``labels``, ``dims`` and ``dim`` (sum_i dim(H_i), the trace of the
+    identity) are read off ``blocks`` once, at construction; equality,
+    hashing and repr depend on ``blocks`` alone.
+    """
 
     blocks: Tuple[Tuple[Label, int], ...]
+    labels: Tuple[Label, ...] = field(init=False, repr=False, compare=False)
+    dims: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple((lbl, int(d)) for lbl, d in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ShapeMismatchError("an algebra needs at least one block")
-        if any(d < 1 for _, d in blocks):
+        labels, dims = zip(*blocks)
+        if any(d < 1 for d in dims):
             raise ShapeMismatchError("block dimensions must be >= 1")
-        labels = [lbl for lbl, _ in blocks]
         if len(set(labels)) != len(labels):
-            raise ShapeMismatchError(f"duplicate block labels: {labels}")
+            raise ShapeMismatchError(f"duplicate block labels: {list(labels)}")
+        for name, value in (("blocks", blocks), ("labels", labels), ("dims", dims),
+                            ("dim", sum(dims))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dims(cls, dims: Sequence[int], prefix: str = "b") -> "MultiMatrixAlgebra":
@@ -63,19 +73,6 @@ class MultiMatrixAlgebra:
     def classical(cls, n: int, prefix: str = "c") -> "MultiMatrixAlgebra":
         """n one-dimensional blocks: the algebra of an n-symbol classical system."""
         return cls(tuple((f"{prefix}{k}", 1) for k in range(n)))
-
-    @property
-    def dim(self) -> int:
-        """Total dimension sum_i dim(H_i); equals trace of the identity."""
-        return sum(d for _, d in self.blocks)
-
-    @property
-    def labels(self) -> Tuple[Label, ...]:
-        return tuple(lbl for lbl, _ in self.blocks)
-
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        return tuple(d for _, d in self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -203,13 +200,16 @@ def hs_inner(x: BlockOperator, y: BlockOperator) -> complex:
 
 @dataclass(frozen=True)
 class PositivityWitness:
-    """Outcome of a PSD check, with the offending block when it fails.  min_eigenvalue is
-    exact on a failure; on a pass, a certified lower bound >= -tol, exact if eigvalsh decided."""
+    """Outcome of a PSD check.  On a failure, ``block`` names the offending block and
+    ``reason`` the failed condition (non-finite entries, Hermiticity defect or min
+    eigenvalue); it is None on a pass.  min_eigenvalue is exact on a failure; on a
+    pass, a certified lower bound >= -tol, exact if eigvalsh decided."""
 
     ok: bool
     block: Label = None
     min_eigenvalue: float = np.inf
     hermiticity_defect: float = 0.0
+    reason: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -217,17 +217,18 @@ class PositivityWitness:
 
 def _psd_block(m: np.ndarray, tol: float):
     """The one PSD decider: finite entries, ||m - m†||_F <= tol, then
-    lambda_min(H) >= -tol for H = (m + m†)/2.  Returns (lo, defect); the
-    block passes exactly when lo >= -tol (nan: an earlier condition failed).
-    Cholesky completing on H + (tol - delta) Id, delta = 2 (n + 2) eps
-    (tr H + n tol) bounding its backward error (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., ch. 10; derivation in the
-    README), certifies lo = -tol; otherwise eigvalsh gives the exact lo."""
+    lambda_min(H) >= -tol for H = (m + m†)/2.  Returns (lo, defect, reason);
+    reason is None exactly when the block passes, and lo and defect are nan
+    past the condition that failed.  Cholesky completing on H + (tol - delta)
+    Id, delta = 2 (n + 2) eps (tr H + n tol) bounding its backward error
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 10; derivation in the README), certifies lo = -tol; otherwise
+    eigvalsh gives the exact lo."""
     if not np.isfinite(m).all():
-        return np.nan, np.nan
+        return np.nan, np.nan, "non-finite entries"
     defect = frob(m - dag(m))
     if defect > tol:
-        return np.nan, defect
+        return np.nan, defect, f"Hermiticity defect {defect:.3g}"
     h = herm_part(m)
     n = len(h)
     diag = h.reshape(-1)[:: n + 1]  # a view: herm_part's result is C-contiguous
@@ -236,10 +237,11 @@ def _psd_block(m: np.ndarray, tol: float):
         diag += tol - delta
         try:
             np.linalg.cholesky(h)
-            return -tol, defect
+            return -tol, defect, None
         except np.linalg.LinAlgError:
             h = herm_part(m)
-    return float(np.linalg.eigvalsh(h).min()), defect
+    lo = float(np.linalg.eigvalsh(h).min())
+    return lo, defect, None if lo >= -tol else f"min eigenvalue {lo:.3g}"
 
 
 def _psd_blocks(labelled_blocks, tol: float) -> PositivityWitness:
@@ -247,9 +249,9 @@ def _psd_blocks(labelled_blocks, tol: float) -> PositivityWitness:
     carrying the smallest certified lower bound seen."""
     worst_eig = np.inf
     for lbl, m in labelled_blocks:
-        lo, defect = _psd_block(m, tol)
-        if not lo >= -tol:
-            return PositivityWitness(False, lbl, lo, defect)
+        lo, defect, reason = _psd_block(m, tol)
+        if reason is not None:
+            return PositivityWitness(False, lbl, lo, defect, reason)
         worst_eig = min(worst_eig, lo)
     return PositivityWitness(True, None, worst_eig, 0.0)
 
@@ -264,10 +266,7 @@ def psd_factor(x: BlockOperator, tol: float = DEFAULT_TOL) -> BlockOperator:
     """Per-block g with g† g = block, via eigendecomposition clamped at zero."""
     witness = is_positive(x, tol)
     if not witness:
-        raise NotPositiveError(
-            f"block {witness.block!r} is not PSD "
-            f"(min eigenvalue {witness.min_eigenvalue:.3g})"
-        )
+        raise NotPositiveError(f"block {witness.block!r} is not PSD ({witness.reason})")
     factors = []
     for m in x.mats:
         w, v = np.linalg.eigh(herm_part(m))
@@ -285,9 +284,7 @@ class HybridState:
     def __init__(self, operator: BlockOperator, tol: float = DEFAULT_TOL):
         witness = is_positive(operator, tol)
         if not witness:
-            raise NotPositiveError(
-                f"state block {witness.block!r} not PSD (min eig {witness.min_eigenvalue:.3g})"
-            )
+            raise NotPositiveError(f"state block {witness.block!r} not PSD ({witness.reason})")
         tr = operator.trace()
         if abs(tr - 1.0) > tol:
             raise ShapeMismatchError(f"state trace {tr:.12g} != 1")

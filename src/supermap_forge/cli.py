@@ -7,6 +7,7 @@ is 1e-8 and may be overridden per run with --tol or with SUPERMAP_FORGE_TOL.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -90,11 +91,13 @@ def cmd_verify(args) -> int:
 
 def cmd_realize(args) -> int:
     s = serialize.load_supermap(args.path)
-    report = verify_deterministic(s, tol=args.tol)
-    if not report.verdict:
-        print(f"realize {args.path}: supermap is not deterministic ({report.summary()})")
+    try:
+        r = realize(s, tol=args.tol)
+    except SupermapForgeError as exc:
+        if exc.report is None:
+            raise
+        print(f"realize {args.path}: supermap is not deterministic ({exc.report.summary()})")
         return EXIT_SEMANTIC
-    r = realize(s, tol=args.tol)
     print(f"realize {args.path}: {r.summary()}")
     print(f"memory dimension {r.p_dim} <= bound {r.p_bound}")
     out = args.out or (str(args.path) + ".realisation.json")
@@ -168,6 +171,7 @@ def cmd_gen(args) -> int:
     return EXIT_INPUT
 
 
+@functools.cache  # built once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supermap-forge",
@@ -175,17 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
         "between channels of any type",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = _default_tol()
 
     p = sub.add_parser("verify", help="verify a supermap document is deterministic")
     p.add_argument("path")
-    p.add_argument("--tol", type=_tolerance, default=tol)
+    p.add_argument("--tol", type=_tolerance)
     p.add_argument("--out", default=None, help="write a report document here")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("realize", help="realise a verified supermap as a circuit")
     p.add_argument("path")
-    p.add_argument("--tol", type=_tolerance, default=tol)
+    p.add_argument("--tol", type=_tolerance)
     p.add_argument("--out", default=None, help="realisation document path")
     p.set_defaults(func=cmd_realize)
 
@@ -193,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("supermap")
     p.add_argument("realisation")
     p.add_argument("--trials", type=_non_negative_int, default=10)
-    p.add_argument("--tol", type=_tolerance, default=tol)
+    p.add_argument("--tol", type=_tolerance)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
@@ -218,11 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    if getattr(args, "tol", 0) is None:  # a command with --tol, run without it
+        args.tol = _default_tol()
     try:
         with np.errstate(over="raise"):  # entries too large for arithmetic: input error
             return args.func(args)

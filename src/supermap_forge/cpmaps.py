@@ -32,8 +32,7 @@ import numpy as np
 
 from ._linalg import dag, frob, herm_part, unvec, vec
 from .algebra import (
-    DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _psd_block,
-    _psd_blocks,
+    DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _psd_blocks,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -254,14 +253,7 @@ def is_cp(m: CpMap, tol: float = DEFAULT_TOL) -> PositivityWitness:
 
 
 def _not_cp(witness: PositivityWitness, what: str = "Choi block") -> NotCompletelyPositiveError:
-    """Name the part of the PSD rule the witness's block failed."""
-    if np.isnan(witness.hermiticity_defect):
-        reason = "non-finite entries"
-    elif np.isnan(witness.min_eigenvalue):
-        reason = f"Hermiticity defect {witness.hermiticity_defect:.3g}"
-    else:
-        reason = f"min eigenvalue {witness.min_eigenvalue:.3g}"
-    return NotCompletelyPositiveError(f"{what} {witness.block!r} not PSD ({reason})")
+    return NotCompletelyPositiveError(f"{what} {witness.block!r} not PSD ({witness.reason})")
 
 
 def require_cp_map(m: CpMap, tol: float = DEFAULT_TOL, what: str = "Choi block") -> CpMap:
@@ -339,27 +331,27 @@ def kraus_from_choi(
 ) -> KrausDecomposition:
     """Eigendecompose each Choi block and keep eigenvalues above the cutoff.
 
-    Raises NotCompletelyPositiveError when is_cp's decider fails a block at
-    tol; only a passing block is eigendecomposed.  The rank cutoff is
-    rank_tol times the block's largest eigenvalue, and never below the
-    eigensolver's roundoff (block size times machine epsilon, relative), so
-    eigenvalues that are numerically zero never become Kraus operators of
-    size sqrt(roundoff).
+    Raises NotCompletelyPositiveError when is_cp fails a block at tol; only
+    a map that passes is eigendecomposed.  The rank cutoff is rank_tol times
+    the block's largest eigenvalue, and never below the eigensolver's
+    roundoff (block size times machine epsilon, relative), so eigenvalues
+    that are numerically zero never become Kraus operators of size
+    sqrt(roundoff).
     """
+    return _eigh_kraus(require_cp_map(m, tol), rank_tol)
+
+
+def _eigh_kraus(m: CpMap, rank_tol: float = KRAUS_RANK_REL_TOL) -> KrausDecomposition:
+    """kraus_from_choi's factorisation, with no PSD check: for a map whose
+    Choi blocks already passed the PSD rule."""
     ops: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
     for j, dk in enumerate(m.target.dims):
         for i, dh in enumerate(m.source.dims):
-            lo, defect = _psd_block(m.choi(j, i), tol)
-            if not lo >= -tol:
-                raise _not_cp(PositivityWitness(False, (j, i), lo, defect))
             w, v = np.linalg.eigh(herm_part(m.choi(j, i)))
             cut = max(rank_tol, dk * dh * np.finfo(float).eps) * max(float(w.max()), 0.0)
-            keep = [
-                np.sqrt(lam) * unvec(v[:, k], dk, dh)
-                for k, lam in enumerate(w)
-                if lam > cut
-            ]
-            ops[(i, j)] = tuple(keep)
+            ops[(i, j)] = tuple(
+                np.sqrt(lam) * unvec(v[:, k], dk, dh) for k, lam in enumerate(w) if lam > cut
+            )
     return KrausDecomposition(m.source, m.target, ops)
 
 

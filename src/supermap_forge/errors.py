@@ -8,6 +8,8 @@ of them derive from :class:`SupermapForgeError`, itself a ``ValueError``.
 class SupermapForgeError(ValueError):
     """Base class for all library errors."""
 
+    report = None  # the VerificationReport behind a realize whose gate failed
+
 
 class AlgebraMismatchError(SupermapForgeError):
     """Operands live in (or maps expect) different multimatrix algebras."""

@@ -38,28 +38,16 @@ import numpy as np
 from ._linalg import dag, frob
 from .algebra import DEFAULT_TOL, MultiMatrixAlgebra
 from .cpmaps import (
-    Channel,
-    CpMap,
-    KrausDecomposition,
-    StinespringDilation,
-    _stack_dilation,
-    apply,
-    as_channel,
-    compose,
-    copy_channel,
-    environment_intertwiner,
-    is_unital,
-    kraus_from_choi,
+    Channel, CpMap, KrausDecomposition, StinespringDilation, _eigh_kraus, _not_cp,
+    _stack_dilation, apply, as_channel, compose, copy_channel, environment_intertwiner,
     require_cp_map,
 )
 from .errors import (
-    AlgebraMismatchError,
-    IsometryDefectError,
-    NotUnitalError,
-    ResidualTooLargeError,
+    AlgebraMismatchError, IsometryDefectError, NotUnitalError, ResidualTooLargeError,
+    SupermapForgeError,
 )
 from .supermap import (
-    HomAlgebra, Supermap, choi_element, extract_n, hom_algebra, kernel_residual,
+    HomAlgebra, Supermap, VerificationReport, choi_element, hom_algebra, verify_deterministic,
 )
 
 VERIFY_TOL = 1e-8
@@ -285,6 +273,21 @@ class CircuitRealisation:
         )
 
 
+def _rejection(report: VerificationReport) -> SupermapForgeError:
+    """The error for a failed verdict, carrying the report: the PSD rule on N,
+    then on S, then kernel containment, then unitality."""
+    failed = [w for w in (report.n_witness, report.s_witness) if not w]
+    if failed:
+        exc = _not_cp(failed[0])
+    elif report.kernel_residual > report.tol:
+        exc = ResidualTooLargeError(f"kernel containment fails: residual "
+                                    f"{report.kernel_residual:.3e} > {report.tol:.1e}")
+    else:
+        exc = NotUnitalError("the induced map N is not unital")
+    exc.report = report
+    return exc
+
+
 def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     """Build the circuit (E, G, P) realising a deterministic supermap.
 
@@ -295,26 +298,22 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     by construction: r_ik counts eigenvalues of N's (k, i) Choi block, a
     matrix of that size.
 
-    Needs no prior verification: it gates on verify's quantities at tol,
-    in verify's order.  kraus_from_choi applies the PSD rule to N and to S
-    (NotCompletelyPositiveError), kernel_residual above tol raises
-    ResidualTooLargeError, and N failing is_unital raises NotUnitalError.
+    Its gate is verify_deterministic at tol, run before any
+    eigendecomposition.  A NOT deterministic verdict raises, with the report
+    as the error's ``report``: NotCompletelyPositiveError naming N's, else
+    S's, failing block and reason; else ResidualTooLargeError when
+    kernel_residual exceeds tol; else NotUnitalError.
 
     Only the right dilation (from N) must be minimal.  S's Kraus family, and
     so the left dilation, keeps every eigenvalue of S's Choi blocks above
     roundoff: a small true eigenvalue dropped by a relative cutoff would be
     divided by N's smallest Gram eigenvalue in the W solve.
     """
-    n = extract_n(s)
-    n_kd = kraus_from_choi(n, tol=tol)
-    s_kd = kraus_from_choi(s.inner, rank_tol=0.0, tol=tol)
-    residual = kernel_residual(s, n)
-    if residual > tol:
-        raise ResidualTooLargeError(
-            f"kernel containment fails: residual {residual:.3e} > {tol:.1e}"
-        )
-    if not is_unital(n, tol):
-        raise NotUnitalError("the induced map N is not unital")
+    report = verify_deterministic(s, tol)
+    if not report.verdict:
+        raise _rejection(report)
+    n_kd = _eigh_kraus(report.n_map)
+    s_kd = _eigh_kraus(s.inner, rank_tol=0.0)
     w = solve_w(right_dilation(n_kd, s.source_hom), left_dilation(s, s_kd), tol)
     a_alg = s.source_hom.in_algebra
     c_alg = s.target_hom.in_algebra

@@ -36,7 +36,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ._linalg import frob, hermitian_basis
-from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, hs_inner
+from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, hs_inner
 from .cpmaps import (
     CpMap, apply, identity_cpmap, is_cp, require_cp_map, trace_out_target_group,
 )
@@ -167,7 +167,7 @@ class Supermap:
     """A CP map between Hom-algebras.
 
     Holds no verification state: verify_deterministic returns a report, and
-    realize checks the conditions it needs itself.
+    realize runs it as its gate.
     """
 
     def __init__(
@@ -248,17 +248,22 @@ def kernel_residual(s: Supermap, n: CpMap) -> float:
 class VerificationReport:
     """Outcome of verify_deterministic.
 
-    ``kernel_residual`` is kernel_residual(s, n_map): the Frobenius distance
-    ``||Phi - Id_B (x) N||``, zero exactly when kernel containment holds.
+    ``s_witness`` and ``n_witness`` are is_cp's verdicts on S and on N,
+    naming a failing block and its reason.  ``kernel_residual`` is
+    kernel_residual(s, n_map): the Frobenius distance ``||Phi - Id_B (x) N||``,
+    zero exactly when kernel containment holds.
     """
 
-    cp_ok: bool
+    s_witness: PositivityWitness
     kernel_residual: float
     n_map: CpMap
     n_unital_residual: float
-    n_cp_ok: bool
+    n_witness: PositivityWitness
     verdict: bool
     tol: float
+
+    cp_ok = property(lambda self: self.s_witness.ok)
+    n_cp_ok = property(lambda self: self.n_witness.ok)
 
     def summary(self) -> str:
         flag = "deterministic" if self.verdict else "NOT deterministic"
@@ -277,20 +282,18 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
     Phi = N o Tr_out of the marginal map Phi = Tr_out o S, and unitality of
     the induced map N.  The verdict also requires N to pass the PSD rule:
     exact CP-ness of S implies it, but N's Choi blocks are partial traces of
-    S's and can sit up to dim D / dim B times further below zero.  These are
-    the conditions realize checks.  Pure: the supermap is left unchanged.
+    S's and can sit up to dim D / dim B times further below zero.  The
+    verdict is realize's gate.  Pure: the supermap is left unchanged.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ShapeMismatchError("tolerance must be positive and finite")
-    cp_ok = bool(is_cp(s.inner, tol))
+    s_witness = is_cp(s.inner, tol)
     n_map = extract_n(s)
     residual = kernel_residual(s, n_map)
-    n_unital_residual = (
-        apply(n_map, n_map.source.identity()) - n_map.target.identity()
-    ).norm()
-    n_cp_ok = bool(is_cp(n_map, tol))
-    verdict = cp_ok and n_cp_ok and residual <= tol and n_unital_residual <= tol
-    return VerificationReport(cp_ok, residual, n_map, n_unital_residual, n_cp_ok, verdict, tol)
+    unital_residual = (apply(n_map, n_map.source.identity()) - n_map.target.identity()).norm()
+    n_witness = is_cp(n_map, tol)
+    verdict = s_witness.ok and n_witness.ok and residual <= tol and unital_residual <= tol
+    return VerificationReport(s_witness, residual, n_map, unital_residual, n_witness, verdict, tol)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Tests for multimatrix algebras and block operators."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,39 @@ def test_is_positive_rejects_non_finite_blocks():
         x = BlockOperator(alg, [np.eye(1), np.diag([1.0, value])])
         witness = sf.is_positive(x)
         assert not witness and witness.block == "q"
+
+
+def test_witness_names_the_failed_condition():
+    alg = MultiMatrixAlgebra.single(2)
+    assert sf.is_positive(alg.identity()).reason is None
+    for m, reason in ((np.diag([1.0, np.nan]), "non-finite entries"),
+                      (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermiticity defect 1.41"),
+                      (np.diag([1.5, -0.5]), "min eigenvalue -0.5")):
+        x = BlockOperator(alg, [m])
+        assert sf.is_positive(x).reason == reason
+        with pytest.raises(sf.NotPositiveError, match=re.escape(f"'q' is not PSD ({reason})")):
+            sf.psd_factor(x)
+        with pytest.raises(sf.NotPositiveError, match=re.escape(f"'q' not PSD ({reason})")):
+            sf.HybridState(x)
+
+
+def test_algebra_reads_labels_dims_and_dim_off_its_blocks():
+    alg = MultiMatrixAlgebra((("c", 1), (("q", 0), 2), ("r", np.int64(3))))
+    assert alg.labels == tuple(lbl for lbl, _ in alg.blocks) == ("c", ("q", 0), "r")
+    assert alg.dims == tuple(d for _, d in alg.blocks) == (1, 2, 3)
+    assert alg.dim == sum(d for _, d in alg.blocks) == 6
+    assert all(type(d) is int for d in alg.dims)
+    # equality, hash and repr depend on blocks alone
+    twin = MultiMatrixAlgebra(alg.blocks)
+    for name in ("labels", "dims", "dim"):
+        object.__setattr__(twin, name, None)
+    assert twin == alg and hash(twin) == hash(alg) and repr(twin) == repr(alg)
+    assert repr(alg) == "MultiMatrixAlgebra(blocks=(('c', 1), (('q', 0), 2), ('r', 3)))"
+    assert MultiMatrixAlgebra(alg.blocks[:2]) != alg
+    # replace builds a new algebra from its blocks and recomputes the rest
+    grown = dataclasses.replace(alg, blocks=alg.blocks + (("s", 4),))
+    assert (grown.labels, grown.dims, grown.dim) == (("c", ("q", 0), "r", "s"), (1, 2, 3, 4), 10)
+    assert grown != alg and dataclasses.replace(alg) == alg
 
 
 def test_psd_factor_identity_and_sqrt():

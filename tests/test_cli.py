@@ -1,6 +1,7 @@
 """Tests for the CLI commands, exit codes, and document round trips."""
 
 import base64
+import collections
 import hashlib
 import json
 import os
@@ -25,6 +26,17 @@ V1_MANIFEST = json.loads((V1 / "MANIFEST.json").read_text())
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_in_fresh_process(argv):
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "supermap_forge.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def _v1_copy(tmp_path, name):
@@ -497,6 +509,71 @@ def test_env_var_overrides_default_tolerance(broken_fixture, monkeypatch, capsys
         assert f"ignoring bad SUPERMAP_FORGE_TOL={bad!r}" in capsys.readouterr().err
 
 
+def test_env_tolerance_is_read_only_by_a_command_that_defaults_to_it(
+    broken_fixture, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("SUPERMAP_FORGE_TOL", "abc")
+    capsys.readouterr()
+    assert run(["gen", "channel", "--out", str(tmp_path / "ch.json")]) == 0
+    assert run(["demo", "cdp08"]) == 0
+    assert run(["verify", str(broken_fixture), "--tol", "1e-8"]) == 1
+    assert "SUPERMAP_FORGE_TOL" not in capsys.readouterr().err
+    assert run(["verify", str(broken_fixture)]) == 1
+    assert "ignoring bad SUPERMAP_FORGE_TOL='abc'" in capsys.readouterr().err
+    # an explicit --tol wins over a valid value
+    monkeypatch.setenv("SUPERMAP_FORGE_TOL", "10.0")
+    assert run(["verify", str(broken_fixture), "--tol", "1e-8"]) == 1
+    assert run(["verify", str(broken_fixture)]) == 0
+
+
+def test_parse_errors_and_help_leave_the_next_call_as_in_a_fresh_process(
+    identity_fixture, broken_fixture, capsys
+):
+    for valid in (["verify", str(identity_fixture)], ["realize", str(broken_fixture)]):
+        fresh = run_in_fresh_process(valid)
+        for interruption, code in ((["verify"], 2), (["realize", "x", "--tol"], 2),
+                                   (["--help"], 0), (["check", "--help"], 0)):
+            assert run(interruption) == code, interruption
+            capsys.readouterr()
+            assert run(valid) == fresh.returncode, (interruption, valid)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr), interruption
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of the named functions through every package namespace holding one."""
+    calls = collections.Counter()
+    for module in [m for k, m in sys.modules.items() if k.startswith("supermap_forge")]:
+        for name in names:
+            inner = getattr(module, name, None)
+            if callable(inner):
+                def counted(*args, _inner=inner, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _inner(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cli_realize_runs_one_gate_pass(tmp_path, monkeypatch):
+    a = MultiMatrixAlgebra((("i0", 2), ("i1", 1)))
+    b, c = MultiMatrixAlgebra.single(2, "j"), MultiMatrixAlgebra.from_dims((1, 2), "k")
+    d = MultiMatrixAlgebra.from_dims((2, 1), "l")
+    s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=3)
+    ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+    serialize.save_document(ok, serialize.supermap_document(s))
+    broken = gen.perturb_supermap(s, 1e-3, "tp-breaking", seed=1)
+    serialize.save_document(bad, serialize.supermap_document(broken))
+    s_blocks = len(s.inner.source) * len(s.inner.target)
+    gate = {"_psd_block": s_blocks + len(a) * len(c), "extract_n": 1, "kernel_residual": 1}
+    calls = _count_calls(monkeypatch, [*gate, "_eigh_kraus"])
+    assert run(["realize", str(ok), "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == {**gate, "_eigh_kraus": 2}
+    calls.clear()
+    assert run(["realize", str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    assert calls == gate
+
+
 def test_bad_tol_is_input_error(identity_fixture, broken_fixture, tmp_path):
     real = tmp_path / "real.json"
     assert run(["realize", str(identity_fixture), "--out", str(real)]) == 0
@@ -623,15 +700,8 @@ def test_overflowing_entries_are_an_input_error(tmp_path, command, write):
     # overflows on them; run in a subprocess, since numpy's overflow
     # RuntimeWarning is an error under this suite's warning filter
     out = tmp_path / "out.json"
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
     args = [command, str(V1 / "edge_values.json")] + (["--out", str(out)] if write else [])
-    proc = subprocess.run(
-        [sys.executable, "-m", "supermap_forge.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_in_fresh_process(args)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import supermap_forge as sf
-from supermap_forge import cpmaps, gen, serialize
+from supermap_forge import algebra, gen, serialize
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
 from supermap_forge.realize import left_dilation, right_dilation, solve_w
@@ -665,15 +665,52 @@ def test_realize_decomposes_each_choi_block_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(sys.modules["supermap_forge.realize"], "kraus_from_choi")
-    count(cpmaps, "_psd_block")
+    count(sys.modules["supermap_forge.realize"], "_eigh_kraus")
+    count(algebra, "_psd_block")
     count(sf.CpMap, "from_kraus")
     count(sf.CpMap, "choi_distance")
     sf.realize(s)
     a, c = s.source_hom.in_algebra, s.target_hom.in_algebra
     s_blocks = len(s.inner.source) * len(s.inner.target)
-    assert calls == {"kraus_from_choi": 2, "_psd_block": s_blocks + len(a) * len(c),
+    assert calls == {"_eigh_kraus": 2, "_psd_block": s_blocks + len(a) * len(c),
                      "from_kraus": 2}
+
+
+def test_realize_rejects_before_any_eigendecomposition(monkeypatch):
+    a, b, c, d = small_shape()
+    s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=1, seed=0)
+    bad = gen.perturb_supermap(s, 1e-3, "tp-breaking", seed=1)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran before the gate passed")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(sf.ResidualTooLargeError) as info:
+        sf.realize(bad)
+    report = info.value.report
+    assert not report.verdict and report.kernel_residual > report.tol
+
+
+def test_realize_names_the_failing_psd_block_without_a_second_pass(monkeypatch):
+    s = gen.perturb_supermap(verified_supermap(seed=5), 1e-3, "cp-breaking")
+    calls = collections.Counter()
+    inner = algebra._psd_block
+
+    def counted(*args):
+        calls["_psd_block"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(algebra, "_psd_block", counted)
+    report = sf.verify_deterministic(s)
+    verify_calls = calls["_psd_block"]
+    calls.clear()
+    with pytest.raises(sf.NotCompletelyPositiveError) as info:
+        sf.realize(s)
+    assert calls["_psd_block"] == verify_calls  # no second PSD pass
+    assert info.value.report.s_witness == report.s_witness
+    witness = next(w for w in (report.n_witness, report.s_witness) if not w)
+    assert witness.reason.startswith("min eigenvalue")
+    assert str(info.value) == f"Choi block {witness.block!r} not PSD ({witness.reason})"
 
 
 def test_realize_convex_mixture_of_supermaps():
