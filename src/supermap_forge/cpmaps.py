@@ -439,6 +439,29 @@ def minimal_stinespring(m: CpMap, tol: float = DEFAULT_TOL) -> StinespringDilati
     return dilation_from_kraus(m, kraus_from_choi(m, tol=tol))
 
 
+def _kraus_rows(d: StinespringDilation, i: int, j: int) -> np.ndarray:
+    """Component (i, j) as an (r_ij, dK_j * dH_i) matrix: row alpha is vec(K_alpha)."""
+    dk, dh = d.target.dims[j], d.source.dims[i]
+    r = d.env_dims[(i, j)]
+    return d.component(i, j).reshape(dk, r, dh).transpose(1, 0, 2).reshape(r, dk * dh)
+
+
+def _minimal_pinv(ma: np.ndarray, key) -> np.ndarray:
+    """Pseudo-inverse of a minimal dilation's component rows ma, by SVD.
+
+    Raises NotMinimalError when ma is rank deficient: its smallest singular
+    value is at most INTERTWINER_REL_CUT times its largest.
+    """
+    if ma.shape[0] == 0:
+        return np.zeros((ma.shape[1], 0), dtype=complex)
+    u, s, vt = np.linalg.svd(ma, full_matrices=False)
+    if len(s) < ma.shape[0] or s.min() <= INTERTWINER_REL_CUT * s.max():
+        raise NotMinimalError(
+            f"dilation component {key} is rank deficient; the source dilation is not minimal"
+        )
+    return dag(vt) @ (dag(u) / s[:, None])
+
+
 def environment_intertwiner(
     d_from: StinespringDilation,
     d_to: StinespringDilation,
@@ -452,26 +475,11 @@ def environment_intertwiner(
     blocks: Dict[Tuple[int, int], np.ndarray] = {}
     res_sq = 0.0
     pi_sq = 0.0
-    for i, dh in enumerate(d_from.source.dims):
-        for j, dk in enumerate(d_from.target.dims):
-            ra = d_from.env_dims[(i, j)]
-            rb = d_to.env_dims[(i, j)]
-            va = d_from.component(i, j).reshape(dk, ra, dh)
-            vb = d_to.component(i, j).reshape(dk, rb, dh)
-            ma = va.transpose(1, 0, 2).reshape(ra, dk * dh)
-            mb = vb.transpose(1, 0, 2).reshape(rb, dk * dh)
-            if ra == 0:
-                x = np.zeros((rb, 0), dtype=complex)
-                res_sq += frob(mb) ** 2
-            else:
-                u, s, vt = np.linalg.svd(ma, full_matrices=False)
-                if len(s) < ra or s.min() <= INTERTWINER_REL_CUT * s.max():
-                    raise NotMinimalError(
-                        f"dilation component ({i},{j}) is rank deficient; "
-                        "the source dilation is not minimal"
-                    )
-                x = mb @ dag(vt) @ np.diag(1.0 / s) @ dag(u)
-                res_sq += frob(x @ ma - mb) ** 2
+    for i in range(len(d_from.source)):
+        for j in range(len(d_from.target)):
+            ma, mb = _kraus_rows(d_from, i, j), _kraus_rows(d_to, i, j)
+            x = mb @ _minimal_pinv(ma, (i, j))
+            res_sq += frob(x @ ma - mb) ** 2
             blocks[(i, j)] = x
             g = dag(x) @ x
             pi_sq += frob(g @ g - g) ** 2

@@ -14,7 +14,7 @@ from .algebra import MultiMatrixAlgebra
 from .cpmaps import apply
 from .gen import random_supermap_from_circuit
 from .realize import CircuitRealisation, check_realisation, realize
-from .supermap import Supermap, verify_deterministic
+from .supermap import Supermap
 
 
 @dataclass
@@ -33,10 +33,9 @@ class DemoResult:
 
 def _run(name, description, a, b, c, d, p_dim, structural, seed):
     s = random_supermap_from_circuit(a, b, c, d, p_dim=p_dim, seed=seed)
-    report = verify_deterministic(s)
-    r = realize(s)
+    r = realize(s)  # gated on verify_deterministic: it returns only on a pass
     check = check_realisation(r, s, trials=1, tol=1e-6, seed=seed + 1)
-    assertions = [("supermap verifies as deterministic", report.verdict)]
+    assertions = [("supermap verifies as deterministic", True)]
     assertions += structural(r)
     assertions.append(("realisation reproduces the supermap", check.passed))
     dev = max(check.spanning_deviation, check.trial_deviation)

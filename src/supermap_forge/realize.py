@@ -10,14 +10,18 @@ than ``max_{i,k} dim(H_in_i) * dim(K_in_k)``.
 
 The construction proceeds through the marginal map ``Phi = Tr_out o S``,
 which by the factorisation lemma equals ``N o Tr_out`` for the induced unital
-map N.  Both sides are dilated with the environment on the source side
-(``V: C-side -> Hom(A,B)-side (x) E``); the right dilation, built from N's
-minimal Kraus family, is minimal, so a least-squares solve recovers the
-unique environment isometry W with ``(Id (x) W) V_right = V_left``.  P has
-dimension max r_ik, the largest of N's Kraus ranks, and N's environment for
-(i, k) is the span of P's first r_ik basis vectors.  E is assembled from N's
-Kraus operators placed there, and G from W on each such span, sending the
-rest of P to a fixed pure state so that G is trace preserving.
+map N.  Its dilations put the environment on the source side
+(``V: C-side -> Hom(A,B)-side (x) E``).  The right dilation, built from N's
+minimal Kraus family, is minimal, so every other dilation V_left -- the one
+S's Kraus family gives, say -- is (Id (x) W) V_right for a unique
+environment isometry W = M_b R, with R the pseudo-inverse of the right
+component M_a.  Neither W nor S's Kraus family is ever formed: W's residual
+and isometry defect come from a factor of Phi's small Choi blocks, and G's
+Choi blocks from S's, pulled back through R.  P has dimension max r_ik, the
+largest of N's Kraus ranks, and N's environment for (i, k) is the span of
+P's first r_ik basis vectors.  E is assembled from N's Kraus operators
+placed there, and G routes that span through W, sending the rest of P to a
+fixed pure state so that G is trace preserving.
 
 The supermap a circuit presents is one Choi-level contraction (link product)
 of E's and G's blocks per pair of Hom blocks; the certificate diffs it.
@@ -25,9 +29,9 @@ of E's and G's blocks per pair of Hom blocks; the certificate diffs it.
 Index bookkeeping is fixed once and for all: Choi factors are ordered
 (target, source), the memory factor P comes first in ``B(P (x) H)`` blocks,
 and the wire-bending conjugations are explicit -- E stacks the *transposes*
-of N's Kraus operators and G applies the entrywise *conjugate* of the solved
-W.  With these choices the assembled circuit reproduces ``S`` exactly rather
-than its conjugate.
+of N's Kraus operators and G applies the entrywise *conjugate* of W.  With
+these choices the assembled circuit reproduces ``S`` exactly rather than its
+conjugate.
 """
 
 from dataclasses import dataclass
@@ -38,8 +42,8 @@ import numpy as np
 from ._linalg import dag, frob
 from .algebra import DEFAULT_TOL, MultiMatrixAlgebra
 from .cpmaps import (
-    Channel, CpMap, KrausDecomposition, StinespringDilation, _eigh_kraus, _not_cp,
-    _stack_dilation, apply, as_channel, compose, copy_channel, environment_intertwiner,
+    Channel, CpMap, KrausDecomposition, StinespringDilation, _eigh_kraus, _kraus_rows,
+    _minimal_pinv, _not_cp, _stack_dilation, apply, as_channel, compose, copy_channel, hs_dual,
     require_cp_map,
 )
 from .errors import (
@@ -86,30 +90,6 @@ def _g_source_index(i: int, j: int, k: int, nb: int, nc: int) -> int:
 # -- dilations of the marginal map Phi ----------------------------------------
 
 
-def left_dilation(s: Supermap, s_kraus: KrausDecomposition) -> StinespringDilation:
-    """Dilation of Phi = Tr_out o S obtained by bending the traced factor of
-    the supermap's dilation from s_kraus into the environment.
-
-    The returned blocks satisfy ``V_k† (x (x) Id) V_k = Phi(x)_k``; the
-    environment for (source k, target block (j,i)) is the direct sum over
-    target-out blocks l of (K_out_l)-tagged copies of the supermap
-    environment, ordered (l, a, mu).
-    """
-    src = s.target_hom.in_algebra  # C-shaped
-    tgt = s.source_hom.base
-    out_dims = s.target_hom.out_algebra.dims  # D-shaped
-    components = {}
-    for k, dk in enumerate(src.dims):
-        for t, dt in enumerate(tgt.dims):
-            # K_(l, a, mu)[x, y] = conj(S_mu[(a, y), x]), S_mu of pair (t, (l, k))
-            components[(k, t)] = np.concatenate([
-                np.reshape(s_kraus.ops[(t, l * len(src) + k)], (-1, dl, dk, dt))
-                .conj().transpose(3, 1, 0, 2).reshape(dt, -1, dk)
-                for l, dl in enumerate(out_dims)
-            ], axis=1)
-    return _stack_dilation(src, tgt, components)
-
-
 def right_dilation(
     n_kraus: KrausDecomposition, source_hom: HomAlgebra
 ) -> StinespringDilation:
@@ -137,35 +117,47 @@ def right_dilation(
 
 @dataclass(frozen=True)
 class SolvedW:
-    """Blockwise environment isometry relating the two dilations of Phi."""
+    """The environment isometry W relating the two dilations of Phi, held as
+    the pseudo-inverse R of each right-dilation component: a left dilation's
+    component M_b gives W = M_b R."""
 
-    blocks: Dict[Tuple[int, int], np.ndarray]  # (source k, target block) -> W
+    pinv: Dict[Tuple[int, int], np.ndarray]  # (source k, target block) -> R
     residual: float
     isometry_defect: float
 
 
-def solve_w(
-    v_right: StinespringDilation, v_left: StinespringDilation, tol: float = VERIFY_TOL
-) -> SolvedW:
-    """Least-squares solve of (Id (x) W) V_right = V_left per block pair.
+def solve_w(v_right: StinespringDilation, phi: CpMap, tol: float = VERIFY_TOL) -> SolvedW:
+    """R = M_a+ per block pair, and W's residual and isometry defect.
 
-    The right dilation must be minimal, otherwise the solve is rank
-    deficient.  Raises ResidualTooLargeError when the residual, and
-    IsometryDefectError when W's isometry defect, exceeds 10 * tol:
-    dilations of different maps can solve to a small residual, but not to
-    an isometry.
+    W itself needs a left dilation of Phi; its diagnostics do not.  Each
+    realigned (k, t) block M of the marginal map Phi factors as F†F, with
+    F's rows the Kraus operators of Phi's dual (eigenvalues above roundoff).
+    Every left dilation has M_b†M_b = M, so W_F = F R has W_F†W_F = W†W and
+    ||W_F M_a - F|| = ||W M_a - M_b||.  The right dilation must be minimal,
+    otherwise NotMinimalError.  Raises ResidualTooLargeError when the
+    residual, and IsometryDefectError when the isometry defect, exceeds
+    10 * tol: dilations of different maps can solve to a small residual,
+    but not to an isometry.
     """
-    blocks, residual, _ = environment_intertwiner(v_right, v_left)
+    dual = hs_dual(phi)
+    f_kd = _eigh_kraus(dual, rank_tol=0.0)
+    pinv: Dict[Tuple[int, int], np.ndarray] = {}
+    res_sq = defect_sq = 0.0
+    for key, r_env in v_right.env_dims.items():
+        ma = _kraus_rows(v_right, *key)
+        f = np.reshape(f_kd.ops[key], (-1, ma.shape[1]))
+        r = pinv[key] = _minimal_pinv(ma, key)
+        w_f = f @ r
+        res_sq += frob(w_f @ ma - f) ** 2
+        defect_sq += frob(dag(w_f) @ w_f - np.eye(r_env)) ** 2
+    residual, defect = float(np.sqrt(res_sq)), float(np.sqrt(defect_sq))
     if residual > 10 * tol:
         raise ResidualTooLargeError(
             f"intertwiner residual {residual:.3e} exceeds {10 * tol:.1e}"
         )
-    defect = float(np.sqrt(sum(
-        frob(dag(x) @ x - np.eye(x.shape[1])) ** 2 for x in blocks.values()
-    )))
     if defect > 10 * tol:
         raise IsometryDefectError(f"W isometry defect {defect:.3e} exceeds {10 * tol:.1e}")
-    return SolvedW(blocks, residual, defect)
+    return SolvedW(pinv, residual, defect)
 
 
 # -- channel assembly ----------------------------------------------------------
@@ -195,54 +187,46 @@ def assemble_e(n_kraus: KrausDecomposition, p_dim: int,
     return Channel(c_alg, target, m.choi_blocks, tol=max(tol, 1e-8))
 
 
-def assemble_g(
-    w: SolvedW,
-    p_dim: int,
-    source_hom: HomAlgebra,
-    target_hom: HomAlgebra,
-    s_env_dims: Dict[Tuple[int, int], int],
-    tol: float = VERIFY_TOL,
-) -> Channel:
+def assemble_g(s: Supermap, w: SolvedW, p_dim: int, tol: float = VERIFY_TOL) -> Channel:
     """The post-processing channel G: (+)_{(i,j,k)} B(P (x) H_out_j) -> D.
 
     On N's environment for (i, k), P's first r_ik basis vectors, G routes
-    through the entrywise conjugate of the solved W block (the dual-wire
-    reshuffle), tracing out the auxiliary supermap environment.  On the
-    rest of P it prepares the first basis state of the first D block; E
-    never reaches that part, so it never affects the circuit.
+    through the entrywise conjugate of W, tracing out the supermap's
+    environment: its Choi block (l, (i, j, k)) there is S's block
+    ((l, k), (j, i)), C[a, y, x, a', y', x'], pulled back through R,
+
+        sum conj(R[(x, y), (b, beta)]) C[a, y, x, a', y', x'] R[(x', y'), (b', beta')],
+
+    two GEMMs, reindexed (a, beta, b).  It is PSD as far as S's block is:
+    ||R||^2 <= 1 / gram_min_eig scales any negative eigenvalue.  On the rest
+    of P, G prepares the first basis state of the first D block; E never
+    reaches that part, so it never affects the circuit.
     """
-    a_alg = source_hom.in_algebra
-    b_alg = source_hom.out_algebra
-    c_alg = target_hom.in_algebra
-    d_alg = target_hom.out_algebra
-    n_in_cd = len(c_alg)
+    a_alg, b_alg = s.source_hom.in_algebra, s.source_hom.out_algebra
+    c_alg, d_alg = s.target_hom.in_algebra, s.target_hom.out_algebra
     source = g_source_algebra(a_alg, b_alg, c_alg, p_dim)
-    ops: Dict[Tuple[int, int], list] = {
-        (src, l): [] for src in range(len(source)) for l in range(len(d_alg))
-    }
-    for i, _ in enumerate(a_alg.dims):
+    blocks = [[None] * len(source) for _ in d_alg.dims]
+    for i, di in enumerate(a_alg.dims):
         for j, dj in enumerate(b_alg.dims):
-            for k, _ in enumerate(c_alg.dims):
+            for k, dk in enumerate(c_alg.dims):
                 src = _g_source_index(i, j, k, len(b_alg), len(c_alg))
-                t_ab = source_hom.block_index(j, i)
-                # W's columns are N's environment tagged by H_out_j, ordered (b, beta)
-                wbar = w.blocks[(k, t_ab)].conj()
-                r_n = wbar.shape[1] // dj
-                offset = 0
+                t = s.source_hom.block_index(j, i)
+                r = w.pinv[(k, t)]  # columns are N's environment tagged by H_out_j, (b, beta)
+                r_n, n = r.shape[1] // dj, dj * di * dk
                 for l, dl in enumerate(d_alg.dims):
-                    r_s = s_env_dims.get((t_ab, l * n_in_cd + k), 0)
-                    if r_n > 0 and r_s > 0:
-                        seg = wbar[offset : offset + dl * r_s, :].reshape(dl, r_s, dj, r_n)
-                        kraus = np.zeros((r_s, dl, p_dim, dj), dtype=complex)
-                        kraus[:, :, :r_n, :] = seg.transpose(1, 0, 3, 2)
-                        ops[(src, l)].extend(kraus.reshape(r_s, dl, p_dim * dj))
-                    offset += dl * r_s
-                for col in range(r_n * dj, p_dim * dj):
-                    op = np.zeros((d_alg.dims[0], p_dim * dj), dtype=complex)
-                    op[0, col] = 1.0
-                    ops[(src, 0)].append(op)
-    m = CpMap.from_kraus(source, d_alg, ops)
-    return Channel(source, d_alg, m.choi_blocks, tol=max(tol, 1e-8))
+                    g6 = np.zeros((dl, p_dim, dj) * 2, dtype=complex)
+                    if r_n:
+                        c6 = s.inner.choi(s.target_hom.block_index(l, k), t).reshape(
+                            dl, dk, dj * di, dl, dk, dj * di)
+                        half = c6.transpose(2, 1, 0, 3, 5, 4).reshape(-1, n) @ r
+                        pulled = (dag(r) @ half.reshape(n, -1)).reshape(dj, r_n, dl, dl, dj, r_n)
+                        g6[:, :r_n, :, :, :r_n, :] = pulled.transpose(2, 1, 0, 3, 5, 4)
+                    g = g6.reshape(dl * p_dim * dj, -1)
+                    if l == 0:
+                        rest = np.arange(r_n * dj, p_dim * dj)
+                        g[rest, rest] = 1.0
+                    blocks[l][src] = g
+    return Channel(source, d_alg, blocks, tol=max(tol, 1e-8))
 
 
 # -- realisation ---------------------------------------------------------------
@@ -291,8 +275,8 @@ def _rejection(report: VerificationReport) -> SupermapForgeError:
 def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     """Build the circuit (E, G, P) realising a deterministic supermap.
 
-    Orchestrates: induced map N -> N's minimal Kraus family -> the two
-    dilations of the marginal map -> environment isometry W -> channel
+    Orchestrates: induced map N -> N's minimal Kraus family -> the right
+    dilation of the marginal map and its pseudo-inverses R -> channel
     assembly.  The memory dimension is N's largest Kraus rank r_ik (at
     least 1), so it respects the bound max_{i,k} dim(H_in_i) * dim(K_in_k)
     by construction: r_ik counts eigenvalues of N's (k, i) Choi block, a
@@ -304,23 +288,21 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     S's, failing block and reason; else ResidualTooLargeError when
     kernel_residual exceeds tol; else NotUnitalError.
 
-    Only the right dilation (from N) must be minimal.  S's Kraus family, and
-    so the left dilation, keeps every eigenvalue of S's Choi blocks above
-    roundoff: a small true eigenvalue dropped by a relative cutoff would be
-    divided by N's smallest Gram eigenvalue in the W solve.
+    After a pass, eigh runs on N's Choi blocks and on those of the report's
+    marginal map Phi, dim(C_k) dim(B_j) dim(A_i) square, never on S's;
+    S's blocks enter G through two GEMMs each.  solve_w's two gates then
+    apply at 10 * tol.
     """
     report = verify_deterministic(s, tol)
     if not report.verdict:
         raise _rejection(report)
     n_kd = _eigh_kraus(report.n_map)
-    s_kd = _eigh_kraus(s.inner, rank_tol=0.0)
-    w = solve_w(right_dilation(n_kd, s.source_hom), left_dilation(s, s_kd), tol)
+    w = solve_w(right_dilation(n_kd, s.source_hom), report.phi, tol)
     a_alg = s.source_hom.in_algebra
     c_alg = s.target_hom.in_algebra
     p_dim = max(max(map(len, n_kd.ops.values())), 1)
     e = assemble_e(n_kd, p_dim, tol=tol)
-    s_env_dims = {key: len(ops) for key, ops in s_kd.ops.items()}
-    g = assemble_g(w, p_dim, s.source_hom, s.target_hom, s_env_dims, tol)
+    g = assemble_g(s, w, p_dim, tol)
     return CircuitRealisation(
         a=a_alg,
         b=s.source_hom.out_algebra,
@@ -350,25 +332,30 @@ def _circuit_choi(
 ) -> CpMap:
     """Choi family Hom(A, B) -> Hom(C, D) of the circuit E -> slot -> G.
 
-    The link product over the memory P: block ((l, k), (j, i)) contracts E's
-    block (i, k) with G's block (l, (i, j, k)).  No positivity check.
+    The link product over the memory P: block ((l, k), (j, i)) contracts G's
+    block (l, (i, j, k)), as an (o c O d) x (p P) matrix, with E's block
+    (i, k), as a (p P) x (a q b Q) matrix: one GEMM per block pair, then one
+    transpose to (o q c a, O Q d b).  No positivity check.
     """
     hom_ab = hom_algebra(a, b)
     hom_cd = hom_algebra(c, d)
     nb, nc = len(b), len(c)
+    pp = p_dim * p_dim
+    e_mats = {(i, k): e.choi(i, k).reshape(p_dim, dhi * dk, p_dim, dhi * dk)
+              .transpose(0, 2, 1, 3).reshape(pp, -1)
+              for i, dhi in enumerate(a.dims) for k, dk in enumerate(c.dims)}
     blocks = []
     for l, k in hom_cd.pairs:
         dl, dk = d.dims[l], c.dims[k]
         row = []
         for j, i in hom_ab.pairs:
             dhj, dhi = b.dims[j], a.dims[i]
-            e6 = e.choi(i, k).reshape(p_dim, dhi, dk, p_dim, dhi, dk)
-            g6 = g.choi(l, _g_source_index(i, j, k, nb, nc)).reshape(
+            g_mat = g.choi(l, _g_source_index(i, j, k, nb, nc)).reshape(
                 dl, p_dim, dhj, dl, p_dim, dhj
-            )
-            s8 = np.einsum("paqPbQ,opcOPd->oqcaOQdb", e6, g6, optimize=True)
+            ).transpose(0, 2, 3, 5, 1, 4).reshape(-1, pp)
+            s8 = (g_mat @ e_mats[(i, k)]).reshape(dl, dhj, dl, dhj, dhi, dk, dhi, dk)
             n = dl * dk * dhj * dhi
-            row.append(s8.reshape(n, n))
+            row.append(s8.transpose(0, 5, 1, 4, 2, 7, 3, 6).reshape(n, n))
         blocks.append(row)
     return CpMap(hom_ab.base, hom_cd.base, blocks)
 

@@ -229,15 +229,14 @@ def extract_n(s: Supermap) -> CpMap:
                             for row in blocks])
 
 
-def kernel_residual(s: Supermap, n: CpMap) -> float:
+def kernel_residual(phi: CpMap, n: CpMap, source_hom: HomAlgebra) -> float:
     """||Phi - Id_B (x) N||_F over all Choi blocks of the marginal map
     Phi = Tr_out o S, for N = extract_n(s): the Hilbert-Schmidt norm of Phi
     on ker Tr_out, zero exactly when kernel containment holds."""
-    phi = trace_out_target_group(s.inner, s.target_hom)
-    b_dims = s.source_hom.out_algebra.dims
+    b_dims = source_hom.out_algebra.dims
     total = 0.0
     for k, dk in enumerate(n.target.dims):
-        for t, (j, i) in enumerate(s.source_hom.pairs):
+        for t, (j, i) in enumerate(source_hom.pairs):
             dj, di = b_dims[j], n.source.dims[i]
             id_n = np.einsum("cC,qaQb->qcaQCb", np.eye(dj), n.choi4(k, i))
             total += frob(phi.choi(k, t) - id_n.reshape(dk * dj * di, -1)) ** 2
@@ -249,13 +248,15 @@ class VerificationReport:
     """Outcome of verify_deterministic.
 
     ``s_witness`` and ``n_witness`` are is_cp's verdicts on S and on N,
-    naming a failing block and its reason.  ``kernel_residual`` is
-    kernel_residual(s, n_map): the Frobenius distance ``||Phi - Id_B (x) N||``,
-    zero exactly when kernel containment holds.
+    naming a failing block and its reason.  ``phi`` is the marginal map
+    Phi = Tr_out o S, and ``kernel_residual`` is
+    kernel_residual(phi, n_map, source_hom): the Frobenius distance
+    ``||Phi - Id_B (x) N||``, zero exactly when kernel containment holds.
     """
 
     s_witness: PositivityWitness
     kernel_residual: float
+    phi: CpMap
     n_map: CpMap
     n_unital_residual: float
     n_witness: PositivityWitness
@@ -289,11 +290,13 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
         raise ShapeMismatchError("tolerance must be positive and finite")
     s_witness = is_cp(s.inner, tol)
     n_map = extract_n(s)
-    residual = kernel_residual(s, n_map)
+    phi = trace_out_target_group(s.inner, s.target_hom)
+    residual = kernel_residual(phi, n_map, s.source_hom)
     unital_residual = (apply(n_map, n_map.source.identity()) - n_map.target.identity()).norm()
     n_witness = is_cp(n_map, tol)
     verdict = s_witness.ok and n_witness.ok and residual <= tol and unital_residual <= tol
-    return VerificationReport(s_witness, residual, n_map, unital_residual, n_witness, verdict, tol)
+    return VerificationReport(s_witness, residual, phi, n_map, unital_residual, n_witness,
+                              verdict, tol)
 
 
 @dataclass(frozen=True)

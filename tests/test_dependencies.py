@@ -24,3 +24,18 @@ def test_package_imports_only_numpy_and_the_stdlib():
                 for name in names if name.split(".")[0] not in ALLOWED
             ]
     assert not outside, outside
+
+
+def test_no_einsum_searches_a_contraction_path():
+    # einsum(..., optimize=...) searches for a contraction order on every
+    # call; the package writes its contractions as reshapes and GEMMs
+    found = []
+    for path in sorted(Path(supermap_forge.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum":
+                found += [
+                    f"{path.name}:{node.lineno}" for kw in node.keywords
+                    if kw.arg == "optimize"
+                    and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
+                ]
+    assert not found, found

@@ -13,8 +13,9 @@ import supermap_forge as sf
 from supermap_forge import algebra, gen, serialize
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
-from supermap_forge.realize import left_dilation, right_dilation, solve_w
+from supermap_forge.realize import right_dilation
 from supermap_forge.supermap import partial_trace_out
+from w_oracle import left_dilation, solve_w, w_path
 
 # see fixtures/v1/README.md
 V1 = Path(__file__).parent / "fixtures" / "v1"
@@ -243,16 +244,72 @@ def test_realize_memory_is_the_largest_kraus_rank_of_n():
     assert p_dims[-1] == 1  # the classical identity: every r_ik is 0 or 1
 
 
+def _max_entry_distance(f, g):
+    assert (f.source, f.target) == (g.source, g.target)
+    return max(np.abs(x - y).max() for row, g_row in zip(f.choi_blocks, g.choi_blocks)
+               for x, y in zip(row, g_row))
+
+
 def test_realize_reproduces_the_v1_realisation_fixture():
+    # E and the figures N alone decides are the fixture's bits.  The fixture's
+    # G and W diagnostics came from the W path, which the oracle reproduces
+    # bit for bit; realize reads them off Choi blocks and agrees within 1e-12.
     s = serialize.load_supermap(V1 / "supermap.json")
     want = serialize.load_realisation(V1 / "realisation.json")
     r = sf.realize(s)
-    for got, ref in ((r.e_channel, want.e_channel), (r.g_channel, want.g_channel)):
+    g, residual, defect = w_path(s)
+    for got, ref in ((r.e_channel, want.e_channel), (g, want.g_channel)):
         assert (got.source, got.target) == (ref.source, ref.target)
         for row, ref_row in zip(got.choi_blocks, ref.choi_blocks):
             assert all(np.array_equal(x, y) for x, y in zip(row, ref_row))
-    for field in ("p_dim", "p_bound", "w_residual", "w_isometry_defect", "gram_min_eig"):
+    for field in ("p_dim", "p_bound", "gram_min_eig"):
         assert getattr(r, field) == getattr(want, field), field
+    assert (residual, defect) == (want.w_residual, want.w_isometry_defect)
+    assert _max_entry_distance(r.g_channel, want.g_channel) <= 1e-12
+    assert abs(r.w_residual - residual) <= 1e-12
+    assert abs(r.w_isometry_defect - defect) <= 1e-12
+
+
+ORACLE_SHAPES = (
+    ((2,), (2,), (2,), (2,)), ((3,), (3,), (3,), (3,)), ((4,), (4,), (4,), (4,)),
+    ((1, 2), (2,), (2, 1), (1,)), ((2, 1), (1, 1), (1, 2), (2, 1)),
+    ((1, 1, 1), (2,), (1, 2), (2,)), ((3, 1), (2,), (1, 3), (2, 1)),
+)
+
+
+@pytest.mark.parametrize("dims", ORACLE_SHAPES)
+def test_realize_agrees_with_the_w_path_oracle(dims):
+    algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+    for p_dim in (1, 2) if max(map(max, dims)) < 4 else (2,):
+        for seed in range(2):
+            s = gen.random_supermap_from_circuit(*algs, p_dim=p_dim, seed=seed)
+            r = sf.realize(s)
+            g, residual, defect = w_path(s)
+            assert _max_entry_distance(r.g_channel, g) <= 1e-12
+            assert abs(r.w_residual - residual) <= 1e-12
+            assert abs(r.w_isometry_defect - defect) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [((3,), (3,), (3,), (3,)), ((3, 1), (2,), (1, 3), (2, 1))])
+def test_realize_eigendecomposes_no_block_larger_than_n_or_phi(dims, monkeypatch):
+    # the cost floor: S's Choi blocks are factorised by verify's Cholesky
+    # certificate, never by eigh
+    algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=1)
+    report = sf.verify_deterministic(s)
+    largest = max(x.shape[0] for m in (report.n_map, report.phi)
+                  for row in m.choi_blocks for x in row)
+    assert largest < max(x.shape[0] for row in s.inner.choi_blocks for x in row)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recorded(m, *args, **kwargs):
+        sizes.append(np.shape(m)[0])
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    sf.realize(s)
+    assert sizes and max(sizes) <= largest
 
 
 def test_assemble_e_is_tp_and_has_the_right_marginal():
@@ -529,9 +586,10 @@ def test_check_realisation_fails_on_non_cp_circuit():
 
 def test_realize_keeps_small_supermap_eigenvalues():
     # M5 algebras, p_dim 1: S's Choi has a true eigenvalue of ~3.6e-11, below
-    # a 1e-10 relative Kraus cutoff; dropping it from the left dilation
-    # leaves a W isometry defect of ~1e-6 after division by N's smallest
-    # Gram eigenvalue (~1.7e-5)
+    # a 1e-10 relative Kraus cutoff.  A W solved against a Kraus family of S
+    # that drops it has an isometry defect of ~1e-6 after division by N's
+    # smallest Gram eigenvalue (~1.7e-5); realize pulls S's whole Choi
+    # block back through R and drops nothing of it.
     algs = [MultiMatrixAlgebra.single(5, lbl) for lbl in "abcd"]
     s = gen.random_supermap_from_circuit(*algs, p_dim=1, seed=3125774064)
     assert sf.verify_deterministic(s, tol=1e-8).verdict
@@ -550,6 +608,18 @@ def test_realize_identity_supermaps_ignore_roundoff_eigenvalues():
         r = sf.realize(s)
         assert r.w_residual < 1e-12 and r.p_dim == 1
         assert sf.check_realisation(r, s, trials=0, tol=1e-9).passed
+
+
+def test_g_is_psd_as_far_as_s_is():
+    # G's blocks on N's environment are S's blocks pulled back through R, and
+    # ||R||^2 is at most 1 / gram_min_eig: an S block that verify accepts
+    # eps below zero leaves G at most eps / gram_min_eig below zero
+    m2 = MultiMatrixAlgebra.single(2, "q")
+    for eps in (2e-9, 9e-9):
+        s = gen.perturb_supermap(sf.identity_supermap(m2, m2), eps, "cp-breaking")
+        r = sf.realize(s)
+        g_min = min(np.linalg.eigvalsh(x).min() for row in r.g_channel.choi_blocks for x in row)
+        assert g_min >= -eps / r.gram_min_eig
 
 
 def agreement_inputs():
@@ -673,7 +743,7 @@ def test_realize_decomposes_each_choi_block_once(monkeypatch):
     a, c = s.source_hom.in_algebra, s.target_hom.in_algebra
     s_blocks = len(s.inner.source) * len(s.inner.target)
     assert calls == {"_eigh_kraus": 2, "_psd_block": s_blocks + len(a) * len(c),
-                     "from_kraus": 2}
+                     "from_kraus": 1}
 
 
 def test_realize_rejects_before_any_eigendecomposition(monkeypatch):
