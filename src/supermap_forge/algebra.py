@@ -226,12 +226,14 @@ def _psd_block(m: np.ndarray, tol: float):
     eigvalsh gives the exact lo."""
     if not np.isfinite(m).all():
         return np.nan, np.nan, "non-finite entries"
-    defect = frob(m - dag(m))
+    h = np.conjugate(m.T, order="C")  # m†, then H = (m + m†)/2 in place
+    defect = frob(m - h)
     if defect > tol:
         return np.nan, defect, f"Hermiticity defect {defect:.3g}"
-    h = herm_part(m)
+    h += m
+    h *= 0.5
     n = len(h)
-    diag = h.reshape(-1)[:: n + 1]  # a view: herm_part's result is C-contiguous
+    diag = h.reshape(-1)[:: n + 1]  # a view: h is C-contiguous
     delta = 2 * (n + 2) * np.finfo(float).eps * (sum(diag.real.tolist()) + n * tol)
     if 0 <= delta < tol:
         diag += tol - delta

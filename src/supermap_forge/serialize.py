@@ -21,11 +21,12 @@ algebras and p_dim give or whose p_bound is not the bound its algebras give.
 Saving raises it, and writes nothing, for a non-finite number or matrix
 entry: every written document is RFC 8259 JSON that loading accepts.
 
-A document built here holds each Choi block as its ndarray until
-save_document encodes it, so only one block's encoding is alive at a time.
-Documents are written as compact single-line JSON through json's C encoder
-(any indent makes CPython fall back to its pure-Python encoder); indented
-documents load the same.
+A document built here holds each Choi block as its ndarray.  save_document
+has json's C encoder write only the compact single-line skeleton (an indent
+would make CPython fall back to its pure-Python encoder), each matrix a hole
+{"shape": [r, c], "c16": ""}; it splices each matrix's base64 in as bytes
+and writes the file once, the bytes json.dumps gives for encode_matrix's
+dicts.  Indented documents load the same.
 """
 
 import base64
@@ -46,6 +47,7 @@ from .supermap import Supermap, hom_algebra
 FORMAT_VERSION = "2"
 READABLE_VERSIONS = ("1", FORMAT_VERSION)
 _C16 = np.dtype("<c16")
+_HOLE = b'"c16":""'  # under ensure_ascii, only a key/value pair the encoder wrote
 
 
 def _fmt(x: float) -> str:
@@ -59,11 +61,17 @@ def _integer(x, what: str) -> int:
     return x
 
 
-def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
-    """Encode one matrix; decode_matrix refuses non-finite entries, so this does too."""
+def _c16(m: np.ndarray) -> np.ndarray:
+    """m as C-contiguous <c16; the writer refuses what decode_matrix refuses."""
     m = np.ascontiguousarray(m, dtype=_C16)
     if not np.isfinite(m).all():
         raise ShapeMismatchError("cannot write a matrix with non-finite entries")
+    return m
+
+
+def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
+    """Encode one matrix as a document stores it."""
+    m = _c16(m)
     return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
 
 
@@ -172,24 +180,29 @@ def document(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
 
 
-def _encode_array(obj):
-    # Looked up by name on each call, so a wrapper installed on encode_matrix
-    # sees every matrix a document writes.
-    if isinstance(obj, np.ndarray):
-        return encode_matrix(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def save_document(path, doc: Dict[str, Any]) -> None:
     """Write doc as RFC 8259 JSON; ShapeMismatchError, and no file, when it
-    holds a non-finite number or matrix entry."""
+    holds a non-finite number or matrix entry or a field "c16": ""."""
+    arrays = []
+
+    def hole(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        arrays.append(_c16(obj))
+        return {"shape": list(arrays[-1].shape), "c16": ""}
+
     try:
-        text = json.dumps(doc, default=_encode_array, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:  # ShapeMismatchError from encode_matrix is one too
+        skeleton = json.dumps(doc, default=hole, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:  # ShapeMismatchError from _c16 is one too
         raise ShapeMismatchError(f"cannot write the document: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-        f.write("\n")
+    pieces = skeleton.encode("ascii").split(_HOLE)
+    if len(pieces) != len(arrays) + 1:
+        raise ShapeMismatchError(f"cannot write the document: a field is {_HOLE.decode()}")
+    out = [pieces[0]]
+    for m, rest in zip(arrays, pieces[1:]):
+        out += (b'"c16":"', base64.b64encode(m), b'"', rest)
+    with open(path, "wb") as f:
+        f.write(b"".join([*out, b"\n"]))
 
 
 @contextmanager

@@ -275,3 +275,64 @@ def test_cholesky_certificate_decides_the_benchmark_shapes(monkeypatch):
     for s in supermaps:
         witness = sf.is_cp(s.inner, 1e-8)
         assert witness and witness.min_eigenvalue == -1e-8
+
+
+def _psd_block_reference(m, tol):
+    """The PSD rule as written with herm_part's H, kept to compare the
+    in-place H against."""
+    from supermap_forge._linalg import dag, frob, herm_part
+    if not np.isfinite(m).all():
+        return np.nan, np.nan, "non-finite entries"
+    defect = frob(m - dag(m))
+    if defect > tol:
+        return np.nan, defect, f"Hermiticity defect {defect:.3g}"
+    h = herm_part(m)
+    n = len(h)
+    diag = h.reshape(-1)[:: n + 1]
+    delta = 2 * (n + 2) * np.finfo(float).eps * (sum(diag.real.tolist()) + n * tol)
+    if 0 <= delta < tol:
+        diag += tol - delta
+        try:
+            np.linalg.cholesky(h)
+            return -tol, defect, None
+        except np.linalg.LinAlgError:
+            h = herm_part(m)
+    lo = float(np.linalg.eigvalsh(h).min())
+    return lo, defect, None if lo >= -tol else f"min eigenvalue {lo:.3g}"
+
+
+def test_psd_block_in_place_h_gives_the_reference_verdicts():
+    from supermap_forge.algebra import _psd_block
+    rng = np.random.default_rng(8)
+    tol = 1e-9
+    blocks = {}
+    for n in (1, 2, 5, 16, 40):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        psd = g @ g.conj().T
+        noise = 1e-11 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        blocks[f"psd {n}"] = psd
+        blocks[f"psd+noise {n}"] = psd + noise  # Hermitian only within tol
+        blocks[f"indefinite {n}"] = psd - 2 * np.trace(psd).real * np.eye(n) / n
+        blocks[f"non-hermitian {n}"] = g
+        blocks[f"fortran {n}"] = np.asfortranarray(psd + noise)
+        blocks[f"transposed {n}"] = (psd + noise).T
+        blocks[f"strided {n}"] = np.kron(psd + noise, np.ones((2, 2)))[::2, ::2]
+        blocks[f"non-finite {n}"] = np.where(np.eye(n, dtype=bool), np.nan, psd)
+    vals = np.array((-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3))
+    edge = vals[np.arange(36) % 5] + 1j * vals[(np.arange(36) + 3) % 5]
+    edge = edge.reshape(6, 6)
+    blocks["edge hermitian"] = edge + edge.conj().T + np.eye(6)
+    blocks["edge hermitian, shifted below zero"] = edge + edge.conj().T - np.eye(6)
+    # Cholesky fails on H + (tol - delta) Id, and eigvalsh passes the block
+    blocks["cholesky fails"] = np.diag([1.0, -(tol - 1e-15)]).astype(complex)
+    blocks["delta >= tol"] = np.diag([1e6, -0.99 * tol]).astype(complex)
+    huge = np.full((3, 3), 1.7976931348623157e308) * np.array([[1, -1, 1]])
+    blocks["edge overflowing"] = huge + 1j * huge.T
+    checked = 0
+    for name, m in blocks.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _psd_block(m, tol), _psd_block_reference(m, tol)
+        assert repr(got) == repr(want), name
+        checked += got[2] is None
+    # passes through Cholesky, eigvalsh and each failure are all covered
+    assert 0 < checked < len(blocks)
