@@ -43,8 +43,7 @@ from ._linalg import dag, frob
 from .algebra import DEFAULT_TOL, MultiMatrixAlgebra
 from .cpmaps import (
     Channel, CpMap, KrausDecomposition, StinespringDilation, _eigh_kraus, _kraus_rows,
-    _minimal_pinv, _not_cp, _stack_dilation, apply, as_channel, compose, copy_channel, hs_dual,
-    require_cp_map,
+    _minimal_pinv, _not_cp, _stack_dilation, apply, as_channel, hs_dual, require_cp_map,
 )
 from .errors import (
     AlgebraMismatchError, IsometryDefectError, NotUnitalError, ResidualTooLargeError,
@@ -378,65 +377,59 @@ def circuit_supermap(
     return Supermap(inner, hom_algebra(a, b), hom_algebra(c, d), validate=False)
 
 
-def _lift(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, block) -> CpMap:
-    """The CpMap whose Choi block (t, s) is block(t, s), or zero where that is None."""
-    rows = []
-    for t, dt in enumerate(target.dims):
-        row = []
-        for s, ds in enumerate(source.dims):
-            c = block(t, s)
-            row.append(np.zeros((dt * ds,) * 2, dtype=complex) if c is None else c)
-        rows.append(row)
-    return CpMap(source, target, rows)
+def _realign(block: np.ndarray, t: int, m: int, s: int) -> np.ndarray:
+    """A Choi block from s to (t m) as a (t T m M) x (s S) matrix: its superop
+    with the rows reordered so that both t indices come first."""
+    return block.reshape(t, m, s, t, m, s).transpose(0, 3, 1, 4, 2, 5).reshape(t * t * m * m, -1)
 
 
-def _evaluate_circuit(r: CircuitRealisation, f: CpMap) -> CpMap:
-    """The circuit's stages composed on f, with no check of the result."""
-    if f.source != r.a or f.target != r.b:
-        raise AlgebraMismatchError("plugged channel type must match the realisation")
-    p = r.p_dim
-    na, nb, nc = len(r.a), len(r.b), len(r.c)
-    copies = [(k, i) for k in range(nc) for i in range(na)]  # blocks of m1
-    slots = [(k, i, j) for k, i in copies for j in range(nb)]  # blocks of m2
-    m1 = MultiMatrixAlgebra(tuple(
-        ((r.c.labels[k], r.a.labels[i]), p * r.a.dims[i]) for k, i in copies
-    ))
-    m2 = MultiMatrixAlgebra(tuple(
-        ((r.c.labels[k], r.a.labels[i], r.b.labels[j]), p * r.b.dims[j]) for k, i, j in slots
-    ))
-    stage1 = copy_channel(r.c)
-    stage2 = _lift(stage1.target, m1, lambda t, k: (
-        r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
-    ))
-    x = compose(stage2, stage1)
-    # stage 3, (f (x) Id_P) o x: f's (bB, aA) superop times each copy (k, i)'s
-    # block as an (aA, pxQX) matrix, one GEMM per block; the memory P passes through
-    rows = []
-    for t, (k, i) in enumerate(copies):
-        da = r.a.dims[i]
-        x_cols = [x.choi4(t, s).reshape(p, da, ds, p, da, ds).transpose(1, 4, 0, 2, 3, 5)
-                  .reshape(da * da, -1) for s, ds in enumerate(r.c.dims)]
-        rows.extend([(f.superop(j, i) @ x_col).reshape(db, db, p, ds, p, ds)
-                     .transpose(2, 0, 3, 4, 1, 5).reshape((p * db * ds,) * 2)
-                     for x_col, ds in zip(x_cols, r.c.dims)] for j, db in enumerate(r.b.dims))
-    y = CpMap(r.c, m2, rows)
-    stage4 = _lift(m2, r.d, lambda l, t: r.g_channel.choi(
-        l, _g_source_index(slots[t][1], slots[t][2], slots[t][0], nb, nc)
-    ))
-    return compose(stage4, y)
+def _circuit_evaluator(r: CircuitRealisation):
+    """The circuit E -> slot -> G of r as a function of the plugged f.
+
+    E's block (i, k) is realigned once to a (p P a A) x (q Q) matrix and G's
+    block (l, (i, j, k)) to an (o O p P) x (b B) one.  The classical copies
+    of the input index are a relabelling: the copy (k, i) meets only E's
+    block (i, k), the slot (k, i, j) only f's (j, i) and G's (l, (i, j, k)).
+    Per f, output block (l, k) sums over (i, j) two GEMMs: f's superop
+    contracted into G over (b, B), then E over (p, P, a, A).  The result is
+    G o (f (x) Id_P) o E o copy by associativity, with no check.
+    """
+    na, nb, nc, p = len(r.a), len(r.b), len(r.c), r.p_dim
+    e_r = {(i, k): _realign(r.e_channel.choi(i, k), p, da, dk)
+           for i, da in enumerate(r.a.dims) for k, dk in enumerate(r.c.dims)}
+    g_r = {(l, i, j, k): _realign(r.g_channel.choi(l, _g_source_index(i, j, k, nb, nc)),
+                                  dl, p, db)
+           for l, dl in enumerate(r.d.dims) for i in range(na)
+           for j, db in enumerate(r.b.dims) for k in range(nc)}
+
+    def evaluate(f: CpMap) -> CpMap:
+        if f.source != r.a or f.target != r.b:
+            raise AlgebraMismatchError("plugged channel type must match the realisation")
+        f_sup = {(i, j): f.superop(j, i) for i in range(na) for j in range(nb)}
+        blocks = []
+        for l, dl in enumerate(r.d.dims):
+            row = []
+            for k, dk in enumerate(r.c.dims):
+                sup = sum((g_r[l, i, j, k] @ f_ij).reshape(dl * dl, -1) @ e_r[i, k]
+                          for (i, j), f_ij in f_sup.items())
+                row.append(sup.reshape(dl, dl, dk, dk).transpose(0, 2, 1, 3).reshape(dl * dk, -1))
+            blocks.append(row)
+        return CpMap(r.c, r.d, blocks)
+
+    return evaluate
 
 
 def evaluate_circuit(r: CircuitRealisation, f: Channel, tol: float = 1e-7) -> Channel:
     """Run the realisation circuit on a plugged channel f: A -> B.
 
-    Composes honest channels: classical copy of the input index, E extended
-    to retain that copy, the controlled application of f (x) Id_P, and G
-    consuming every classical copy.  f (x) Id_P is applied leg-wise -- f
-    contracts the A factor of each block and the memory factor P passes
-    through -- so it is never materialised.  Output is a channel C -> D,
-    validated as trace preserving at tol.
+    The classical copy of the input index is a relabelling: it routes input
+    block k to E's blocks (i, k) and, after f, to G's blocks (l, (i, j, k)).
+    f is contracted into G over its output B, and the result with E over the
+    memory P and the slot's input A: two GEMMs per block triple, with E and G
+    realigned once per call, so f (x) Id_P is never materialised.  Output is
+    a channel C -> D, validated as trace preserving at tol.
     """
-    return as_channel(_evaluate_circuit(r, f), tol=tol)
+    return as_channel(_circuit_evaluator(r)(f), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -468,17 +461,21 @@ def check_realisation(
     Compares the circuit's linear action with the supermap on the full
     matrix-unit spanning set of Hom(A, B) -- both sides are linear in the
     Choi operator, so agreement there certifies agreement everywhere -- and
-    additionally evaluates the honest channel composition on random plugged
-    channels.  The trials measure deviation only: an output that is not a
-    channel counts against tol like any other deviation, it raises nothing.
+    additionally runs the circuit on random plugged channels, with E and G
+    realigned once for all of them (see evaluate_circuit).
+    The trials measure deviation only: an output that is not a channel
+    counts against tol like any other deviation, it raises nothing.
+    AlgebraMismatchError, before any contraction, when the realisation's
+    algebras are not the supermap's.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     hom_ab = s.source_hom
     hom_cd = s.target_hom
-    circuit = _circuit_choi(r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
-    if circuit.source != s.inner.source or circuit.target != s.inner.target:
+    if (r.a, r.b, r.c, r.d) != (hom_ab.in_algebra, hom_ab.out_algebra,
+                                hom_cd.in_algebra, hom_cd.out_algebra):
         raise AlgebraMismatchError("realisation and supermap act on different algebras")
+    circuit = _circuit_choi(r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
     # Choi column (t_ab, u, v) is the image of one matrix unit, spread over t_cd
     spanning = 0.0
     for t_ab in range(len(hom_ab.base)):
@@ -491,9 +488,10 @@ def check_realisation(
     if trials > 0:
         from . import gen
 
+        evaluate = _circuit_evaluator(r)
         for t in range(trials):
             f = gen.random_channel(r.a, r.b, seed=seed + t)
-            lhs = choi_element(_evaluate_circuit(r, f), hom_cd)
+            lhs = choi_element(evaluate(f), hom_cd)
             rhs = apply(s.inner, choi_element(f, hom_ab))
             trial_dev = max(trial_dev, (lhs - rhs).norm())
     passed = spanning <= tol and trial_dev <= tol

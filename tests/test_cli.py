@@ -339,7 +339,7 @@ def test_check_wrong_supermap_fails(tmp_path):
     assert run(["check", str(sm2), str(real), "--trials", "0"]) == 1
 
 
-def test_check_mismatched_algebras_is_input_error(tmp_path):
+def test_check_mismatched_algebras_is_input_error(tmp_path, capsys):
     sm1 = tmp_path / "sm1.json"
     sm2 = tmp_path / "sm2.json"
     real = tmp_path / "real.json"
@@ -348,7 +348,11 @@ def test_check_mismatched_algebras_is_input_error(tmp_path):
     assert run(["gen", "supermap", "--a-dims", "3", "--b-dims", "2", "--c-dims", "2",
                 "--d-dims", "2", "--seed", "1", "--out", str(sm2)]) == 0
     assert run(["realize", str(sm1), "--out", str(real)]) == 0
+    capsys.readouterr()
     assert run(["check", str(sm2), str(real)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: realisation and supermap act on different algebras\n"
 
 
 @pytest.fixture()

@@ -1,7 +1,5 @@
 """Tests for CP maps: Choi families, application, TP checks, composition."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -256,17 +254,28 @@ def test_compose_matches_the_einsum_link_product():
             assert _max_deviation(sf.compose(g, f), _einsum_compose(g, f)) <= 1e-13
 
 
+def _lift(source, target, block):
+    """The CpMap whose Choi block (t, s) is block(t, s), or zero where that is None."""
+    rows = []
+    for t, dt in enumerate(target.dims):
+        row = []
+        for s, ds in enumerate(source.dims):
+            c = block(t, s)
+            row.append(np.zeros((dt * ds,) * 2, dtype=complex) if c is None else c)
+        rows.append(row)
+    return sf.CpMap(source, target, rows)
+
+
 def _einsum_evaluate_circuit(r, f):
     """The circuit's stages on f with einsum link products; stage 3 applies
     f to the A leg of each copy (k, i), the memory leg P passing through."""
-    realize = sys.modules["supermap_forge.realize"]
     p, nb, nc = r.p_dim, len(r.b), len(r.c)
     copies = [(k, i) for k in range(nc) for i in range(len(r.a))]
     slots = [(k, i, j) for k, i in copies for j in range(nb)]
     m1 = MultiMatrixAlgebra(tuple(((k, i), p * r.a.dims[i]) for k, i in copies))
     m2 = MultiMatrixAlgebra(tuple(((k, i, j), p * r.b.dims[j]) for k, i, j in slots))
     stage1 = sf.copy_channel(r.c)
-    stage2 = realize._lift(stage1.target, m1, lambda t, k: (
+    stage2 = _lift(stage1.target, m1, lambda t, k: (
         r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
     ))
     x = _einsum_compose(stage2, stage1)
@@ -279,7 +288,7 @@ def _einsum_evaluate_circuit(r, f):
                 x.choi4(t, s).reshape(p, da, ds, p, da, ds),
             ).reshape((p * db * ds,) * 2) for s, ds in enumerate(r.c.dims)])
     y = sf.CpMap(r.c, m2, rows)
-    stage4 = realize._lift(m2, r.d, lambda l, t: r.g_channel.choi(
+    stage4 = _lift(m2, r.d, lambda l, t: r.g_channel.choi(
         l, (slots[t][1] * nb + slots[t][2]) * nc + slots[t][0]
     ))
     return _einsum_compose(stage4, y)

@@ -533,6 +533,63 @@ def _g_scaled(r, factor):
     ))
 
 
+@pytest.mark.parametrize("dims, p_dim", [
+    (((3,), (3,), (3,), (3,)), 2),
+    (((1, 3), (2, 1), (1, 1), (2,)), 3),
+    (((1, 1), (2,), (1, 1), (2, 1)), 1),
+])
+def test_check_trials_match_the_dense_oracle(dims, p_dim):
+    algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=p_dim, seed=51)
+    exact = sf.realize(s)
+    assert (exact.p_dim == 1) == (p_dim == 1)
+    # G scaled by 1 + 1e-6 puts the deviations far above roundoff
+    for r in (exact, _g_scaled(exact, 1 + 1e-6)):
+        chk = sf.check_realisation(r, s, trials=3, tol=1e-6, seed=5)
+        oracle = max(
+            (sf.choi_element(_dense_evaluate_circuit(r, f), s.target_hom)
+             - sf.apply_to_choi(s, sf.choi_element(f, s.source_hom))).norm()
+            for f in (gen.random_channel(r.a, r.b, seed=5 + t) for t in range(3))
+        )
+        assert abs(chk.trial_deviation - oracle) <= 1e-13
+
+
+def test_check_realigns_e_and_g_once_for_all_trials(monkeypatch):
+    algs = [MultiMatrixAlgebra.single(3, lbl) for lbl in "abcd"]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=3)
+    r = sf.realize(s)
+    reads = collections.Counter()
+    choi = sf.CpMap.choi
+
+    def counted(m, j, i):
+        if m is r.e_channel or m is r.g_channel:
+            reads[m is r.g_channel, j, i] += 1
+        return choi(m, j, i)
+
+    monkeypatch.setattr(sf.CpMap, "choi", counted)
+    counts = {}
+    for trials in (1, 10):
+        reads.clear()
+        assert sf.check_realisation(r, s, trials=trials, tol=1e-6).passed
+        counts[trials] = dict(reads)
+    assert counts[10] == counts[1]
+    assert len(counts[1]) == len(r.e_channel.source) + len(r.g_channel.source)
+
+
+def test_check_realisation_memory_stays_small_at_q4():
+    algs = [MultiMatrixAlgebra.single(4, lbl) for lbl in "abcd"]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=4)
+    r = sf.realize(s)
+    assert r.p_dim == 16
+    tracemalloc.start()
+    try:
+        assert sf.check_realisation(r, s, trials=10, tol=1e-6).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_check_trials_measure_deviation_not_channel_validity():
     # G scaled by 1 + 3e-7: its TP residual (4.2e-7) fails evaluate_circuit's
     # validation at 1e-7, but the trials still report a deviation (~3.1e-7)
@@ -569,6 +626,19 @@ def test_check_realisation_detects_wrong_supermap():
         for _, _, _, unit in s2.source_hom.base.matrix_units()
     )
     assert abs(chk.spanning_deviation - per_unit) <= 1e-12 * per_unit
+
+
+def test_check_realisation_refuses_mismatched_algebras_before_contracting(monkeypatch):
+    r = sf.realize(verified_supermap(seed=43))
+    m2 = [MultiMatrixAlgebra.single(2, lbl) for lbl in "abcd"]
+    other = gen.random_supermap_from_circuit(*m2, p_dim=1, seed=1)
+
+    def no_contraction(*args, **kwargs):
+        raise AssertionError("the link product ran before the algebras were compared")
+
+    monkeypatch.setattr(sys.modules["supermap_forge.realize"], "_circuit_choi", no_contraction)
+    with pytest.raises(sf.AlgebraMismatchError):
+        sf.check_realisation(r, other, trials=1)
 
 
 def test_check_realisation_fails_on_non_cp_circuit():
