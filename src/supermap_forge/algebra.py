@@ -22,11 +22,11 @@ Conventions used throughout the package:
 """
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import dag, frob, herm_part, matrix_unit
+from ._linalg import dag, frob, herm_part
 from .errors import AlgebraMismatchError, NotPositiveError, ShapeMismatchError
 
 DEFAULT_TOL = 1e-9
@@ -88,19 +88,6 @@ class MultiMatrixAlgebra:
 
     def zeros(self) -> "BlockOperator":
         return BlockOperator(self, [np.zeros((d, d), dtype=complex) for d in self.dims])
-
-    def unit(self, block: int, a: int, b: int) -> "BlockOperator":
-        """Matrix unit E_ab supported on one block; zero elsewhere."""
-        mats = [np.zeros((d, d), dtype=complex) for d in self.dims]
-        mats[block] = matrix_unit(self.dims[block], a, b)
-        return BlockOperator(self, mats)
-
-    def matrix_units(self) -> Iterator[Tuple[int, int, int, "BlockOperator"]]:
-        """Iterate (block, a, b, E) over the full matrix-unit basis."""
-        for i, d in enumerate(self.dims):
-            for a in range(d):
-                for b in range(d):
-                    yield i, a, b, self.unit(i, a, b)
 
 
 class BlockOperator:

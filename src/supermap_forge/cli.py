@@ -125,9 +125,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.name not in DEMOS:
-        print(f"unknown demo {args.name!r}; available: {', '.join(sorted(DEMOS))}")
-        return EXIT_INPUT
     result = run_demo(args.name)
     print(f"demo {result.name}: {result.description}")
     r = result.realisation
@@ -143,24 +140,24 @@ def cmd_demo(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "channel":
-        a = MultiMatrixAlgebra.from_dims(_parse_dims(args.source_dims), "x")
-        b = MultiMatrixAlgebra.from_dims(_parse_dims(args.target_dims), "y")
-        ch = random_channel(a, b, seed=args.seed)
-        serialize.save_document(args.out, serialize.channel_document(ch))
-        print(f"channel document written to {args.out}")
-        return EXIT_OK
-    if args.kind == "supermap":
-        a = MultiMatrixAlgebra.from_dims(_parse_dims(args.a_dims), "a")
-        b = MultiMatrixAlgebra.from_dims(_parse_dims(args.b_dims), "b")
-        c = MultiMatrixAlgebra.from_dims(_parse_dims(args.c_dims), "c")
-        d = MultiMatrixAlgebra.from_dims(_parse_dims(args.d_dims), "d")
-        s = random_supermap_from_circuit(a, b, c, d, p_dim=args.p_dim, seed=args.seed)
-        serialize.save_document(args.out, serialize.supermap_document(s))
-        print(f"supermap document written to {args.out}")
-        return EXIT_OK
-    print(f"unknown generation kind {args.kind!r}")
-    return EXIT_INPUT
+    try:  # numpy refusing to size an array for the draw is an input error too
+        if args.kind == "channel":
+            a = MultiMatrixAlgebra.from_dims(_parse_dims(args.source_dims), "x")
+            b = MultiMatrixAlgebra.from_dims(_parse_dims(args.target_dims), "y")
+            doc = serialize.channel_document(random_channel(a, b, seed=args.seed))
+        else:
+            a = MultiMatrixAlgebra.from_dims(_parse_dims(args.a_dims), "a")
+            b = MultiMatrixAlgebra.from_dims(_parse_dims(args.b_dims), "b")
+            c = MultiMatrixAlgebra.from_dims(_parse_dims(args.c_dims), "c")
+            d = MultiMatrixAlgebra.from_dims(_parse_dims(args.d_dims), "d")
+            s = random_supermap_from_circuit(a, b, c, d, p_dim=args.p_dim, seed=args.seed)
+            doc = serialize.supermap_document(s)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    serialize.save_document(args.out, doc)
+    print(f"{args.kind} document written to {args.out}")
+    return EXIT_OK
 
 
 @functools.cache  # built once per process
@@ -194,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("demo", help="run a bundled channel-type walkthrough")
-    p.add_argument("name")
+    p.add_argument("name", choices=sorted(DEMOS))
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("gen", help="generate a random channel or supermap document")

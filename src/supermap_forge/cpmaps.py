@@ -26,7 +26,7 @@ stacking the Kraus operators against an orthonormal environment basis.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .errors import (
     NotMinimalError,
     NotTracePreservingError,
     ShapeMismatchError,
-    StructureMissingError,
 )
 
 KRAUS_RANK_REL_TOL = 1e-10
@@ -152,39 +151,6 @@ class CpMap:
         return cls(source, target, blocks)
 
 
-def choi_from_action(
-    action: Callable[[BlockOperator], BlockOperator],
-    source: MultiMatrixAlgebra,
-    target: MultiMatrixAlgebra,
-    tol: float = DEFAULT_TOL,
-    require_cp: bool = True,
-) -> CpMap:
-    """Choi family of a linear map given by its action on matrix units.
-
-    Raises NotCompletelyPositiveError when a resulting block fails the PSD
-    check (disable via require_cp for maps known or allowed to be non-CP).
-    """
-    blocks = [
-        [np.zeros((target.dims[j], source.dims[i], target.dims[j], source.dims[i]),
-                  dtype=complex) for i in range(len(source))]
-        for j in range(len(target))
-    ]
-    for i, a, b, unit in source.matrix_units():
-        image = action(unit)
-        if image.algebra != target:
-            raise AlgebraMismatchError("action image lives in the wrong algebra")
-        for j in range(len(target)):
-            blocks[j][i][:, a, :, b] = image.block(j)
-    m = CpMap(
-        source,
-        target,
-        [[blocks[j][i].reshape(target.dims[j] * source.dims[i], -1)
-          for i in range(len(source))]
-         for j in range(len(target))],
-    )
-    return require_cp_map(m, tol) if require_cp else m
-
-
 def identity_cpmap(a: MultiMatrixAlgebra) -> CpMap:
     blocks = []
     for j, dj in enumerate(a.dims):
@@ -197,16 +163,6 @@ def identity_cpmap(a: MultiMatrixAlgebra) -> CpMap:
                 row.append(np.zeros((dj * di, dj * di), dtype=complex))
         blocks.append(row)
     return CpMap(a, a, blocks)
-
-
-def zero_cpmap(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra) -> CpMap:
-    return CpMap(
-        source,
-        target,
-        [[np.zeros((target.dims[j] * source.dims[i],) * 2, dtype=complex)
-          for i in range(len(source))]
-         for j in range(len(target))],
-    )
 
 
 # -- application and validation ---------------------------------------------
@@ -322,10 +278,6 @@ class KrausDecomposition:
                 lo = min(lo, float(np.linalg.eigvalsh(self.gram(i, j)).min()))
         return lo
 
-    def reconstruct(self) -> CpMap:
-        return CpMap.from_kraus(self.source, self.target, self.ops)
-
-
 def kraus_from_choi(
     m: CpMap, rank_tol: float = KRAUS_RANK_REL_TOL, tol: float = DEFAULT_TOL
 ) -> KrausDecomposition:
@@ -396,20 +348,6 @@ class StinespringDilation:
         for v, dh in zip(self.isometries, self.source.dims):
             worst = max(worst, frob(dag(v) @ v - np.eye(dh)))
         return worst
-
-    def heisenberg_apply(self, y: BlockOperator) -> BlockOperator:
-        """V† (y (x) Id_E) V blockwise; equals the Hilbert-Schmidt dual applied to y."""
-        if y.algebra != self.target:
-            raise AlgebraMismatchError("operator is not in the dilation's target algebra")
-        outs = []
-        for i, dh in enumerate(self.source.dims):
-            acc = np.zeros((dh, dh), dtype=complex)
-            for j in range(len(self.target)):
-                c = self.component(i, j)
-                acc += dag(c) @ np.kron(y.block(j), np.eye(self.env_dims[(i, j)])) @ c
-            outs.append(acc)
-        return BlockOperator(self.source, outs)
-
 
 def _stack_dilation(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
                     components) -> StinespringDilation:
@@ -486,7 +424,7 @@ def environment_intertwiner(
     return blocks, float(np.sqrt(res_sq)), float(np.sqrt(pi_sq))
 
 
-# -- duals, composition, tensor, copy ----------------------------------------
+# -- duals, composition, copy -------------------------------------------------
 
 
 def hs_dual(m: CpMap) -> CpMap:
@@ -524,42 +462,6 @@ def compose(g: CpMap, f: CpMap) -> CpMap:
         for g_row, dl in zip(g_rows, g.target.dims)])
 
 
-def _pair_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> MultiMatrixAlgebra:
-    blocks = []
-    for la, da in a.blocks:
-        for lb, db in b.blocks:
-            blocks.append(((la, lb), da * db))
-    return MultiMatrixAlgebra(tuple(blocks))
-
-
-def tensor(f: CpMap, g: CpMap) -> CpMap:
-    """Tensor product map on the pairwise-block product algebras.
-
-    Source/target blocks are ordered pairs (f-block, g-block) with dims
-    multiplied; each Choi block is the Kronecker product of the factors with
-    the tensor legs reordered from (K_f, H_f, K_g, H_g) to
-    (K_f, K_g, H_f, H_g).
-    """
-    source = _pair_algebra(f.source, g.source)
-    target = _pair_algebra(f.target, g.target)
-    nfs, ngs = len(f.source), len(g.source)
-    nft, ngt = len(f.target), len(g.target)
-    blocks = []
-    for jf in range(nft):
-        for jg in range(ngt):
-            row = []
-            for i_f in range(nfs):
-                for ig in range(ngs):
-                    c = np.einsum(
-                        "rasb,RASB->rRaAsSbB", f.choi4(jf, i_f), g.choi4(jg, ig)
-                    )
-                    d_t = f.target.dims[jf] * g.target.dims[jg]
-                    d_s = f.source.dims[i_f] * g.source.dims[ig]
-                    row.append(c.reshape(d_t * d_s, d_t * d_s))
-            blocks.append(row)
-    return CpMap(source, target, blocks)
-
-
 def copy_channel(a: MultiMatrixAlgebra) -> Channel:
     """Classical copy: block-k content moves to block (k, k) unchanged.
 
@@ -570,35 +472,3 @@ def copy_channel(a: MultiMatrixAlgebra) -> Channel:
     ops = {(k, k): [np.eye(d, dtype=complex)] for k, d in enumerate(a.dims)}
     m = CpMap.from_kraus(a, target, ops)
     return Channel(a, target, m.choi_blocks, validate=False)
-
-
-def discard_copy_channel(a: MultiMatrixAlgebra) -> Channel:
-    """Inverse relabelling of copy_channel: block (k, k) back to block k."""
-    source = MultiMatrixAlgebra(tuple(((lbl, lbl), d) for lbl, d in a.blocks))
-    ops = {(k, k): [np.eye(d, dtype=complex)] for k, d in enumerate(a.dims)}
-    m = CpMap.from_kraus(source, a, ops)
-    return Channel(source, a, m.choi_blocks, validate=False)
-
-
-def trace_out_target_group(m: CpMap, structure) -> CpMap:
-    """Partial trace of the out factor inside each target Choi factor of a map.
-
-    ``structure`` must be the pair structure (a HomAlgebra) of ``m.target``;
-    blocks that share the surviving in index are merged.
-    """
-    if getattr(structure, "base", None) != m.target:
-        raise StructureMissingError(
-            "the map's target algebra carries no matching pair structure"
-        )
-    out_alg = structure.out_algebra
-    in_alg = structure.in_algebra
-    blocks = [
-        [np.zeros((di * dh,) * 2, dtype=complex) for dh in m.source.dims]
-        for di in in_alg.dims
-    ]
-    for t, (j, i) in enumerate(structure.pairs):
-        dj, di = out_alg.dims[j], in_alg.dims[i]
-        for s, dh in enumerate(m.source.dims):
-            c6 = m.choi(t, s).reshape(dj, di, dh, dj, di, dh)
-            blocks[i][s] += np.einsum("xapxbq->apbq", c6).reshape(di * dh, di * dh)
-    return CpMap(m.source, in_alg, blocks)

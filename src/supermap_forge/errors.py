@@ -35,10 +35,6 @@ class NotUnitalError(SupermapForgeError):
     """A map expected to be unital does not preserve the identity."""
 
 
-class StructureMissingError(SupermapForgeError):
-    """A block/factor pair structure was required but not supplied or wrong."""
-
-
 class NotMinimalError(SupermapForgeError):
     """A dilation assumed minimal is rank deficient."""
 

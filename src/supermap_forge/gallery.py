@@ -192,6 +192,4 @@ DEMOS: Dict[str, Callable[[], DemoResult]] = {
 
 
 def run_demo(name: str) -> DemoResult:
-    if name not in DEMOS:
-        raise KeyError(name)
     return DEMOS[name]()

@@ -36,10 +36,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ._linalg import frob, hermitian_basis
-from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, hs_inner
-from .cpmaps import (
-    CpMap, apply, identity_cpmap, is_cp, require_cp_map, trace_out_target_group,
-)
+from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness
+from .cpmaps import CpMap, apply, identity_cpmap, is_cp, require_cp_map
 from .errors import AlgebraMismatchError, ShapeMismatchError
 
 
@@ -229,6 +227,20 @@ def extract_n(s: Supermap) -> CpMap:
                             for row in blocks])
 
 
+def _marginal_map(s: Supermap) -> CpMap:
+    """Phi = Tr_out o S: the out factor traced inside each of S's target Choi
+    factors, merging the target blocks that share the surviving in index."""
+    hom, src = s.target_hom, s.inner.source
+    blocks = [[np.zeros((di * dh,) * 2, dtype=complex) for dh in src.dims]
+              for di in hom.in_algebra.dims]
+    for t, (j, i) in enumerate(hom.pairs):
+        dj, di = hom.out_algebra.dims[j], hom.in_algebra.dims[i]
+        for u, dh in enumerate(src.dims):
+            c6 = s.inner.choi(t, u).reshape(dj, di, dh, dj, di, dh)
+            blocks[i][u] += np.einsum("xapxbq->apbq", c6).reshape(di * dh, di * dh)
+    return CpMap(src, hom.in_algebra, blocks)
+
+
 def kernel_residual(phi: CpMap, n: CpMap, source_hom: HomAlgebra) -> float:
     """||Phi - Id_B (x) N||_F over all Choi blocks of the marginal map
     Phi = Tr_out o S, for N = extract_n(s): the Hilbert-Schmidt norm of Phi
@@ -290,7 +302,7 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
         raise ShapeMismatchError("tolerance must be positive and finite")
     s_witness = is_cp(s.inner, tol)
     n_map = extract_n(s)
-    phi = trace_out_target_group(s.inner, s.target_hom)
+    phi = _marginal_map(s)
     residual = kernel_residual(phi, n_map, s.source_hom)
     unital_residual = (apply(n_map, n_map.source.identity()) - n_map.target.identity()).norm()
     n_witness = is_cp(n_map, tol)
@@ -311,49 +323,8 @@ def lemma1_decompose(c: BlockOperator, hom: HomAlgebra, tol: float = DEFAULT_TOL
     rho = Tr_out(c) / dim(out algebra); the residual is the Frobenius
     distance of c from Id (x) rho.  When c pairs to one with every
     trace-preserving Choi probe the residual vanishes up to a condition
-    factor (see lemma1_condition_factor); positivity of c passes to rho.
+    factor of the probe family; positivity of c passes to rho.
     """
     rho = partial_trace_out(c, hom) * (1.0 / hom.out_algebra.dim)
     residual = (c - embed_with_out_identity(rho, hom)).norm()
     return Lemma1Decomposition(rho, residual)
-
-
-def lemma1_condition_factor(hom: HomAlgebra, probes: List[BlockOperator]) -> float:
-    """Inverse smallest singular value of c -> (<c, probe_a>)_a restricted to
-    the orthogonal complement of {Id (x) rho}.
-
-    Quantifies how strongly the finite probe family pins down the
-    decomposition: a residual direction of unit norm produces pairing
-    deviations of at least 1/kappa somewhere in the probe family.
-    """
-    basis = []
-    for t in range(len(hom.base)):
-        for h in hermitian_basis(hom.base.dims[t]):
-            mats = [np.zeros((hom.base.dims[u],) * 2, dtype=complex) for u in range(len(hom.base))]
-            mats[t] = h
-            basis.append(BlockOperator(hom.base, mats))
-    # orthonormal basis of the embedded subspace {Id (x) rho}
-    sub = []
-    for i in range(len(hom.in_algebra)):
-        for h in hermitian_basis(hom.in_algebra.dims[i]):
-            mats = [np.zeros((hom.in_algebra.dims[u],) * 2, dtype=complex)
-                    for u in range(len(hom.in_algebra))]
-            mats[i] = h
-            elem = embed_with_out_identity(BlockOperator(hom.in_algebra, mats), hom)
-            sub.append(elem * (1.0 / elem.norm()))
-    pairing = np.zeros((len(probes), len(basis)))
-    for r, p in enumerate(probes):
-        for cidx, b in enumerate(basis):
-            pairing[r, cidx] = np.real(hs_inner(b, p))
-    proj = np.eye(len(basis))
-    for e in sub:
-        coords = np.array([np.real(hs_inner(b, e)) for b in basis])
-        proj -= np.outer(coords, coords)
-    restricted = pairing @ proj
-    s = np.linalg.svd(restricted, compute_uv=False)
-    n_complement = len(basis) - len(sub)
-    if n_complement == 0:
-        return 1.0
-    sig = s[:n_complement]
-    lo = float(sig.min()) if sig.size else 0.0
-    return float(np.inf) if lo <= 0 else 1.0 / lo

@@ -1,0 +1,169 @@
+"""Reference implementations that the tests compare the package against.
+
+Each oracle here builds its answer the slow, direct way: probing a linear
+map one matrix unit at a time, forming Kronecker products, conjugating by a
+dilation, or assembling a pairing matrix.  The package's fast paths
+(link-product GEMMs, Choi-level contractions, the realisation circuit) are
+checked against them, so this module imports nothing from
+``supermap_forge.realize``, ``supermap_forge.gen`` or
+``supermap_forge.serialize``; ``tests/test_dependencies.py`` enforces that.
+The W path to G lives in ``tests/w_oracle.py``.
+"""
+
+from typing import Callable, Iterator, List, Tuple
+
+import numpy as np
+
+from supermap_forge._linalg import dag, hermitian_basis, matrix_unit
+from supermap_forge.algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, hs_inner
+from supermap_forge.cpmaps import Channel, CpMap, StinespringDilation, require_cp_map
+from supermap_forge.errors import AlgebraMismatchError
+from supermap_forge.supermap import HomAlgebra, embed_with_out_identity
+
+
+def unit(alg: MultiMatrixAlgebra, block: int, a: int, b: int) -> BlockOperator:
+    """Matrix unit E_ab supported on one block; zero elsewhere."""
+    mats = [np.zeros((d, d), dtype=complex) for d in alg.dims]
+    mats[block] = matrix_unit(alg.dims[block], a, b)
+    return BlockOperator(alg, mats)
+
+
+def matrix_units(alg: MultiMatrixAlgebra) -> Iterator[Tuple[int, int, int, BlockOperator]]:
+    """Iterate (block, a, b, E) over the full matrix-unit basis."""
+    for i, d in enumerate(alg.dims):
+        for a in range(d):
+            for b in range(d):
+                yield i, a, b, unit(alg, i, a, b)
+
+
+def choi_from_action(
+    action: Callable[[BlockOperator], BlockOperator],
+    source: MultiMatrixAlgebra,
+    target: MultiMatrixAlgebra,
+    tol: float = DEFAULT_TOL,
+    require_cp: bool = True,
+) -> CpMap:
+    """Choi family of a linear map given by its action on matrix units.
+
+    Raises NotCompletelyPositiveError when a resulting block fails the PSD
+    check (disable via require_cp for maps known or allowed to be non-CP).
+    """
+    blocks = [
+        [np.zeros((target.dims[j], source.dims[i], target.dims[j], source.dims[i]),
+                  dtype=complex) for i in range(len(source))]
+        for j in range(len(target))
+    ]
+    for i, a, b, e in matrix_units(source):
+        image = action(e)
+        if image.algebra != target:
+            raise AlgebraMismatchError("action image lives in the wrong algebra")
+        for j in range(len(target)):
+            blocks[j][i][:, a, :, b] = image.block(j)
+    m = CpMap(
+        source,
+        target,
+        [[blocks[j][i].reshape(target.dims[j] * source.dims[i], -1)
+          for i in range(len(source))]
+         for j in range(len(target))],
+    )
+    return require_cp_map(m, tol) if require_cp else m
+
+
+def _pair_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> MultiMatrixAlgebra:
+    blocks = []
+    for la, da in a.blocks:
+        for lb, db in b.blocks:
+            blocks.append(((la, lb), da * db))
+    return MultiMatrixAlgebra(tuple(blocks))
+
+
+def tensor(f: CpMap, g: CpMap) -> CpMap:
+    """Tensor product map on the pairwise-block product algebras.
+
+    Source/target blocks are ordered pairs (f-block, g-block) with dims
+    multiplied; each Choi block is the Kronecker product of the factors with
+    the tensor legs reordered from (K_f, H_f, K_g, H_g) to
+    (K_f, K_g, H_f, H_g).
+    """
+    source = _pair_algebra(f.source, g.source)
+    target = _pair_algebra(f.target, g.target)
+    nfs, ngs = len(f.source), len(g.source)
+    nft, ngt = len(f.target), len(g.target)
+    blocks = []
+    for jf in range(nft):
+        for jg in range(ngt):
+            row = []
+            for i_f in range(nfs):
+                for ig in range(ngs):
+                    c = np.einsum(
+                        "rasb,RASB->rRaAsSbB", f.choi4(jf, i_f), g.choi4(jg, ig)
+                    )
+                    d_t = f.target.dims[jf] * g.target.dims[jg]
+                    d_s = f.source.dims[i_f] * g.source.dims[ig]
+                    row.append(c.reshape(d_t * d_s, d_t * d_s))
+            blocks.append(row)
+    return CpMap(source, target, blocks)
+
+
+def discard_copy_channel(a: MultiMatrixAlgebra) -> Channel:
+    """Inverse relabelling of copy_channel: block (k, k) back to block k."""
+    source = MultiMatrixAlgebra(tuple(((lbl, lbl), d) for lbl, d in a.blocks))
+    ops = {(k, k): [np.eye(d, dtype=complex)] for k, d in enumerate(a.dims)}
+    m = CpMap.from_kraus(source, a, ops)
+    return Channel(source, a, m.choi_blocks, validate=False)
+
+
+def heisenberg_apply(dil: StinespringDilation, y: BlockOperator) -> BlockOperator:
+    """V† (y (x) Id_E) V blockwise; equals the Hilbert-Schmidt dual applied to y."""
+    if y.algebra != dil.target:
+        raise AlgebraMismatchError("operator is not in the dilation's target algebra")
+    outs = []
+    for i, dh in enumerate(dil.source.dims):
+        acc = np.zeros((dh, dh), dtype=complex)
+        for j in range(len(dil.target)):
+            c = dil.component(i, j)
+            acc += dag(c) @ np.kron(y.block(j), np.eye(dil.env_dims[(i, j)])) @ c
+        outs.append(acc)
+    return BlockOperator(dil.source, outs)
+
+
+def lemma1_condition_factor(hom: HomAlgebra, probes: List[BlockOperator]) -> float:
+    """Inverse smallest singular value of c -> (<c, probe_a>)_a restricted to
+    the orthogonal complement of {Id (x) rho}.
+
+    Quantifies how strongly the finite probe family pins down the
+    decomposition of lemma1_decompose: a residual direction of unit norm
+    produces pairing deviations of at least 1/kappa somewhere in the probe
+    family.
+    """
+    basis = []
+    for t in range(len(hom.base)):
+        for h in hermitian_basis(hom.base.dims[t]):
+            mats = [np.zeros((hom.base.dims[u],) * 2, dtype=complex) for u in range(len(hom.base))]
+            mats[t] = h
+            basis.append(BlockOperator(hom.base, mats))
+    # orthonormal basis of the embedded subspace {Id (x) rho}
+    sub = []
+    for i in range(len(hom.in_algebra)):
+        for h in hermitian_basis(hom.in_algebra.dims[i]):
+            mats = [np.zeros((hom.in_algebra.dims[u],) * 2, dtype=complex)
+                    for u in range(len(hom.in_algebra))]
+            mats[i] = h
+            elem = embed_with_out_identity(BlockOperator(hom.in_algebra, mats), hom)
+            sub.append(elem * (1.0 / elem.norm()))
+    pairing = np.zeros((len(probes), len(basis)))
+    for r, p in enumerate(probes):
+        for cidx, b in enumerate(basis):
+            pairing[r, cidx] = np.real(hs_inner(b, p))
+    proj = np.eye(len(basis))
+    for e in sub:
+        coords = np.array([np.real(hs_inner(b, e)) for b in basis])
+        proj -= np.outer(coords, coords)
+    restricted = pairing @ proj
+    s = np.linalg.svd(restricted, compute_uv=False)
+    n_complement = len(basis) - len(sub)
+    if n_complement == 0:
+        return 1.0
+    sig = s[:n_complement]
+    lo = float(sig.min()) if sig.size else 0.0
+    return float(np.inf) if lo <= 0 else 1.0 / lo

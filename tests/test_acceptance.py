@@ -15,6 +15,7 @@ from supermap_forge import cli, gen
 from supermap_forge.algebra import MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
 from supermap_forge.supermap import embed_with_out_identity, partial_trace_out
+from oracles import choi_from_action
 
 
 def _random_algebra(rng, prefix):
@@ -204,7 +205,7 @@ def test_criterion_7_stinespring_choi_suite():
         a = _random_algebra(rng, "x")
         b = _random_algebra(rng, "y")
         ch = gen.random_channel(a, b, seed=int(rng.integers(0, 2**63)))
-        rebuilt = sf.choi_from_action(lambda z: sf.apply(ch, z), a, b)
+        rebuilt = choi_from_action(lambda z: sf.apply(ch, z), a, b)
         worst_round = max(worst_round, rebuilt.choi_distance(ch))
         dil = sf.minimal_stinespring(ch)
         worst_isom = max(worst_isom, dil.isometry_defect())

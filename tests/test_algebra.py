@@ -9,6 +9,7 @@ import pytest
 import supermap_forge as sf
 from supermap_forge import gen
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
+from oracles import matrix_units, unit
 
 
 def c_plus_m2():
@@ -195,8 +196,8 @@ def test_hs_inner_nondegenerate():
     alg = c_plus_m2()
     x = gen.random_block_operator(alg, seed=3)
     recovered = alg.zeros()
-    for i, a, b, unit in alg.matrix_units():
-        recovered = recovered + sf.hs_inner(unit, x) * alg.unit(i, a, b)
+    for i, a, b, e in matrix_units(alg):
+        recovered = recovered + sf.hs_inner(e, x) * unit(alg, i, a, b)
     assert (recovered - x).norm() < 1e-12
 
 

@@ -419,7 +419,7 @@ def test_demo_names(capsys):
         assert run(["demo", name]) == 0, name
     capsys.readouterr()
     assert run(["demo", "nonsense"]) == 2
-    assert "cdp08" in capsys.readouterr().out
+    assert "cdp08" in capsys.readouterr().err
 
 
 def test_gen_channel_document(tmp_path):
@@ -432,6 +432,17 @@ def test_gen_channel_document(tmp_path):
     assert np.allclose(p.sum(axis=0), 1.0)
     assert run(["gen", "channel", "--source-dims", "0,2", "--out",
                 str(tmp_path / "bad.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["supermap", "--p-dim", str(10**12)],
+                                  ["channel", "--source-dims", str(10**12)]])
+def test_gen_too_large_to_draw_is_input_error(argv, tmp_path, capsys):
+    # numpy refuses an array of 10**12 rows before allocating any of it
+    out = tmp_path / "big.json"
+    assert run(["gen", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too big" in err
+    assert not out.exists()
 
 
 def test_gen_is_deterministic(tmp_path):

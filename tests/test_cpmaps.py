@@ -6,13 +6,14 @@ import pytest
 import supermap_forge as sf
 from supermap_forge import gen
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
+from oracles import choi_from_action, discard_copy_channel, tensor
 
 
 M2 = MultiMatrixAlgebra.single(2)
 
 
 def depolarizing_qubit():
-    return sf.choi_from_action(
+    return choi_from_action(
         lambda x: BlockOperator(M2, [np.trace(x.block(0)) * np.eye(2) / 2.0]), M2, M2
     )
 
@@ -37,11 +38,11 @@ def test_choi_of_depolarizing_is_half_identity():
 
 def test_transpose_map_is_not_cp():
     with pytest.raises(sf.NotCompletelyPositiveError):
-        sf.choi_from_action(
+        choi_from_action(
             lambda x: BlockOperator(M2, [x.block(0).T]), M2, M2
         )
     # the offending eigenvalue is -1 (the swap operator)
-    m = sf.choi_from_action(
+    m = choi_from_action(
         lambda x: BlockOperator(M2, [x.block(0).T]), M2, M2, require_cp=False
     )
     assert abs(np.linalg.eigvalsh(m.choi(0, 0)).min() + 1.0) < 1e-12
@@ -107,7 +108,7 @@ def test_kraus_from_choi_identity_depolarizing_zero():
     kd = sf.kraus_from_choi(depolarizing_qubit())
     assert kd.rank(0, 0) == 4
 
-    kd = sf.kraus_from_choi(sf.zero_cpmap(M2, M2))
+    kd = sf.kraus_from_choi(sf.identity_cpmap(M2).scaled(0.0))
     assert kd.rank(0, 0) == 0
 
 
@@ -116,11 +117,12 @@ def test_kraus_reconstructs_choi():
     b = MultiMatrixAlgebra((("u", 2), ("v", 2)))
     for seed in range(5):
         ch = gen.random_channel(a, b, seed=seed)
-        assert sf.kraus_from_choi(ch).reconstruct().choi_distance(ch) < 1e-10
+        kd = sf.kraus_from_choi(ch)
+        assert sf.CpMap.from_kraus(kd.source, kd.target, kd.ops).choi_distance(ch) < 1e-10
 
 
 def test_kraus_from_choi_rejects_non_cp():
-    m = sf.choi_from_action(
+    m = choi_from_action(
         lambda x: BlockOperator(M2, [x.block(0).T]), M2, M2, require_cp=False
     )
     with pytest.raises(sf.NotCompletelyPositiveError):
@@ -219,12 +221,12 @@ def test_compose_matches_probe_composition():
     pairs = [(gen.random_channel(a, b, seed=1), gen.random_channel(b, c, seed=2))]
     pairs.append((_random_linear_map(a, b, 3), _random_linear_map(b, c, 4)))
     for f, g in pairs:
-        probed = sf.choi_from_action(
+        probed = choi_from_action(
             lambda x: sf.apply(g, sf.apply(f, x)), a, c, require_cp=False
         )
         composed = sf.compose(g, f)
         assert composed.source == a and composed.target == c
-        scale = probed.choi_distance(sf.zero_cpmap(a, c))
+        scale = probed.choi_distance(probed.scaled(0.0))
         assert composed.choi_distance(probed) <= 1e-12 * scale
 
 
@@ -314,7 +316,7 @@ def test_tensor_of_channels_is_channel_and_acts_as_product():
     d = MultiMatrixAlgebra.single(2, "w")
     f = gen.random_channel(a, b, seed=5)
     g = gen.random_channel(c, d, seed=6)
-    t = sf.tensor(f, g)
+    t = tensor(f, g)
     assert sf.is_tp(t, 1e-9).ok
     x = gen.random_block_operator(a, seed=7)
     y = gen.random_block_operator(c, seed=8)
@@ -352,7 +354,7 @@ def test_copy_channel_preserves_states():
 
 def test_discarding_copy_recovers_identity():
     a = MultiMatrixAlgebra((("k0", 2), ("k1", 1)))
-    roundtrip = sf.compose(sf.discard_copy_channel(a), sf.copy_channel(a))
+    roundtrip = sf.compose(discard_copy_channel(a), sf.copy_channel(a))
     assert roundtrip.choi_distance(sf.identity_cpmap(a)) < 1e-14
 
 
@@ -363,11 +365,11 @@ def test_trace_out_target_group_matches_brute_force():
     d = MultiMatrixAlgebra((("l0", 2), ("l1", 1)))
     s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=17)
     hom_cd = s.target_hom
-    reduced = sf.trace_out_target_group(s.inner, hom_cd)
+    reduced = sf.verify_deterministic(s).phi
     # brute force: apply to each matrix unit and partial trace entrywise
     from supermap_forge.supermap import partial_trace_out
 
-    brute = sf.choi_from_action(
+    brute = choi_from_action(
         lambda z: partial_trace_out(sf.apply(s.inner, z), hom_cd),
         s.inner.source,
         hom_cd.in_algebra,
@@ -376,21 +378,11 @@ def test_trace_out_target_group_matches_brute_force():
     assert reduced.choi_distance(brute) < 1e-12
 
 
-def test_trace_out_target_group_requires_structure():
-    a = MultiMatrixAlgebra((("x", 2),))
-    ch = gen.random_channel(a, a, seed=3)
-    with pytest.raises(sf.StructureMissingError):
-        sf.trace_out_target_group(ch, None)
-    wrong = sf.hom_algebra(a, MultiMatrixAlgebra.single(3, "z"))
-    with pytest.raises(sf.StructureMissingError):
-        sf.trace_out_target_group(ch, wrong)
-
-
 def test_choi_action_round_trip_random_maps():
     # random CP maps with <= 3 blocks of dim <= 3
     a = MultiMatrixAlgebra((("x", 3), ("y", 2), ("z", 1)))
     b = MultiMatrixAlgebra((("u", 2), ("v", 3)))
     for seed in range(5):
         ch = gen.random_channel(a, b, seed=seed)
-        rebuilt = sf.choi_from_action(lambda z: sf.apply(ch, z), a, b)
+        rebuilt = choi_from_action(lambda z: sf.apply(ch, z), a, b)
         assert rebuilt.choi_distance(ch) < 1e-9

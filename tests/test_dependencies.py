@@ -26,6 +26,23 @@ def test_package_imports_only_numpy_and_the_stdlib():
     assert not outside, outside
 
 
+def test_oracles_import_none_of_the_paths_they_police():
+    # tests/oracles.py checks realize's circuit and the link products, so it
+    # must not be built from realize, gen or serialize
+    policed = {"supermap_forge.realize", "supermap_forge.gen", "supermap_forge.serialize"}
+    path = Path(__file__).parent / "oracles.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"oracles.py:{node.lineno} {name}" for name in names if name in policed]
+    assert not found, found
+
+
 def test_no_einsum_searches_a_contraction_path():
     # einsum(..., optimize=...) searches for a contraction order on every
     # call; the package writes its contractions as reshapes and GEMMs

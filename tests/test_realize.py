@@ -15,6 +15,7 @@ from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
 from supermap_forge.realize import right_dilation
 from supermap_forge.supermap import partial_trace_out
+from oracles import choi_from_action, heisenberg_apply, matrix_units, tensor
 from w_oracle import left_dilation, solve_w, w_path
 
 # see fixtures/v1/README.md
@@ -53,7 +54,7 @@ def test_left_dilation_presents_the_marginal_map():
     vl = left_dilation(s, sf.kraus_from_choi(s.inner))
     for t in range(5):
         x = gen.random_block_operator(s.source_hom.base, seed=t)
-        lhs = vl.heisenberg_apply(x)
+        lhs = heisenberg_apply(vl, x)
         rhs = partial_trace_out(sf.apply_to_choi(s, x), s.target_hom)
         assert (lhs - rhs).norm() < 1e-9
 
@@ -65,7 +66,7 @@ def test_left_dilation_scalar_supermap_presents_the_trace():
     s = sf.identity_supermap(triv, triv)
     vl = left_dilation(s, sf.kraus_from_choi(s.inner))
     x = BlockOperator(s.source_hom.base, [np.array([[2.5 + 0.5j]])])
-    lhs = vl.heisenberg_apply(x)
+    lhs = heisenberg_apply(vl, x)
     rhs = partial_trace_out(sf.apply_to_choi(s, x), s.target_hom)
     assert (lhs - rhs).norm() < 1e-14
 
@@ -90,7 +91,7 @@ def test_right_dilation_presents_the_marginal_map():
     vr = sf.right_dilation(sf.kraus_from_choi(n), s.source_hom)
     for t in range(5):
         x = gen.random_block_operator(s.source_hom.base, seed=50 + t)
-        lhs = vr.heisenberg_apply(x)
+        lhs = heisenberg_apply(vr, x)
         rhs = sf.apply(n, partial_trace_out(x, s.source_hom))
         assert (lhs - rhs).norm() < 1e-9
     assert vr.kraus.min_gram_eig() > 1e-12
@@ -478,7 +479,7 @@ def _dense_evaluate_circuit(r, f):
     stage2 = lift(stage1.target, m1, lambda t, k: (
         r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
     ))
-    f_p = sf.tensor(sf.identity_cpmap(MultiMatrixAlgebra.single(p)), f)
+    f_p = tensor(sf.identity_cpmap(MultiMatrixAlgebra.single(p)), f)
     stage3 = lift(m1, m2, lambda t, s: (
         f_p.choi(slots[t][2], copies[s][1]) if slots[t][:2] == copies[s] else None
     ))
@@ -623,7 +624,7 @@ def test_check_realisation_detects_wrong_supermap():
     circuit = sf.circuit_supermap(r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
     per_unit = max(
         (sf.apply_to_choi(circuit, unit) - sf.apply_to_choi(s2, unit)).norm()
-        for _, _, _, unit in s2.source_hom.base.matrix_units()
+        for _, _, _, unit in matrix_units(s2.source_hom.base)
     )
     assert abs(chk.spanning_deviation - per_unit) <= 1e-12 * per_unit
 
@@ -702,7 +703,7 @@ def agreement_inputs():
     # for u orthogonal to N's Choi vector: N's eigenvalue falls twice as far
     a, b = m2, MultiMatrixAlgebra.single(1, "t")
     hom_ab, hom_cd = sf.hom_algebra(a, b), sf.hom_algebra(a, m2)
-    inner = sf.choi_from_action(
+    inner = choi_from_action(
         lambda x: BlockOperator(hom_cd.base, [np.kron(np.diag([0.7, 0.3]), x.block(0))]),
         hom_ab.base, hom_cd.base,
     )
@@ -902,7 +903,7 @@ def test_realize_constant_supermap():
         return weight * g0
 
     s = sf.Supermap(
-        sf.choi_from_action(action, hom_ab.base, hom_cd.base), hom_ab, hom_cd
+        choi_from_action(action, hom_ab.base, hom_cd.base), hom_ab, hom_cd
     )
     assert sf.verify_deterministic(s).verdict
     r = sf.realize(s)

@@ -7,6 +7,7 @@ import supermap_forge as sf
 from supermap_forge import gen
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.supermap import embed_with_out_identity, partial_trace_out
+from oracles import choi_from_action, lemma1_condition_factor
 
 
 def small_shape():
@@ -163,7 +164,7 @@ def test_extract_n_matches_probe_oracle():
             gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=50),
             random_cp_supermap(a, b, c, d, seed=51),
         ):
-            probed = sf.choi_from_action(
+            probed = choi_from_action(
                 lambda x: partial_trace_out(
                     sf.apply_to_choi(s, sf.tp_section(x, s.source_hom)), s.target_hom
                 ),
@@ -309,7 +310,7 @@ def test_lemma1_condition_factor_finite():
     a, b, _, _ = small_shape()
     hom = sf.hom_algebra(a, b)
     probes = gen.tp_affine_basis(a, b).elements()
-    kappa = sf.lemma1_condition_factor(hom, probes)
+    kappa = lemma1_condition_factor(hom, probes)
     assert np.isfinite(kappa) and kappa > 0
 
 
