@@ -43,8 +43,9 @@ from .errors import (
 )
 
 KRAUS_RANK_REL_TOL = 1e-10
-# environment_intertwiner rejects a source dilation whose smallest singular
-# value falls below this fraction of its largest: it is then not minimal
+# _minimal_pinv rejects Kraus rows whose smallest singular value falls below
+# this fraction of their largest: a source dilation in environment_intertwiner,
+# or realize's X_ik+ of N's Kraus rows, is then not minimal
 INTERTWINER_REL_CUT = 1e-10
 
 
@@ -385,7 +386,7 @@ def _kraus_rows(d: StinespringDilation, i: int, j: int) -> np.ndarray:
 
 
 def _minimal_pinv(ma: np.ndarray, key) -> np.ndarray:
-    """Pseudo-inverse of a minimal dilation's component rows ma, by SVD.
+    """Pseudo-inverse of Kraus rows ma (row alpha vec(K_alpha)), by SVD.
 
     Raises NotMinimalError when ma is rank deficient: its smallest singular
     value is at most INTERTWINER_REL_CUT times its largest.
@@ -395,7 +396,7 @@ def _minimal_pinv(ma: np.ndarray, key) -> np.ndarray:
     u, s, vt = np.linalg.svd(ma, full_matrices=False)
     if len(s) < ma.shape[0] or s.min() <= INTERTWINER_REL_CUT * s.max():
         raise NotMinimalError(
-            f"dilation component {key} is rank deficient; the source dilation is not minimal"
+            f"Kraus rows {key} are rank deficient; the dilation they give is not minimal"
         )
     return dag(vt) @ (dag(u) / s[:, None])
 

@@ -11,17 +11,17 @@ than ``max_{i,k} dim(H_in_i) * dim(K_in_k)``.
 The construction proceeds through the marginal map ``Phi = Tr_out o S``,
 which by the factorisation lemma equals ``N o Tr_out`` for the induced unital
 map N.  Its dilations put the environment on the source side
-(``V: C-side -> Hom(A,B)-side (x) E``).  The right dilation, built from N's
-minimal Kraus family, is minimal, so every other dilation V_left -- the one
-S's Kraus family gives, say -- is (Id (x) W) V_right for a unique
-environment isometry W = M_b R, with R the pseudo-inverse of the right
-component M_a.  Neither W nor S's Kraus family is ever formed: W's residual
-and isometry defect come from a factor of Phi's small Choi blocks, and G's
-Choi blocks from S's, pulled back through R.  P has dimension max r_ik, the
-largest of N's Kraus ranks, and N's environment for (i, k) is the span of
-P's first r_ik basis vectors.  E is assembled from N's Kraus operators
-placed there, and G routes that span through W, sending the rest of P to a
-fixed pure state so that G is trace preserving.
+(``V: C-side -> Hom(A,B)-side (x) E``).  N's minimal Kraus family gives a
+minimal one with components M_a = Id_B_j (x) X_ik, row beta of X_ik being
+vec(N_beta†), so every other dilation is (Id (x) W) of it for a unique
+environment isometry W = M_b R, R = M_a+ = Id_B_j (x) X_ik+.  No dilation,
+W or Kraus family of S is ever formed: X_ik+ is one r_ik x d_i d_k SVD, W's
+residual and isometry defect come from a factor of Phi's small Choi blocks,
+and G's Choi blocks from S's, pulled back through R.  P has dimension
+max r_ik, the largest of N's Kraus ranks, and N's environment for (i, k) is
+the span of P's first r_ik basis vectors.  E is assembled from N's Kraus
+operators placed there, and G routes that span through W, sending the rest
+of P to a fixed pure state so that G is trace preserving.
 
 The supermap a circuit presents is one Choi-level contraction (link product)
 of E's and G's blocks per pair of Hom blocks; the certificate diffs it.
@@ -42,8 +42,8 @@ import numpy as np
 from ._linalg import dag, frob
 from .algebra import DEFAULT_TOL, MultiMatrixAlgebra
 from .cpmaps import (
-    Channel, CpMap, KrausDecomposition, StinespringDilation, _eigh_kraus, _kraus_rows,
-    _minimal_pinv, _not_cp, _stack_dilation, apply, as_channel, hs_dual, require_cp_map,
+    Channel, CpMap, KrausDecomposition, _eigh_kraus, _minimal_pinv, _not_cp, apply,
+    as_channel, hs_dual, require_cp_map,
 )
 from .errors import (
     AlgebraMismatchError, IsometryDefectError, NotUnitalError, ResidualTooLargeError,
@@ -86,69 +86,52 @@ def _g_source_index(i: int, j: int, k: int, nb: int, nc: int) -> int:
     return (i * nb + j) * nc + k
 
 
-# -- dilations of the marginal map Phi ----------------------------------------
-
-
-def right_dilation(
-    n_kraus: KrausDecomposition, source_hom: HomAlgebra
-) -> StinespringDilation:
-    """Dilation of Phi = N o Tr_out built from N's Kraus family.
-
-    Environment for (source k, target (j, i)) is H_out_j (x) E_N_ik with the
-    tagged basis ordered (b, beta).  Minimal whenever N's Kraus family is,
-    by Gram invertibility of the composite Kraus family.
-    """
-    if n_kraus.source != source_hom.in_algebra:
-        raise AlgebraMismatchError("induced map must act on the in-factor algebra")
-    src = n_kraus.target  # C-shaped (K_in blocks)
-    b_dims = source_hom.out_algebra.dims
-    components = {}
-    for k, dk in enumerate(src.dims):
-        for t, (j, i) in enumerate(source_hom.pairs):
-            di, ops = source_hom.in_algebra.dims[i], n_kraus.ops[(i, k)]
-            n3 = np.stack(ops, axis=1) if ops else np.zeros((dk, 0, di))
-            # K_(b, beta) = |b> (x) N_beta†
-            components[(k, t)] = np.einsum(
-                "cb,xry->cybrx", np.eye(b_dims[j]), n3.conj()
-            ).reshape(b_dims[j] * di, -1, dk)
-    return _stack_dilation(src, source_hom.base, components)
+# -- the environment isometry W ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class SolvedW:
-    """The environment isometry W relating the two dilations of Phi, held as
-    the pseudo-inverse R of each right-dilation component: a left dilation's
-    component M_b gives W = M_b R."""
+    """The environment isometry W, held as the pseudo-inverse X_ik+ of N's
+    Kraus rows: a left dilation's component M_b gives W = M_b (Id_B (x) X_ik+)."""
 
-    pinv: Dict[Tuple[int, int], np.ndarray]  # (source k, target block) -> R
+    pinv: Dict[Tuple[int, int], np.ndarray]  # (source i, target k) -> X_ik+
     residual: float
     isometry_defect: float
 
 
-def solve_w(v_right: StinespringDilation, phi: CpMap, tol: float = VERIFY_TOL) -> SolvedW:
-    """R = M_a+ per block pair, and W's residual and isometry defect.
+def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
+            tol: float = VERIFY_TOL) -> SolvedW:
+    """X_ik+ per pair (i, k), one r_ik x d_i d_k SVD of N's Kraus rows
+    vec(N_beta†) ordered (A_i, C_k), and W's residual and isometry defect.
 
-    W itself needs a left dilation of Phi; its diagnostics do not.  Each
-    realigned (k, t) block M of the marginal map Phi factors as F†F, with
-    F's rows the Kraus operators of Phi's dual (eigenvalues above roundoff).
-    Every left dilation has M_b†M_b = M, so W_F = F R has W_F†W_F = W†W and
-    ||W_F M_a - F|| = ||W M_a - M_b||.  The right dilation must be minimal,
-    otherwise NotMinimalError.  Raises ResidualTooLargeError when the
-    residual, and IsometryDefectError when the isometry defect, exceeds
-    10 * tol: dilations of different maps can solve to a small residual,
-    but not to an isometry.
+    N's Kraus family must be minimal, otherwise NotMinimalError.  W itself
+    needs a left dilation of Phi; its diagnostics do not.  Each realigned
+    (k, (j, i)) block M of the marginal map Phi factors as F†F, with F's rows
+    the Kraus operators of Phi's dual (eigenvalues above roundoff).  Every
+    left dilation has M_b†M_b = M, so W_F = F R has W_F†W_F = W†W and
+    ||W_F M_a - F|| = ||W M_a - M_b||; F meets X_ik+ over (A_i, C_k) alone.
+    Raises ResidualTooLargeError when the residual, and IsometryDefectError
+    when the isometry defect, exceeds 10 * tol: dilations of different maps
+    can solve to a small residual, but not to an isometry.
     """
-    dual = hs_dual(phi)
-    f_kd = _eigh_kraus(dual, rank_tol=0.0)
-    pinv: Dict[Tuple[int, int], np.ndarray] = {}
+    if n_kraus.source != source_hom.in_algebra:
+        raise AlgebraMismatchError("induced map must act on the in-factor algebra")
+    rows = {}
+    for (i, k), ops in n_kraus.ops.items():
+        di, dk = n_kraus.source.dims[i], n_kraus.target.dims[k]
+        x = np.reshape(np.array(ops, dtype=complex), (-1, dk, di)).conj()
+        rows[(i, k)] = x.transpose(0, 2, 1).reshape(-1, di * dk)
+    pinv = {key: _minimal_pinv(x, key) for key, x in rows.items()}
+    f_kd = _eigh_kraus(hs_dual(phi), rank_tol=0.0)
     res_sq = defect_sq = 0.0
-    for key, r_env in v_right.env_dims.items():
-        ma = _kraus_rows(v_right, *key)
-        f = np.reshape(f_kd.ops[key], (-1, ma.shape[1]))
-        r = pinv[key] = _minimal_pinv(ma, key)
-        w_f = f @ r
-        res_sq += frob(w_f @ ma - f) ** 2
-        defect_sq += frob(dag(w_f) @ w_f - np.eye(r_env)) ** 2
+    for (k, t), f_ops in f_kd.ops.items():
+        j, i = source_hom.pairs[t]
+        x, xp = rows[(i, k)], pinv[(i, k)]
+        f = np.reshape(f_ops, (-1, x.shape[1]))  # rows (mu, b), columns (A_i, C_k)
+        w_f = f @ xp
+        res_sq += frob(w_f @ x - f) ** 2
+        w_f = w_f.reshape(len(f_ops), source_hom.out_algebra.dims[j] * x.shape[0])
+        defect_sq += frob(dag(w_f) @ w_f - np.eye(w_f.shape[1])) ** 2
     residual, defect = float(np.sqrt(res_sq)), float(np.sqrt(defect_sq))
     if residual > 10 * tol:
         raise ResidualTooLargeError(
@@ -192,14 +175,15 @@ def assemble_g(s: Supermap, w: SolvedW, p_dim: int, tol: float = VERIFY_TOL) -> 
     On N's environment for (i, k), P's first r_ik basis vectors, G routes
     through the entrywise conjugate of W, tracing out the supermap's
     environment: its Choi block (l, (i, j, k)) there is S's block
-    ((l, k), (j, i)), C[a, y, x, a', y', x'], pulled back through R,
+    ((l, k), (j, i)), C[a, y, b, x, a', y', b', x'], pulled back through
+    R = Id_B_j (x) X+, X+ = X_ik+,
 
-        sum conj(R[(x, y), (b, beta)]) C[a, y, x, a', y', x'] R[(x', y'), (b', beta')],
+        sum conj(X+[(x, y), beta]) C[a, y, b, x, a', y', b', x'] X+[(x', y'), beta'],
 
-    two GEMMs, reindexed (a, beta, b).  It is PSD as far as S's block is:
-    ||R||^2 <= 1 / gram_min_eig scales any negative eigenvalue.  On the rest
-    of P, G prepares the first basis state of the first D block; E never
-    reaches that part, so it never affects the circuit.
+    two GEMMs, b passing through, reindexed (a, beta, b).  PSD as far as S's
+    block is: ||R||^2 <= 1 / gram_min_eig scales any negative eigenvalue.
+    On the rest of P, G prepares the first basis state of the first D block;
+    E never reaches that part, so it never affects the circuit.
     """
     a_alg, b_alg = s.source_hom.in_algebra, s.source_hom.out_algebra
     c_alg, d_alg = s.target_hom.in_algebra, s.target_hom.out_algebra
@@ -210,16 +194,17 @@ def assemble_g(s: Supermap, w: SolvedW, p_dim: int, tol: float = VERIFY_TOL) -> 
             for k, dk in enumerate(c_alg.dims):
                 src = _g_source_index(i, j, k, len(b_alg), len(c_alg))
                 t = s.source_hom.block_index(j, i)
-                r = w.pinv[(k, t)]  # columns are N's environment tagged by H_out_j, (b, beta)
-                r_n, n = r.shape[1] // dj, dj * di * dk
+                xp = w.pinv[(i, k)]  # rows (x, y) of A_i (x) C_k, columns beta
+                r_n = xp.shape[1]
                 for l, dl in enumerate(d_alg.dims):
                     g6 = np.zeros((dl, p_dim, dj) * 2, dtype=complex)
                     if r_n:
-                        c6 = s.inner.choi(s.target_hom.block_index(l, k), t).reshape(
-                            dl, dk, dj * di, dl, dk, dj * di)
-                        half = c6.transpose(2, 1, 0, 3, 5, 4).reshape(-1, n) @ r
-                        pulled = (dag(r) @ half.reshape(n, -1)).reshape(dj, r_n, dl, dl, dj, r_n)
-                        g6[:, :r_n, :, :, :r_n, :] = pulled.transpose(2, 1, 0, 3, 5, 4)
+                        c8 = s.inner.choi(s.target_hom.block_index(l, k), t).reshape(
+                            dl, dk, dj, di, dl, dk, dj, di)
+                        half = c8.transpose(3, 1, 0, 2, 4, 6, 7, 5).reshape(-1, di * dk) @ xp
+                        pulled = (dag(xp) @ half.reshape(di * dk, -1)).reshape(
+                            r_n, dl, dj, dl, dj, r_n)
+                        g6[:, :r_n, :, :, :r_n, :] = pulled.transpose(1, 0, 2, 3, 5, 4)
                     g = g6.reshape(dl * p_dim * dj, -1)
                     if l == 0:
                         rest = np.arange(r_n * dj, p_dim * dj)
@@ -274,9 +259,8 @@ def _rejection(report: VerificationReport) -> SupermapForgeError:
 def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     """Build the circuit (E, G, P) realising a deterministic supermap.
 
-    Orchestrates: induced map N -> N's minimal Kraus family -> the right
-    dilation of the marginal map and its pseudo-inverses R -> channel
-    assembly.  The memory dimension is N's largest Kraus rank r_ik (at
+    Orchestrates: induced map N -> N's minimal Kraus family -> one SVD per
+    (i, k) for X_ik+, R = Id_B (x) X_ik+ -> channel assembly.  The memory dimension is N's largest Kraus rank r_ik (at
     least 1), so it respects the bound max_{i,k} dim(H_in_i) * dim(K_in_k)
     by construction: r_ik counts eigenvalues of N's (k, i) Choi block, a
     matrix of that size.
@@ -296,7 +280,7 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     if not report.verdict:
         raise _rejection(report)
     n_kd = _eigh_kraus(report.n_map)
-    w = solve_w(right_dilation(n_kd, s.source_hom), report.phi, tol)
+    w = solve_w(n_kd, report.phi, s.source_hom, tol)
     a_alg = s.source_hom.in_algebra
     c_alg = s.target_hom.in_algebra
     p_dim = max(max(map(len, n_kd.ops.values())), 1)

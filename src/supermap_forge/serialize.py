@@ -4,7 +4,7 @@ One self-describing format for algebras, channels, supermaps, realisations
 and reports: a JSON envelope {"format_version", "kind", "payload"}.  Block
 labels are strings or (recursively) lists of labels; lists deserialize to
 tuples.  Scalars in realisations are decimal strings with 17 significant
-digits.
+digits: finite, and for w_residual and w_isometry_defect non-negative.
 
 Only format "2" is written.  It stores each complex matrix as
 {"shape": [r, c], "c16": base64 of its entries as little-endian complex128
@@ -17,9 +17,11 @@ layout is not its document's version, base64 that is not strict, a byte
 length other than 16*r*c, a boolean where an integer belongs, a non-finite
 entry, a missing or repeated Choi entry, a document nested too deeply to
 parse, and a realisation whose E and G channels do not have the types its
-algebras and p_dim give or whose p_bound is not the bound its algebras give.
-Saving raises it, and writes nothing, for a non-finite number or matrix
-entry: every written document is RFC 8259 JSON that loading accepts.
+algebras and p_dim give, whose p_bound is not the bound its algebras give,
+or whose scalar is a boolean, non-finite, or (w_residual,
+w_isometry_defect) negative.  Saving raises it, and writes nothing, for a
+non-finite number, scalar or matrix entry: every written document is
+RFC 8259 JSON that loading accepts.
 
 A document built here holds each Choi block as its ndarray.  save_document
 has json's C encoder write only the compact single-line skeleton (an indent
@@ -51,6 +53,8 @@ _HOLE = b'"c16":""'  # under ensure_ascii, only a key/value pair the encoder wro
 
 
 def _fmt(x: float) -> str:
+    if not np.isfinite(x):
+        raise ShapeMismatchError(f"cannot write a non-finite scalar {x!r}")
     return f"{float(x):.17g}"
 
 
@@ -59,6 +63,15 @@ def _integer(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ShapeMismatchError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _scalar(x, what: str, nonneg: bool = False) -> float:
+    """A finite real field of a document, not a boolean; nonneg: not negative."""
+    v = np.nan if isinstance(x, bool) else float(x)
+    if not np.isfinite(v) or (nonneg and v < 0):
+        sign = " non-negative" if nonneg else ""
+        raise ShapeMismatchError(f"{what} must be a finite{sign} number, got {x!r}")
+    return v
 
 
 def _c16(m: np.ndarray) -> np.ndarray:
@@ -299,9 +312,9 @@ def load_realisation(path) -> CircuitRealisation:
             p_dim=_integer(p["p_dim"], "p_dim"),
             e_channel=cpmap_from_payload(p["e_channel"], version, channel=True),
             g_channel=cpmap_from_payload(p["g_channel"], version, channel=True),
-            w_residual=float(p["w_residual"]),
-            w_isometry_defect=float(p["w_isometry_defect"]),
-            gram_min_eig=float(p["gram_min_eig"]),
+            w_residual=_scalar(p["w_residual"], "w_residual", nonneg=True),
+            w_isometry_defect=_scalar(p["w_isometry_defect"], "w_isometry_defect", nonneg=True),
+            gram_min_eig=_scalar(p["gram_min_eig"], "gram_min_eig"),
             p_bound=_integer(p["p_bound"], "p_bound"),
         )
         bound = memory_bound(r.a, r.c)

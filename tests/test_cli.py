@@ -2,6 +2,7 @@
 
 import base64
 import collections
+import dataclasses
 import hashlib
 import json
 import os
@@ -273,6 +274,43 @@ def test_json_booleans_are_not_integers(field, documents, capsys):
     argv = ["verify", str(sm)] if field == "dim" else ["check", str(sm), str(real)]
     assert run(argv) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+# (field, stored value): realisation scalars the reader refuses
+MALFORMED_SCALARS = {
+    "boolean residual": ("w_residual", True),
+    "nan residual": ("w_residual", "nan"),
+    "negative residual": ("w_residual", "-1e-15"),
+    "-inf defect": ("w_isometry_defect", "-inf"),
+    "negative defect": ("w_isometry_defect", "-3.5e-15"),
+    "inf number defect": ("w_isometry_defect", float("inf")),
+    "boolean gram_min_eig": ("gram_min_eig", False),
+    "nan gram_min_eig": ("gram_min_eig", "NaN"),
+}
+
+
+@pytest.mark.parametrize("version", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCALARS))
+def test_realisation_with_a_malformed_scalar_is_input_error(case, version, documents,
+                                                            capsys):
+    field, value = MALFORMED_SCALARS[case]
+    sm, real = documents[version]
+    doc = json.loads(real.read_text())
+    doc["payload"][field] = value
+    real.write_text(json.dumps(doc))
+    with pytest.raises(sf.ShapeMismatchError, match=field):
+        serialize.load_realisation(real)
+    assert run(["check", str(sm), str(real)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["w_residual", "w_isometry_defect", "gram_min_eig"])
+def test_writer_refuses_a_non_finite_scalar(field, p4_realisation):
+    _, real = p4_realisation
+    r = serialize.load_realisation(real)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(sf.ShapeMismatchError, match="non-finite scalar"):
+            serialize.realisation_document(dataclasses.replace(r, **{field: bad}))
 
 
 @pytest.mark.parametrize("p_bound", [3, 5, 100])

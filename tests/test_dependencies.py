@@ -26,11 +26,8 @@ def test_package_imports_only_numpy_and_the_stdlib():
     assert not outside, outside
 
 
-def test_oracles_import_none_of_the_paths_they_police():
-    # tests/oracles.py checks realize's circuit and the link products, so it
-    # must not be built from realize, gen or serialize
-    policed = {"supermap_forge.realize", "supermap_forge.gen", "supermap_forge.serialize"}
-    path = Path(__file__).parent / "oracles.py"
+def _policed_imports(name, policed):
+    path = Path(__file__).parent / name
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -39,7 +36,22 @@ def test_oracles_import_none_of_the_paths_they_police():
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        found += [f"oracles.py:{node.lineno} {name}" for name in names if name in policed]
+        found += [f"{name}:{node.lineno} {n}" for n in names if n in policed]
+    return found
+
+
+def test_oracles_import_none_of_the_paths_they_police():
+    # tests/oracles.py checks realize's circuit and the link products, so it
+    # must not be built from realize, gen or serialize
+    policed = {"supermap_forge.realize", "supermap_forge.gen", "supermap_forge.serialize"}
+    found = _policed_imports("oracles.py", policed)
+    assert not found, found
+
+
+def test_w_oracle_imports_nothing_from_realize():
+    # tests/w_oracle.py checks realize's G and W diagnostics, so its right
+    # dilation and G's source ordering must be its own
+    found = _policed_imports("w_oracle.py", {"supermap_forge.realize"})
     assert not found, found
 
 

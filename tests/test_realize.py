@@ -13,10 +13,9 @@ import supermap_forge as sf
 from supermap_forge import algebra, gen, serialize
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
-from supermap_forge.realize import right_dilation
 from supermap_forge.supermap import partial_trace_out
 from oracles import choi_from_action, heisenberg_apply, matrix_units, tensor
-from w_oracle import left_dilation, solve_w, w_path
+from w_oracle import left_dilation, right_dilation, solve_w, w_path
 
 # see fixtures/v1/README.md
 V1 = Path(__file__).parent / "fixtures" / "v1"
@@ -88,7 +87,7 @@ def test_left_dilation_trivial_out_matches_plain_ranks():
 def test_right_dilation_presents_the_marginal_map():
     s = verified_supermap()
     n = sf.extract_n(s)
-    vr = sf.right_dilation(sf.kraus_from_choi(n), s.source_hom)
+    vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     for t in range(5):
         x = gen.random_block_operator(s.source_hom.base, seed=50 + t)
         lhs = heisenberg_apply(vr, x)
@@ -311,6 +310,25 @@ def test_realize_eigendecomposes_no_block_larger_than_n_or_phi(dims, monkeypatch
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     sf.realize(s)
     assert sizes and max(sizes) <= largest
+
+
+def test_realize_takes_no_svd_larger_than_n_choi_block(monkeypatch):
+    # R = Id_B (x) X_ik+: one SVD of N's Kraus rows, r_ik x d_i d_k, per
+    # (i, k), never of the B-inflated right-dilation component
+    q3 = [MultiMatrixAlgebra.from_dims((3,), lbl) for lbl in "abcd"]
+    s = gen.random_supermap_from_circuit(*q3, p_dim=2, seed=1)
+    n_map = sf.verify_deterministic(s).n_map
+    largest = max(x.shape[0] for row in n_map.choi_blocks for x in row)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    sf.realize(s)
+    assert shapes and max(map(max, shapes)) <= largest
 
 
 def test_assemble_e_is_tp_and_has_the_right_marginal():

@@ -6,8 +6,9 @@ family for its Kraus operators, bend them into a left dilation of the
 marginal map Phi = Tr_out o S, solve (Id (x) W) V_right = V_left for the
 environment isometry W by least squares, and read G's Kraus operators off
 the entrywise conjugate of W.  Nothing here calls the code it checks: the
-least-squares solve is written out instead of calling
-``environment_intertwiner``.
+right dilation is built here from N's Kraus operators, G's source blocks
+are ordered here, and the least-squares solve is written out instead of
+calling ``environment_intertwiner``.
 """
 
 from dataclasses import dataclass
@@ -19,9 +20,36 @@ from supermap_forge._linalg import dag, frob
 from supermap_forge.cpmaps import (
     Channel, CpMap, KrausDecomposition, StinespringDilation, _eigh_kraus, _stack_dilation,
 )
-from supermap_forge.errors import IsometryDefectError, NotMinimalError, ResidualTooLargeError
-from supermap_forge.realize import _g_source_index, g_source_algebra, right_dilation
+from supermap_forge.algebra import MultiMatrixAlgebra
+from supermap_forge.errors import (
+    AlgebraMismatchError, IsometryDefectError, NotMinimalError, ResidualTooLargeError,
+)
 from supermap_forge.supermap import HomAlgebra, Supermap, extract_n
+
+
+def right_dilation(
+    n_kraus: KrausDecomposition, source_hom: HomAlgebra
+) -> StinespringDilation:
+    """Dilation of Phi = N o Tr_out built from N's Kraus family.
+
+    Environment for (source k, target (j, i)) is H_out_j (x) E_N_ik with the
+    tagged basis ordered (b, beta).  Minimal whenever N's Kraus family is,
+    by Gram invertibility of the composite Kraus family.
+    """
+    if n_kraus.source != source_hom.in_algebra:
+        raise AlgebraMismatchError("induced map must act on the in-factor algebra")
+    src = n_kraus.target  # C-shaped (K_in blocks)
+    b_dims = source_hom.out_algebra.dims
+    components = {}
+    for k, dk in enumerate(src.dims):
+        for t, (j, i) in enumerate(source_hom.pairs):
+            di, ops = source_hom.in_algebra.dims[i], n_kraus.ops[(i, k)]
+            n3 = np.stack(ops, axis=1) if ops else np.zeros((dk, 0, di))
+            # K_(b, beta) = |b> (x) N_beta†
+            components[(k, t)] = np.einsum(
+                "cb,xry->cybrx", np.eye(b_dims[j]), n3.conj()
+            ).reshape(b_dims[j] * di, -1, dk)
+    return _stack_dilation(src, source_hom.base, components)
 
 
 def left_dilation(s: Supermap, s_kraus: KrausDecomposition) -> StinespringDilation:
@@ -107,12 +135,16 @@ def assemble_g(
     a_alg, b_alg = source_hom.in_algebra, source_hom.out_algebra
     c_alg, d_alg = target_hom.in_algebra, target_hom.out_algebra
     n_in_cd = len(c_alg)
-    source = g_source_algebra(a_alg, b_alg, c_alg, p_dim)
+    # one block B(P (x) H_out_j) per (i, j, k), ordered lexicographically
+    source = MultiMatrixAlgebra(tuple(
+        ((la, lb, lc), p_dim * db)
+        for la, _ in a_alg.blocks for lb, db in b_alg.blocks for lc, _ in c_alg.blocks
+    ))
     ops = {(src, l): [] for src in range(len(source)) for l in range(len(d_alg))}
-    for i in range(len(a_alg)):
-        for j, dj in enumerate(b_alg.dims):
-            for k in range(len(c_alg)):
-                src = _g_source_index(i, j, k, len(b_alg), len(c_alg))
+    for i, (la, _) in enumerate(a_alg.blocks):
+        for j, (lb, dj) in enumerate(b_alg.blocks):
+            for k, (lc, _) in enumerate(c_alg.blocks):
+                src = source.index((la, lb, lc))
                 t_ab = source_hom.block_index(j, i)
                 # W's columns are N's environment tagged by H_out_j, ordered (b, beta)
                 wbar = w.blocks[(k, t_ab)].conj()
