@@ -34,11 +34,17 @@ stoch = gen.random_channel(c2, c2, seed=3)
 matrix = np.array([[stoch.choi(j, i)[0, 0].real for i in range(2)] for j in range(2)])
 print("classical channel (column-stochastic):\n", np.round(matrix, 3))
 
-# Every CP map has a Kraus family and a Stinespring dilation; for channels
-# the stacked dilation blocks are isometries.
-dil = sf.minimal_stinespring(povm)
-print("environment dimensions per (source, target) pair:", dil.env_dims)
-print("isometry defect:", dil.isometry_defect())
+# Every CP map has a Kraus family, read off its Choi blocks; for a channel
+# the operators of each source block i satisfy sum_j sum K† K = Id.
+kd = sf.kraus_from_choi(povm)
+print("Kraus rank per (source, target) pair:",
+      {key: kd.rank(*key) for key in sorted(kd.ops)})
+tp_defect = max(
+    np.linalg.norm(sum(k.conj().T @ k for j in range(len(outcomes)) for k in kd.ops[(i, j)])
+                   - np.eye(d))
+    for i, d in enumerate(alg.dims)
+)
+print("||sum K†K - I||:", tp_defect)
 
 # The Hilbert-Schmidt dual swaps trace preservation for unitality.
 dual = sf.hs_dual(povm)

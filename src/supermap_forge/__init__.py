@@ -9,19 +9,16 @@ from .algebra import (
     PositivityWitness,
     hs_inner,
     is_positive,
-    psd_factor,
     trace,
 )
 from .cpmaps import (
     Channel,
     CpMap,
     KrausDecomposition,
-    StinespringDilation,
     apply,
     as_channel,
     compose,
     copy_channel,
-    environment_intertwiner,
     hs_dual,
     identity_channel,
     identity_cpmap,
@@ -29,7 +26,6 @@ from .cpmaps import (
     is_tp,
     is_unital,
     kraus_from_choi,
-    minimal_stinespring,
 )
 from .errors import (
     AlgebraMismatchError,

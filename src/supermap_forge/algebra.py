@@ -251,19 +251,6 @@ def is_positive(x: BlockOperator, tol: float = DEFAULT_TOL) -> PositivityWitness
     return _psd_blocks(zip(x.algebra.labels, x.mats), tol)
 
 
-def psd_factor(x: BlockOperator, tol: float = DEFAULT_TOL) -> BlockOperator:
-    """Per-block g with g† g = block, via eigendecomposition clamped at zero."""
-    witness = is_positive(x, tol)
-    if not witness:
-        raise NotPositiveError(f"block {witness.block!r} is not PSD ({witness.reason})")
-    factors = []
-    for m in x.mats:
-        w, v = np.linalg.eigh(herm_part(m))
-        w = np.clip(w, 0.0, None)
-        factors.append((np.sqrt(w)[:, None] * dag(v)))
-    return BlockOperator(x.algebra, factors)
-
-
 class HybridState:
     """A trace-one positive element: distribution over blocks plus a density
     matrix per block."""

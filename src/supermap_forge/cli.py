@@ -21,7 +21,7 @@ from .errors import SupermapForgeError
 from .gallery import DEMOS, run_demo
 from .gen import random_channel, random_supermap_from_circuit
 from .realize import check_realisation, realize
-from .supermap import verify_deterministic
+from .supermap import VERIFY_TOL, verify_deterministic
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -57,7 +57,7 @@ def _default_tol() -> float:
             return _tolerance(env)
         except argparse.ArgumentTypeError:
             print(f"warning: ignoring bad SUPERMAP_FORGE_TOL={env!r}", file=sys.stderr)
-    return 1e-8
+    return VERIFY_TOL
 
 
 def _parse_dims(text: str):

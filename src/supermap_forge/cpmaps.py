@@ -19,10 +19,10 @@ Applying a map uses the componentwise rule
 
     m(x)_j = sum_i Tr_src[(Id (x) x_i^T) C[j, i]],
 
-which for C[j, i] = |K>><<K| reduces to K x K†.  Kraus families come from the
-eigendecomposition of each Choi block (the PSD rule at an absolute tol, then
-a rank cutoff relative to the largest eigenvalue), Stinespring dilations from
-stacking the Kraus operators against an orthonormal environment basis.
+which for C[j, i] = |K>><<K| reduces to K x K†.  The Choi blocks are the
+map's only representation: Kraus families are read off them by the
+eigendecomposition of each block (the PSD rule at an absolute tol, then a
+rank cutoff relative to the largest eigenvalue).
 """
 
 from dataclasses import dataclass
@@ -43,9 +43,8 @@ from .errors import (
 )
 
 KRAUS_RANK_REL_TOL = 1e-10
-# _minimal_pinv rejects Kraus rows whose smallest singular value falls below
-# this fraction of their largest: a source dilation in environment_intertwiner,
-# or realize's X_ik+ of N's Kraus rows, is then not minimal
+# _minimal_pinv rejects Kraus rows (realize's, of N) as not minimal when their
+# smallest singular value falls below this fraction of their largest
 INTERTWINER_REL_CUT = 1e-10
 
 
@@ -247,7 +246,7 @@ def identity_channel(a: MultiMatrixAlgebra) -> Channel:
     return Channel(a, a, m.choi_blocks, validate=False)
 
 
-# -- Kraus and Stinespring ---------------------------------------------------
+# -- Kraus families -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -308,83 +307,6 @@ def _eigh_kraus(m: CpMap, rank_tol: float = KRAUS_RANK_REL_TOL) -> KrausDecompos
     return KrausDecomposition(m.source, m.target, ops)
 
 
-@dataclass(frozen=True)
-class StinespringDilation:
-    """Environment dimensions and stacked isometry blocks for a CP map A -> B.
-
-    For a map with Kraus family ``{K_alpha: H_i -> K_j}``, the block for
-    source index i is
-
-        V_i = (+)_j sum_alpha K_alpha (x) |alpha>  :  H_i -> (+)_j K_j (x) E_ij,
-
-    so ``m(rho)_j = Tr_env[(component j of V_i) rho (...)†]`` and
-    ``V_i† (y (x) Id) V_i`` computes the Hilbert-Schmidt dual of m.  For a
-    channel every V_i is an isometry.  The Kraus family is read off the
-    blocks.
-    """
-
-    source: MultiMatrixAlgebra
-    target: MultiMatrixAlgebra
-    env_dims: Dict[Tuple[int, int], int]
-    isometries: Tuple[np.ndarray, ...]
-
-    @property
-    def kraus(self) -> KrausDecomposition:
-        """K_alpha of pair (i, j): slice alpha of component (i, j)'s environment."""
-        ops = {}
-        for (i, j), r in self.env_dims.items():
-            c = self.component(i, j).reshape(self.target.dims[j], r, self.source.dims[i])
-            ops[(i, j)] = tuple(c[:, alpha, :] for alpha in range(r))
-        return KrausDecomposition(self.source, self.target, ops)
-
-    def component(self, i: int, j: int) -> np.ndarray:
-        """Slice of V_i landing in K_j (x) E_ij; shape (dK_j * r_ij, dH_i)."""
-        offset = sum(self.target.dims[jj] * self.env_dims[(i, jj)] for jj in range(j))
-        size = self.target.dims[j] * self.env_dims[(i, j)]
-        return self.isometries[i][offset : offset + size, :]
-
-    def isometry_defect(self) -> float:
-        """max_i || V_i† V_i - Id ||_F; ~0 exactly when the map is a channel."""
-        worst = 0.0
-        for v, dh in zip(self.isometries, self.source.dims):
-            worst = max(worst, frob(dag(v) @ v - np.eye(dh)))
-        return worst
-
-def _stack_dilation(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
-                    components) -> StinespringDilation:
-    """The dilation whose component (i, j) is components[(i, j)], an array
-    (dK_j, r_ij, dH_i) holding K_alpha[x, y] at [x, alpha, y]."""
-    isoms = tuple(np.concatenate(
-        [components[(i, j)].reshape(-1, dh) for j in range(len(target))], dtype=complex
-    ) for i, dh in enumerate(source.dims))
-    env_dims = {key: c.shape[1] for key, c in components.items()}
-    return StinespringDilation(source, target, env_dims, isoms)
-
-
-def dilation_from_kraus(m: CpMap, kd: KrausDecomposition) -> StinespringDilation:
-    """Stack each Kraus list against an orthonormal environment basis."""
-    return _stack_dilation(m.source, m.target, {
-        (i, j): np.stack(kd.ops[(i, j)], axis=1) if kd.ops[(i, j)] else np.zeros((dk, 0, dh))
-        for i, dh in enumerate(m.source.dims) for j, dk in enumerate(m.target.dims)
-    })
-
-
-def minimal_stinespring(m: CpMap, tol: float = DEFAULT_TOL) -> StinespringDilation:
-    """Minimal dilation via the Choi eigendecomposition (PSD rule at tol).
-
-    Minimality holds by construction: each per-pair Kraus family is an
-    orthogonal set, so its Gram matrix is diagonal with positive entries.
-    """
-    return dilation_from_kraus(m, kraus_from_choi(m, tol=tol))
-
-
-def _kraus_rows(d: StinespringDilation, i: int, j: int) -> np.ndarray:
-    """Component (i, j) as an (r_ij, dK_j * dH_i) matrix: row alpha is vec(K_alpha)."""
-    dk, dh = d.target.dims[j], d.source.dims[i]
-    r = d.env_dims[(i, j)]
-    return d.component(i, j).reshape(dk, r, dh).transpose(1, 0, 2).reshape(r, dk * dh)
-
-
 def _minimal_pinv(ma: np.ndarray, key) -> np.ndarray:
     """Pseudo-inverse of Kraus rows ma (row alpha vec(K_alpha)), by SVD.
 
@@ -399,30 +321,6 @@ def _minimal_pinv(ma: np.ndarray, key) -> np.ndarray:
             f"Kraus rows {key} are rank deficient; the dilation they give is not minimal"
         )
     return dag(vt) @ (dag(u) / s[:, None])
-
-
-def environment_intertwiner(
-    d_from: StinespringDilation,
-    d_to: StinespringDilation,
-):
-    """Least-squares solve of (Id (x) X) V_from = V_to per block pair.
-
-    When ``d_from`` is minimal the solution is the unique partial isometry
-    relating the two dilations.  Returns (blocks, residual, partial-isometry
-    defect); blocks maps (i, j) to the solved environment matrix.
-    """
-    blocks: Dict[Tuple[int, int], np.ndarray] = {}
-    res_sq = 0.0
-    pi_sq = 0.0
-    for i in range(len(d_from.source)):
-        for j in range(len(d_from.target)):
-            ma, mb = _kraus_rows(d_from, i, j), _kraus_rows(d_to, i, j)
-            x = mb @ _minimal_pinv(ma, (i, j))
-            res_sq += frob(x @ ma - mb) ** 2
-            blocks[(i, j)] = x
-            g = dag(x) @ x
-            pi_sq += frob(g @ g - g) ** 2
-    return blocks, float(np.sqrt(res_sq)), float(np.sqrt(pi_sq))
 
 
 # -- duals, composition, copy -------------------------------------------------

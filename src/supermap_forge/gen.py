@@ -17,6 +17,7 @@ from .cpmaps import Channel, CpMap, apply, is_tp
 from .errors import ShapeMismatchError, SingularMarginalError
 from .realize import circuit_supermap, g_source_algebra, memory_target_algebra
 from .supermap import (
+    VERIFY_TOL,
     HomAlgebra,
     Supermap,
     apply_to_choi,
@@ -174,7 +175,7 @@ def tp_affine_basis(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> TpAffineBas
     return TpAffineBasis(hom, base, directions, 0.5 * min_eig)
 
 
-def brute_force_tp_preservation(s: Supermap, basis: TpAffineBasis, tol: float = 1e-8) -> bool:
+def brute_force_tp_preservation(s: Supermap, basis: TpAffineBasis, tol: float = VERIFY_TOL) -> bool:
     """Literal check: every probe Choi operator maps to a trace-preserving one.
 
     Since the probes affinely span the trace-preserving slice, this is an

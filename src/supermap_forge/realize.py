@@ -50,10 +50,9 @@ from .errors import (
     SupermapForgeError,
 )
 from .supermap import (
-    HomAlgebra, Supermap, VerificationReport, choi_element, hom_algebra, verify_deterministic,
+    VERIFY_TOL, HomAlgebra, Supermap, VerificationReport, choi_element, hom_algebra,
+    _require_tolerance, verify_deterministic,
 )
-
-VERIFY_TOL = 1e-8
 
 
 # -- algebra shapes used by the circuit ---------------------------------------
@@ -449,11 +448,12 @@ def check_realisation(
     realigned once for all of them (see evaluate_circuit).
     The trials measure deviation only: an output that is not a channel
     counts against tol like any other deviation, it raises nothing.
-    AlgebraMismatchError, before any contraction, when the realisation's
-    algebras are not the supermap's.
+    Before any contraction: ShapeMismatchError unless tol is positive and
+    finite, AlgebraMismatchError unless r and s act on the same algebras.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    _require_tolerance(tol)
     hom_ab = s.source_hom
     hom_cd = s.target_hom
     if (r.a, r.b, r.c, r.d) != (hom_ab.in_algebra, hom_ab.out_algebra,

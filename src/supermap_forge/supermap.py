@@ -40,6 +40,8 @@ from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityW
 from .cpmaps import CpMap, apply, identity_cpmap, is_cp, require_cp_map
 from .errors import AlgebraMismatchError, ShapeMismatchError
 
+VERIFY_TOL = 1e-8  # default of verify, realize, the brute-force oracle and the CLI
+
 
 @dataclass(frozen=True)
 class HomAlgebra:
@@ -287,7 +289,12 @@ class VerificationReport:
         )
 
 
-def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
+def _require_tolerance(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ShapeMismatchError("tolerance must be positive and finite")
+
+
+def verify_deterministic(s: Supermap, tol: float = VERIFY_TOL) -> VerificationReport:
     """Decide whether the supermap sends trace-preserving Choi operators to
     trace-preserving Choi operators.
 
@@ -298,8 +305,7 @@ def verify_deterministic(s: Supermap, tol: float = 1e-8) -> VerificationReport:
     S's and can sit up to dim D / dim B times further below zero.  The
     verdict is realize's gate.  Pure: the supermap is left unchanged.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ShapeMismatchError("tolerance must be positive and finite")
+    _require_tolerance(tol)
     s_witness = is_cp(s.inner, tol)
     n_map = extract_n(s)
     phi = _marginal_map(s)

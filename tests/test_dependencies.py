@@ -55,6 +55,30 @@ def test_w_oracle_imports_nothing_from_realize():
     assert not found, found
 
 
+DILATION_NAMES = {
+    "StinespringDilation", "_stack_dilation", "dilation_from_kraus", "minimal_stinespring",
+    "_kraus_rows", "environment_intertwiner", "psd_factor",
+}
+
+
+def test_package_holds_no_dilation_layer():
+    # the package holds a CP map by its Choi blocks alone; the dilation
+    # layer lives in tests/oracles.py, under the guard above
+    found = []
+    for path in sorted(Path(supermap_forge.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in DILATION_NAMES]
+    assert not found, found
+
+
 def test_no_einsum_searches_a_contraction_path():
     # einsum(..., optimize=...) searches for a contraction order on every
     # call; the package writes its contractions as reshapes and GEMMs

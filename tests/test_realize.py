@@ -12,9 +12,12 @@ import pytest
 import supermap_forge as sf
 from supermap_forge import algebra, gen, serialize
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
-from supermap_forge.cpmaps import KrausDecomposition, dilation_from_kraus
+from supermap_forge.cpmaps import KrausDecomposition
 from supermap_forge.supermap import partial_trace_out
-from oracles import choi_from_action, heisenberg_apply, matrix_units, tensor
+from oracles import (
+    choi_from_action, dilation_from_kraus, heisenberg_apply, matrix_units, minimal_stinespring,
+    tensor,
+)
 from w_oracle import left_dilation, right_dilation, solve_w, w_path
 
 # see fixtures/v1/README.md
@@ -368,7 +371,7 @@ def test_assemble_g_is_tp_and_completion_policy():
     g = r.g_channel
     assert sf.is_tp(g, 1e-9).ok
     # find a source block whose environment has a complement inside P
-    n_dil = sf.minimal_stinespring(sf.extract_n(s))
+    n_dil = minimal_stinespring(sf.extract_n(s))
     a, b, c, d = r.a, r.b, r.c, r.d
     found = False
     for i in range(len(a)):
@@ -658,6 +661,23 @@ def test_check_realisation_refuses_mismatched_algebras_before_contracting(monkey
     monkeypatch.setattr(sys.modules["supermap_forge.realize"], "_circuit_choi", no_contraction)
     with pytest.raises(sf.AlgebraMismatchError):
         sf.check_realisation(r, other, trials=1)
+
+
+def test_check_realisation_refuses_a_bad_tolerance_before_contracting(monkeypatch):
+    # an infinite tol used to print PASS on a realisation of another supermap,
+    # and nan read as an ordinary FAIL
+    m2 = [MultiMatrixAlgebra.single(2, lbl) for lbl in "abcd"]
+    s1, s2 = (gen.random_supermap_from_circuit(*m2, p_dim=1, seed=seed) for seed in (1, 2))
+    r = sf.realize(s2)
+    assert not sf.check_realisation(r, s1, trials=2).passed
+
+    def no_contraction(*args, **kwargs):
+        raise AssertionError("the link product ran before the tolerance was checked")
+
+    monkeypatch.setattr(sys.modules["supermap_forge.realize"], "_circuit_choi", no_contraction)
+    for tol in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(sf.ShapeMismatchError, match="tolerance must be positive and finite"):
+            sf.check_realisation(r, s1, trials=2, tol=tol)
 
 
 def test_check_realisation_fails_on_non_cp_circuit():
