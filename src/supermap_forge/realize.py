@@ -23,8 +23,12 @@ the span of P's first r_ik basis vectors.  E is assembled from N's Kraus
 operators placed there, and G routes that span through W, sending the rest
 of P to a fixed pure state so that G is trace preserving.
 
-The supermap a circuit presents is one Choi-level contraction (link product)
-of E's and G's blocks per pair of Hom blocks; the certificate diffs it.
+E is an isometry: its block (k -> i) is conjugation by one operator U_ik,
+and a realisation holds E as these U_ik, not as Choi blocks.  The supermap
+a circuit presents is one Choi-level contraction (link product) per pair of
+Hom blocks, of G's block with U_ik over P and with conj(U_ik) over P'; the
+certificate diffs it.  The Choi-form contraction of a general E, which gen
+draws, is kept apart in circuit_supermap.
 
 Index bookkeeping is fixed once and for all: Choi factors are ordered
 (target, source), the memory factor P comes first in ``B(P (x) H)`` blocks,
@@ -35,6 +39,7 @@ conjugate.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -46,8 +51,8 @@ from .cpmaps import (
     as_channel, hs_dual, require_cp_map,
 )
 from .errors import (
-    AlgebraMismatchError, IsometryDefectError, NotUnitalError, ResidualTooLargeError,
-    SupermapForgeError,
+    AlgebraMismatchError, IsometryDefectError, NotTracePreservingError, NotUnitalError,
+    ResidualTooLargeError, SupermapForgeError,
 )
 from .supermap import (
     VERIFY_TOL, HomAlgebra, Supermap, VerificationReport, choi_element, hom_algebra,
@@ -145,27 +150,36 @@ def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
 
 
 def assemble_e(n_kraus: KrausDecomposition, p_dim: int,
-               tol: float = DEFAULT_TOL) -> Channel:
-    """The pre-processing channel E: C -> (+)_i B(P (x) H_in_i).
+               tol: float = DEFAULT_TOL) -> Dict[Tuple[int, int], np.ndarray]:
+    """The pre-processing channel E: C -> (+)_i B(P (x) H_in_i), as its
+    Kraus operators: (source k, target i) -> U_ik, a (p d_i) x d_k matrix.
 
     Component (k -> i) is conjugation by the single operator
     ``U_ik = sum_beta |beta> (x) N_beta^T`` (transposes, not adjoints: the
     open channel slot attaches to the dual wire), so N's environment for
     (i, k) is the span of P's first r_ik basis vectors.  E is trace
-    preserving exactly when N is unital, which realize checks first.
+    preserving, sum_i U_ik† U_ik = Id per k, exactly when N is unital, which
+    realize checks first; NotTracePreservingError when a residual exceeds
+    max(tol, 1e-8).
     """
     a_alg = n_kraus.source
     c_alg = n_kraus.target
-    target = memory_target_algebra(a_alg, p_dim)
-    ops: Dict[Tuple[int, int], list] = {}
+    ops: Dict[Tuple[int, int], np.ndarray] = {}
     for k, dk in enumerate(c_alg.dims):
         for i, dhi in enumerate(a_alg.dims):
             u = np.zeros((p_dim, dhi, dk), dtype=complex)
             for beta, n_beta in enumerate(n_kraus.ops[(i, k)]):
                 u[beta] = n_beta.T
-            ops[(k, i)] = [u.reshape(p_dim * dhi, dk)]
-    m = CpMap.from_kraus(c_alg, target, ops)
-    return Channel(c_alg, target, m.choi_blocks, tol=max(tol, 1e-8))
+            ops[(k, i)] = u = u.reshape(p_dim * dhi, dk)
+            u.flags.writeable = False
+    residuals = [frob(sum(dag(ops[k, i]) @ ops[k, i] for i in range(len(a_alg))) - np.eye(dk))
+                 for k, dk in enumerate(c_alg.dims)]
+    tol = max(tol, 1e-8)
+    if any(r > tol for r in residuals):
+        raise NotTracePreservingError(
+            f"TP residuals {tuple(f'{r:.3g}' for r in residuals)} exceed {tol}"
+        )
+    return ops
 
 
 def assemble_g(s: Supermap, w: SolvedW, p_dim: int, tol: float = VERIFY_TOL) -> Channel:
@@ -215,21 +229,34 @@ def assemble_g(s: Supermap, w: SolvedW, p_dim: int, tol: float = VERIFY_TOL) -> 
 # -- realisation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitRealisation:
-    """The assembled circuit data for one deterministic supermap."""
+    """The assembled circuit data for one deterministic supermap.
+
+    E is held as its Kraus operators, as assemble_e returns them:
+    ``e_kraus[k, i]`` is U_ik, a (p_dim d_i) x d_k matrix, for every block k
+    of C and i of A.  ``e_channel`` is E's Choi family, U_ik U_ik† per block,
+    built from them on first use; checking a realisation never builds it.
+    Realisations compare by identity, as their channels do.
+    """
 
     a: MultiMatrixAlgebra
     b: MultiMatrixAlgebra
     c: MultiMatrixAlgebra
     d: MultiMatrixAlgebra
     p_dim: int
-    e_channel: Channel
+    e_kraus: Dict[Tuple[int, int], np.ndarray]
     g_channel: Channel
     w_residual: float
     w_isometry_defect: float
     gram_min_eig: float
     p_bound: int
+
+    @cached_property
+    def e_channel(self) -> Channel:
+        target = memory_target_algebra(self.a, self.p_dim)
+        m = CpMap.from_kraus(self.c, target, {key: [u] for key, u in self.e_kraus.items()})
+        return Channel(self.c, target, m.choi_blocks, validate=False)
 
     def summary(self) -> str:
         return (
@@ -291,7 +318,7 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
         c=c_alg,
         d=s.target_hom.out_algebra,
         p_dim=p_dim,
-        e_channel=e,
+        e_kraus=e,
         g_channel=g,
         w_residual=w.residual,
         w_isometry_defect=w.isometry_defect,
@@ -366,24 +393,48 @@ def _realign(block: np.ndarray, t: int, m: int, s: int) -> np.ndarray:
     return block.reshape(t, m, s, t, m, s).transpose(0, 3, 1, 4, 2, 5).reshape(t * t * m * m, -1)
 
 
-def _circuit_evaluator(r: CircuitRealisation):
+def _circuit_parts(r: CircuitRealisation):
+    """Each of G's Choi blocks and E's Kraus operators, read once: G's block
+    (l, (i, j, k)) keyed (l, i, j, k), and U_ik keyed (k, i)."""
+    na, nb, nc = len(r.a), len(r.b), len(r.c)
+    g = {(l, i, j, k): r.g_channel.choi(l, _g_source_index(i, j, k, nb, nc))
+         for l in range(len(r.d)) for i in range(na) for j in range(nb) for k in range(nc)}
+    return g, {(k, i): r.e_kraus[k, i] for k in range(nc) for i in range(na)}
+
+
+def _link(g: np.ndarray, u: np.ndarray, dl: int, dj: int) -> np.ndarray:
+    """The circuit's Choi block ((l, k), (j, i)) from G's block (l, (i, j, k))
+    and u = U_ik: the link product over the memory, E's Choi block never
+    formed.  G, as an (o p b O) x (P B) matrix, is contracted with conj(U)
+    over P, then the result with U over p: two thin GEMMs, then one
+    transpose to (o q b a, O Q B A).  No positivity check."""
+    di_p, dk = u.shape
+    p = g.shape[0] // (dl * dj)
+    di = di_p // p
+    u = u.reshape(p, di * dk)
+    h = g.reshape(-1, p, dj).transpose(0, 2, 1).reshape(-1, p) @ u.conj()
+    s8 = (u.T @ h.reshape(dl, p, -1)).reshape(dl, di, dk, dj, dl, dj, di, dk)
+    n = dl * dk * dj * di
+    return s8.transpose(0, 2, 3, 1, 4, 7, 5, 6).reshape(n, n)
+
+
+def _circuit_evaluator(r: CircuitRealisation, parts=None):
     """The circuit E -> slot -> G of r as a function of the plugged f.
 
-    E's block (i, k) is realigned once to a (p P a A) x (q Q) matrix and G's
-    block (l, (i, j, k)) to an (o O p P) x (b B) one.  The classical copies
-    of the input index are a relabelling: the copy (k, i) meets only E's
-    block (i, k), the slot (k, i, j) only f's (j, i) and G's (l, (i, j, k)).
-    Per f, output block (l, k) sums over (i, j) two GEMMs: f's superop
-    contracted into G over (b, B), then E over (p, P, a, A).  The result is
-    G o (f (x) Id_P) o E o copy by associativity, with no check.
+    ``parts`` are _circuit_parts(r), read here when not given.  G's block
+    (l, (i, j, k)) is realigned once to an (o O p P) x (b B) matrix; E stays
+    as its U_ik, (p a) x q.  The classical copies of the input index are a
+    relabelling: the copy (k, i) meets only U_ik, the slot (k, i, j) only
+    f's block (j, i) and G's (l, (i, j, k)).  Per f, output block (l, k)
+    sums over (i, j): f's superop contracted into G over (b, B), then the
+    result with conj(U_ik) over (P, A) and with U_ik over (p, a), three
+    GEMMs.  The result is G o (f (x) Id_P) o E o copy by associativity,
+    with no check.
     """
-    na, nb, nc, p = len(r.a), len(r.b), len(r.c), r.p_dim
-    e_r = {(i, k): _realign(r.e_channel.choi(i, k), p, da, dk)
-           for i, da in enumerate(r.a.dims) for k, dk in enumerate(r.c.dims)}
-    g_r = {(l, i, j, k): _realign(r.g_channel.choi(l, _g_source_index(i, j, k, nb, nc)),
-                                  dl, p, db)
-           for l, dl in enumerate(r.d.dims) for i in range(na)
-           for j, db in enumerate(r.b.dims) for k in range(nc)}
+    na, nb, p = len(r.a), len(r.b), r.p_dim
+    g, u = parts or _circuit_parts(r)
+    g_r = {key: _realign(block, r.d.dims[key[0]], p, r.b.dims[key[2]])
+           for key, block in g.items()}
 
     def evaluate(f: CpMap) -> CpMap:
         if f.source != r.a or f.target != r.b:
@@ -393,8 +444,12 @@ def _circuit_evaluator(r: CircuitRealisation):
         for l, dl in enumerate(r.d.dims):
             row = []
             for k, dk in enumerate(r.c.dims):
-                sup = sum((g_r[l, i, j, k] @ f_ij).reshape(dl * dl, -1) @ e_r[i, k]
-                          for (i, j), f_ij in f_sup.items())
+                sup = 0
+                for (i, j), f_ij in f_sup.items():
+                    di, u_ik = r.a.dims[i], u[k, i]
+                    x = (g_r[l, i, j, k] @ f_ij).reshape(dl * dl, p, p, di, di)
+                    y = x.transpose(0, 1, 3, 2, 4).reshape(-1, p * di) @ u_ik.conj()
+                    sup = sup + u_ik.T @ y.reshape(dl * dl, p * di, dk)
                 row.append(sup.reshape(dl, dl, dk, dk).transpose(0, 2, 1, 3).reshape(dl * dk, -1))
             blocks.append(row)
         return CpMap(r.c, r.d, blocks)
@@ -402,15 +457,16 @@ def _circuit_evaluator(r: CircuitRealisation):
     return evaluate
 
 
-def evaluate_circuit(r: CircuitRealisation, f: Channel, tol: float = 1e-7) -> Channel:
+def evaluate_circuit(r: CircuitRealisation, f: Channel, tol: float = VERIFY_TOL) -> Channel:
     """Run the realisation circuit on a plugged channel f: A -> B.
 
     The classical copy of the input index is a relabelling: it routes input
-    block k to E's blocks (i, k) and, after f, to G's blocks (l, (i, j, k)).
-    f is contracted into G over its output B, and the result with E over the
-    memory P and the slot's input A: two GEMMs per block triple, with E and G
-    realigned once per call, so f (x) Id_P is never materialised.  Output is
-    a channel C -> D, validated as trace preserving at tol.
+    block k to E's U_ik and, after f, to G's blocks (l, (i, j, k)).  f is
+    contracted into G over its output B, and the result with U_ik and its
+    conjugate over the memory P and the slot's input A: three GEMMs per
+    block triple, with G realigned once per call, so neither f (x) Id_P nor
+    E's Choi family is materialised.  Output is a channel C -> D, validated
+    as trace preserving at tol.
     """
     return as_channel(_circuit_evaluator(r)(f), tol=tol)
 
@@ -436,7 +492,7 @@ def check_realisation(
     r: CircuitRealisation,
     s: Supermap,
     trials: int = 10,
-    tol: float = 1e-6,
+    tol: float = VERIFY_TOL,
     seed: int = 0,
 ) -> RealisationCheck:
     """Certify the realisation against the supermap.
@@ -444,8 +500,11 @@ def check_realisation(
     Compares the circuit's linear action with the supermap on the full
     matrix-unit spanning set of Hom(A, B) -- both sides are linear in the
     Choi operator, so agreement there certifies agreement everywhere -- and
-    additionally runs the circuit on random plugged channels, with E and G
-    realigned once for all of them (see evaluate_circuit).
+    additionally runs the circuit on random plugged channels (see
+    evaluate_circuit).  Each of G's Choi blocks and E's U_ik is read once
+    per check and serves both: the circuit's Choi blocks are link products
+    of G with U_ik (see _link), one block pair at a time, and neither E's
+    Choi family nor the circuit's is held whole.
     The trials measure deviation only: an output that is not a channel
     counts against tol like any other deviation, it raises nothing.
     Before any contraction: ShapeMismatchError unless tol is positive and
@@ -459,20 +518,23 @@ def check_realisation(
     if (r.a, r.b, r.c, r.d) != (hom_ab.in_algebra, hom_ab.out_algebra,
                                 hom_cd.in_algebra, hom_cd.out_algebra):
         raise AlgebraMismatchError("realisation and supermap act on different algebras")
-    circuit = _circuit_choi(r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
-    # Choi column (t_ab, u, v) is the image of one matrix unit, spread over t_cd
-    spanning = 0.0
-    for t_ab in range(len(hom_ab.base)):
-        unit_sq = sum(
-            (np.abs(circuit.choi4(t_cd, t_ab) - s.inner.choi4(t_cd, t_ab)) ** 2).sum(axis=(0, 2))
-            for t_cd in range(len(hom_cd.base))
-        )
-        spanning = max(spanning, float(np.sqrt(unit_sq.max())))
+    g, u = parts = _circuit_parts(r)
+    # Choi column (t_ab, x) is the image of one matrix unit, spread over t_cd
+    unit_sq = [0.0] * len(hom_ab.base)
+    for t_cd, (l, k) in enumerate(hom_cd.pairs):
+        n_cd = hom_cd.base.dims[t_cd]
+        for t_ab, (j, i) in enumerate(hom_ab.pairs):
+            n_ab = hom_ab.base.dims[t_ab]
+            diff = _link(g[l, i, j, k], u[k, i], r.d.dims[l], r.b.dims[j])
+            diff -= s.inner.choi(t_cd, t_ab)
+            unit_sq[t_ab] = unit_sq[t_ab] + (
+                np.abs(diff.reshape(n_cd, n_ab, n_cd, n_ab)) ** 2).sum(axis=(0, 2))
+    spanning = max(float(np.sqrt(x.max())) for x in unit_sq)
     trial_dev = 0.0
     if trials > 0:
         from . import gen
 
-        evaluate = _circuit_evaluator(r)
+        evaluate = _circuit_evaluator(r, parts)
         for t in range(trials):
             f = gen.random_channel(r.a, r.b, seed=seed + t)
             lhs = choi_element(evaluate(f), hom_cd)

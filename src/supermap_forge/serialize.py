@@ -6,22 +6,30 @@ labels are strings or (recursively) lists of labels; lists deserialize to
 tuples.  Scalars in realisations are decimal strings with 17 significant
 digits: finite, and for w_residual and w_isometry_defect non-negative.
 
-Only format "2" is written.  It stores each complex matrix as
-{"shape": [r, c], "c16": base64 of its entries as little-endian complex128
-in C order}, the dtype, shape and raw bytes of NumPy's .npy files, so a
-save/load round trip is bit exact.  Format "1" documents, whose matrices
-are nested arrays of [re, im] decimal strings, still load.
+Realisations are written as format "3", every other kind as format "2".
+Both store each complex matrix as {"shape": [r, c], "c16": base64 of its
+entries as little-endian complex128 in C order}, the dtype, shape and raw
+bytes of NumPy's .npy files, so a save/load round trip is bit exact.
+Format "3" differs only in how a realisation stores E: as its Kraus
+operators, one entry {"source_block", "target_block", "matrix": U_ik} per
+block pair, instead of E's Choi blocks; G is stored as before.  Format "1"
+documents, whose matrices are nested arrays of [re, im] decimal strings,
+and format "2" documents still load.  Their E blocks must be rank one: each
+block C gives u = C[:, x] / sqrt(C[x, x]) at its largest diagonal entry x,
+0 for a zero block, and C is refused unless ||C - u u†||_F is at most
+RANK_ONE_TOL * max(1, ||C||_F).
 
 Loading raises ShapeMismatchError on any malformed payload: a matrix whose
 layout is not its document's version, base64 that is not strict, a byte
 length other than 16*r*c, a boolean where an integer belongs, a non-finite
-entry, a missing or repeated Choi entry, a document nested too deeply to
-parse, and a realisation whose E and G channels do not have the types its
-algebras and p_dim give, whose p_bound is not the bound its algebras give,
-or whose scalar is a boolean, non-finite, or (w_residual,
-w_isometry_defect) negative.  Saving raises it, and writes nothing, for a
-non-finite number, scalar or matrix entry: every written document is
-RFC 8259 JSON that loading accepts.
+entry, a missing or repeated Choi or E entry, a document nested too deeply
+to parse, a format "3" document of another kind than a realisation, and a
+realisation whose E and G do not have the types its algebras and p_dim
+give, whose stored E block is not rank one, whose p_bound is not the bound
+its algebras give, or whose scalar is a boolean, non-finite, or
+(w_residual, w_isometry_defect) negative.  Saving raises it, and writes
+nothing, for a non-finite number, scalar or matrix entry: every written
+document is RFC 8259 JSON that loading accepts.
 
 A document built here holds each Choi block as its ndarray.  save_document
 has json's C encoder write only the compact single-line skeleton (an indent
@@ -38,6 +46,7 @@ from typing import Any, Dict
 
 import numpy as np
 
+from ._linalg import frob
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import Channel, CpMap
 from .errors import ShapeMismatchError, SupermapForgeError
@@ -47,7 +56,11 @@ from .realize import (
 from .supermap import Supermap, hom_algebra
 
 FORMAT_VERSION = "2"
-READABLE_VERSIONS = ("1", FORMAT_VERSION)
+REALISATION_VERSION = "3"
+READABLE_VERSIONS = ("1", FORMAT_VERSION, REALISATION_VERSION)
+# a format 1 or 2 realisation's E block C loads only if ||C - u u†||_F is at
+# most this times max(1, ||C||_F): rank one up to roundoff
+RANK_ONE_TOL = 1e-12
 _C16 = np.dtype("<c16")
 _HOLE = b'"c16":""'  # under ensure_ascii, only a key/value pair the encoder wrote
 
@@ -99,7 +112,8 @@ def decode_matrix(m, version: str = FORMAT_VERSION) -> np.ndarray:
         )
     else:
         if not isinstance(m, dict):
-            raise ShapeMismatchError('a format 2 matrix is {"shape": [r, c], "c16": ...}')
+            raise ShapeMismatchError(
+                f'a format {version} matrix is {{"shape": [r, c], "c16": ...}}')
         shape, text = m["shape"], m["c16"]
         if not isinstance(shape, list) or len(shape) != 2:
             raise ShapeMismatchError(f"matrix shape must be [rows, cols], got {shape!r}")
@@ -189,8 +203,9 @@ def cpmap_from_payload(p: Dict[str, Any], version: str = FORMAT_VERSION,
     return CpMap(source, target, blocks)
 
 
-def document(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-    return {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
+def document(kind: str, payload: Dict[str, Any],
+             version: str = FORMAT_VERSION) -> Dict[str, Any]:
+    return {"format_version": version, "kind": kind, "payload": payload}
 
 
 def save_document(path, doc: Dict[str, Any]) -> None:
@@ -241,6 +256,8 @@ def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
         raise ShapeMismatchError("not an interchange document")
     if doc["format_version"] not in READABLE_VERSIONS:
         raise ShapeMismatchError(f"unsupported format version {doc['format_version']!r}")
+    if doc["format_version"] == REALISATION_VERSION and doc.get("kind") != "realisation":
+        raise ShapeMismatchError(f"a format 3 document is a realisation, not {doc.get('kind')!r}")
     if expect_kind is not None and doc.get("kind") != expect_kind:
         raise ShapeMismatchError(
             f"expected a {expect_kind!r} document, found {doc.get('kind')!r}"
@@ -294,23 +311,81 @@ def realisation_document(r: CircuitRealisation) -> Dict[str, Any]:
         "w_residual": _fmt(r.w_residual),
         "w_isometry_defect": _fmt(r.w_isometry_defect),
         "gram_min_eig": _fmt(r.gram_min_eig),
-        "e_channel": cpmap_payload(r.e_channel),
+        "e_kraus": [
+            {"source_block": _encode_label(lk), "target_block": _encode_label(li),
+             "matrix": r.e_kraus[k, i]}
+            for i, li in enumerate(r.a.labels) for k, lk in enumerate(r.c.labels)
+        ],
         "g_channel": cpmap_payload(r.g_channel),
     }
-    return document("realisation", payload)
+    return document("realisation", payload, REALISATION_VERSION)
+
+
+def _e_kraus(entries, c: MultiMatrixAlgebra, target: MultiMatrixAlgebra, p_dim: int):
+    """E's U_ik keyed (k, i) from a format 3 realisation's entries."""
+    ops = {}
+    for entry in entries:
+        k = c.index(_decode_label(entry["source_block"]))
+        i = target.index(_decode_label(entry["target_block"]))
+        what = f"E entry for C block {k} -> A block {i}"
+        if (k, i) in ops:
+            raise ShapeMismatchError(f"repeated {what}")
+        try:
+            u = decode_matrix(entry["matrix"], REALISATION_VERSION)
+        except ShapeMismatchError as exc:
+            raise ShapeMismatchError(f"{what}: {exc}") from exc
+        if u.shape != (target.dims[i], c.dims[k]):
+            raise ShapeMismatchError(f"{what} has shape {u.shape}, expected "
+                                     f"{(target.dims[i], c.dims[k])} for p_dim {p_dim}")
+        ops[k, i] = u
+    missing = [(k, i) for k in range(len(c)) for i in range(len(target)) if (k, i) not in ops]
+    if missing:
+        k, i = missing[0]
+        raise ShapeMismatchError(f"E entry for C block {k} -> A block {i} is missing")
+    return ops
+
+
+def _rank_one_root(block: np.ndarray, what: str) -> np.ndarray:
+    """u with block = u u†, from a format 1 or 2 E block: the column of its
+    largest diagonal entry over that entry's square root, 0 for a zero block;
+    ShapeMismatchError naming ``what`` when the block is not rank one."""
+    x = int(np.argmax(block.diagonal().real))
+    u = np.zeros(block.shape[0], dtype=complex)
+    if block[x, x].real > 0:
+        u = block[:, x] / np.sqrt(block[x, x].real)
+    residual = frob(block - np.outer(u, u.conj()))
+    if residual > RANK_ONE_TOL * max(1.0, frob(block)):
+        raise ShapeMismatchError(f"{what} is not rank one: ||C - u u†||_F = {residual:.3e}")
+    return u
 
 
 def load_realisation(path) -> CircuitRealisation:
     doc = load_document(path, "realisation")
     with _decoding("realisation"):
         p, version = doc["payload"], doc["format_version"]
+        a, c = algebra_from_payload(p["a"]), algebra_from_payload(p["c"])
+        p_dim = _integer(p["p_dim"], "p_dim")
+        e_target = memory_target_algebra(a, p_dim)
+        if version == REALISATION_VERSION:
+            e_kraus = _e_kraus(p["e_kraus"], c, e_target, p_dim)
+        else:
+            e = cpmap_from_payload(p["e_channel"], version)
+            if (e.source, e.target) != (c, e_target):
+                raise ShapeMismatchError(
+                    f"realisation channel E does not match its algebras and p_dim "
+                    f"(p_dim {p_dim}; E: {e!r})")
+            e_kraus = {}
+            for k, dk in enumerate(c.dims):
+                for i, d in enumerate(e_target.dims):
+                    u = _rank_one_root(e.choi(i, k), f"E block for C block {k} -> A block {i}")
+                    e_kraus[k, i] = u.reshape(d, dk)
         r = CircuitRealisation(
-            a=algebra_from_payload(p["a"]),
+            a=a,
             b=algebra_from_payload(p["b"]),
-            c=algebra_from_payload(p["c"]),
+            c=c,
             d=algebra_from_payload(p["d"]),
-            p_dim=_integer(p["p_dim"], "p_dim"),
-            e_channel=cpmap_from_payload(p["e_channel"], version, channel=True),
+            p_dim=p_dim,
+            e_kraus=e_kraus,
             g_channel=cpmap_from_payload(p["g_channel"], version, channel=True),
             w_residual=_scalar(p["w_residual"], "w_residual", nonneg=True),
             w_isometry_defect=_scalar(p["w_isometry_defect"], "w_isometry_defect", nonneg=True),
@@ -322,16 +397,11 @@ def load_realisation(path) -> CircuitRealisation:
             raise ShapeMismatchError(
                 f"p_bound {r.p_bound} is not the memory bound {bound} its algebras give"
             )
-        e, g = r.e_channel, r.g_channel
-        if (e.source, e.target, g.source, g.target) != (
-            r.c,
-            memory_target_algebra(r.a, r.p_dim),
-            g_source_algebra(r.a, r.b, r.c, r.p_dim),
-            r.d,
-        ):
+        g = r.g_channel
+        if (g.source, g.target) != (g_source_algebra(r.a, r.b, r.c, r.p_dim), r.d):
             raise ShapeMismatchError(
-                "realisation channels do not match its algebras and p_dim "
-                f"(p_dim {r.p_dim}; E: {e!r}, G: {g!r})"
+                "realisation channel G does not match its algebras and p_dim "
+                f"(p_dim {r.p_dim}; G: {g!r})"
             )
     return r
 

@@ -17,6 +17,7 @@ import pytest
 import supermap_forge as sf
 from supermap_forge import cli, gen, serialize
 from supermap_forge.algebra import MultiMatrixAlgebra
+from supermap_forge.supermap import VERIFY_TOL
 
 
 # format "1" documents written by the last release that wrote that version;
@@ -221,15 +222,29 @@ def test_decode_matrix_names_what_is_malformed(case):
         serialize.decode_matrix(m, version)
 
 
+def _v2_realisation_document(r):
+    """r's realisation document as format "2" stored it: E as its Choi blocks."""
+    doc = serialize.realisation_document(r)
+    payload = {}
+    for k, v in doc["payload"].items():
+        if k == "e_kraus":
+            k, v = "e_channel", serialize.cpmap_payload(r.e_channel)
+        payload[k] = v
+    return {**doc, "format_version": "2", "payload": payload}
+
+
 @pytest.fixture()
 def documents(tmp_path):
     """A deterministic supermap and its realisation, in each format version."""
     a = MultiMatrixAlgebra((("i0", 2), ("i1", 1)))
     s = sf.identity_supermap(a, MultiMatrixAlgebra.single(2, "j"))
+    r = sf.realize(s)
     sm, real = tmp_path / "sm.json", tmp_path / "real.json"
+    real3 = tmp_path / "real3.json"
     serialize.save_document(sm, serialize.supermap_document(s))
-    serialize.save_document(real, serialize.realisation_document(sf.realize(s)))
-    return {"2": (sm, real),
+    serialize.save_document(real, _v2_realisation_document(r))
+    serialize.save_document(real3, serialize.realisation_document(r))
+    return {"3": (sm, real3), "2": (sm, real),
             "1": (_v1_copy(tmp_path, "supermap.json"), _v1_copy(tmp_path, "realisation.json"))}
 
 
@@ -289,7 +304,7 @@ MALFORMED_SCALARS = {
 }
 
 
-@pytest.mark.parametrize("version", ["1", "2"])
+@pytest.mark.parametrize("version", ["1", "2", "3"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCALARS))
 def test_realisation_with_a_malformed_scalar_is_input_error(case, version, documents,
                                                             capsys):
@@ -437,6 +452,26 @@ def test_check_verdict_on_a_non_tp_format_1_circuit_depends_on_tol_only(tmp_path
         assert "FAIL" in capsys.readouterr().out
 
 
+def test_library_and_cli_check_at_the_same_default_tolerance(p4_realisation, monkeypatch,
+                                                             capsys):
+    # G scaled by 1 + 3e-7 passes at 1e-6; check_realisation and the CLI's
+    # check both default to VERIFY_TOL, and both fail it there
+    monkeypatch.delenv("SUPERMAP_FORGE_TOL", raising=False)
+    sm, real = p4_realisation
+    doc = json.loads(real.read_text())
+    for entry in doc["payload"]["g_channel"]["choi"]:
+        m = serialize.decode_matrix(entry["matrix"]) * (1 + 3e-7)
+        entry["matrix"] = serialize.encode_matrix(m)
+    real.write_text(json.dumps(doc))
+    s, r = serialize.load_supermap(sm), serialize.load_realisation(real)
+    for trials in (0, 1):
+        chk = sf.check_realisation(r, s, trials=trials)
+        assert chk.tol == VERIFY_TOL and not chk.passed, chk.summary()
+        assert sf.check_realisation(r, s, trials=trials, tol=1e-6).passed
+    assert run(["check", str(sm), str(real)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("p_dim", [3, 5])
 def test_check_realisation_with_wrong_p_dim_is_input_error(p_dim, p4_realisation, capsys):
     sm, real = p4_realisation
@@ -546,6 +581,10 @@ def test_document_version_and_kind_checks(tmp_path):
     path.write_text(json.dumps({"format_version": "1", "kind": "channel", "payload": {}}))
     with pytest.raises(sf.ShapeMismatchError):
         serialize.load_document(path, "supermap")
+    # format 3 changed only how a realisation stores E
+    path.write_text(json.dumps({"format_version": "3", "kind": "supermap", "payload": {}}))
+    with pytest.raises(sf.ShapeMismatchError, match="format 3 document is a realisation"):
+        serialize.load_document(path)
 
 
 def test_env_var_overrides_default_tolerance(broken_fixture, monkeypatch, capsys):
@@ -762,6 +801,15 @@ def test_overflowing_entries_are_an_input_error(tmp_path, command, write):
     assert not out.exists()
 
 
+def _e_blocks_within_rank_one_tol(r, stored):
+    """Every Choi block of r's E within serialize.RANK_ONE_TOL * max(1, ||C||_F)
+    of the stored block C."""
+    return all(
+        np.linalg.norm(r.e_channel.choi(j, i) - c)
+        <= serialize.RANK_ONE_TOL * max(1.0, np.linalg.norm(c))
+        for j, row in enumerate(stored.choi_blocks) for i, c in enumerate(row))
+
+
 def _report_scalars(p):
     return {k: float(p[k]).hex() for k in ("kernel_residual", "n_unital_residual", "tol")}
 
@@ -771,8 +819,13 @@ def _load_v1_fixture(name):
     path = V1 / name
     if name == "realisation.json":
         r = serialize.load_realisation(path)
+        # E loads as its Kraus operators, which reproduce the stored blocks
+        # within the reader's rank-one tolerance; the manifest digests those
+        stored = serialize.cpmap_from_payload(
+            json.loads(path.read_text())["payload"]["e_channel"], "1")
+        assert _e_blocks_within_rank_one_tol(r, stored)
         return {
-            "e_channel": _digests(r.e_channel),
+            "e_channel": _digests(stored),
             "g_channel": _digests(r.g_channel),
             "p_dim": r.p_dim,
             "p_bound": r.p_bound,
@@ -807,3 +860,108 @@ def test_v1_fixtures_keep_their_tuple_labels():
 def test_cli_rejects_unknown_arguments():
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
+
+
+def _plus_rank_one(m):
+    """A stored format 2 matrix plus a rank-one term off its own direction."""
+    c = serialize.decode_matrix(m)
+    v = np.exp(1j * np.arange(c.shape[0])) * np.arange(1, c.shape[0] + 1)
+    return serialize.encode_matrix(c + np.outer(v, v.conj()))
+
+
+def _set_e_entry(index, **fields):
+    def damage(payload):
+        entry = payload["e_kraus"][index]
+        entry.update({k: f(entry["matrix"]) for k, f in fields.items()})
+    return damage
+
+
+# (realisation format, damage to its payload, what the error says); the
+# documents fixture has A = C = M2 (+) C, so E has four blocks
+MALFORMED_E = {
+    "format 2 block of rank two": (
+        "2", lambda p: p["e_channel"]["choi"][0].update(
+            matrix=_plus_rank_one(p["e_channel"]["choi"][0]["matrix"])),
+        "E block for C block 0 -> A block 0 is not rank one"),
+    "missing entry": ("3", lambda p: p["e_kraus"].pop(),
+                      "E entry for C block 1 -> A block 1 is missing"),
+    "repeated entry": ("3", lambda p: p["e_kraus"].append(p["e_kraus"][0]),
+                       "repeated E entry for C block 0 -> A block 0"),
+    "wrong shape": ("3", _set_e_entry(0, matrix=lambda m: serialize.encode_matrix(
+        serialize.decode_matrix(m).reshape(1, -1))),
+        "E entry for C block 0 -> A block 0 has shape (1, 4), expected (2, 2)"),
+    "non-finite entry": ("3", _set_e_entry(1, matrix=_set_first_value(complex(0, np.inf))),
+                         "E entry for C block 1 -> A block 0: matrix entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_E))
+def test_malformed_e_is_input_error_naming_the_block(case, documents, capsys):
+    version, damage, message = MALFORMED_E[case]
+    sm, real = documents[version]
+    doc = json.loads(real.read_text())
+    assert doc["format_version"] == version
+    damage(doc["payload"])
+    real.write_text(json.dumps(doc))
+    with pytest.raises(sf.ShapeMismatchError) as info:
+        serialize.load_realisation(real)
+    assert message in str(info.value)
+    assert run(["check", str(sm), str(real)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_format_3_round_trip_is_bit_exact_on_u_and_g(tmp_path):
+    algs = [MultiMatrixAlgebra.from_dims(x, lbl)
+            for x, lbl in zip(((2, 1), (2,), (1, 2), (2, 1)), "abcd")]
+    r = sf.realize(gen.random_supermap_from_circuit(*algs, p_dim=2, seed=5))
+    path = tmp_path / "real.json"
+    serialize.save_document(path, serialize.realisation_document(r))
+    assert json.loads(path.read_text())["format_version"] == "3"
+    loaded = serialize.load_realisation(path)
+    assert loaded.e_kraus.keys() == r.e_kraus.keys()
+    for key, u in r.e_kraus.items():
+        assert np.array_equal(_bits(loaded.e_kraus[key]), _bits(u)), key
+    assert _digests(loaded.g_channel) == _digests(r.g_channel)
+
+
+def test_a_zero_format_2_e_block_loads_as_a_zero_kraus_operator(tmp_path):
+    # the identity on two classical symbols: N has Kraus rank 0 off the
+    # diagonal, so two of E's four Choi blocks are exactly zero
+    triv = MultiMatrixAlgebra.classical(2)
+    s = sf.identity_supermap(triv, triv)
+    r = sf.realize(s)
+    path = tmp_path / "real.json"
+    serialize.save_document(path, _v2_realisation_document(r))
+    loaded = serialize.load_realisation(path)
+    assert sum(not u.any() for u in loaded.e_kraus.values()) == 2
+    for key, u in r.e_kraus.items():
+        assert np.array_equal(_bits(loaded.e_kraus[key]), _bits(u)), key
+    assert sf.check_realisation(loaded, s, trials=1).passed
+
+
+def test_v1_realisation_kraus_operators_reproduce_its_e_blocks():
+    path = V1 / "realisation.json"
+    r = serialize.load_realisation(path)
+    stored = serialize.cpmap_from_payload(
+        json.loads(path.read_text())["payload"]["e_channel"], "1")
+    assert len(r.e_kraus) == 4
+    for (k, i), u in r.e_kraus.items():
+        c = stored.choi(i, k)
+        v = u.reshape(-1)
+        assert np.linalg.norm(np.outer(v, v.conj()) - c) \
+            <= serialize.RANK_ONE_TOL * max(1.0, np.linalg.norm(c)), (k, i)
+
+
+def test_q4_realisation_document_is_small_and_loads_back_bit_exactly(tmp_path):
+    # p_dim 16: E's U_ik is 64 x 4, where its Choi block was 256 x 256; the
+    # document was 2.80 MB with E's Choi blocks and is 1.40 MB
+    q4 = MultiMatrixAlgebra.single(4)
+    r = sf.realize(gen.random_supermap_from_circuit(q4, q4, q4, q4, p_dim=2, seed=1))
+    assert r.p_dim == 16
+    path = tmp_path / "real.json"
+    serialize.save_document(path, serialize.realisation_document(r))
+    assert path.stat().st_size <= 1.5e6
+    loaded = serialize.load_realisation(path)
+    assert all(np.array_equal(_bits(loaded.e_kraus[key]), _bits(u))
+               for key, u in r.e_kraus.items())
+    assert _digests(loaded.g_channel) == _digests(r.g_channel)

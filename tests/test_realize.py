@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import sys
 import tracemalloc
 from pathlib import Path
@@ -259,9 +260,11 @@ def test_realize_reproduces_the_v1_realisation_fixture():
     # bit for bit; realize reads them off Choi blocks and agrees within 1e-12.
     s = serialize.load_supermap(V1 / "supermap.json")
     want = serialize.load_realisation(V1 / "realisation.json")
+    stored_e = serialize.cpmap_from_payload(
+        json.loads((V1 / "realisation.json").read_text())["payload"]["e_channel"], "1")
     r = sf.realize(s)
     g, residual, defect = w_path(s)
-    for got, ref in ((r.e_channel, want.e_channel), (g, want.g_channel)):
+    for got, ref in ((r.e_channel, stored_e), (g, want.g_channel)):
         assert (got.source, got.target) == (ref.source, ref.target)
         for row, ref_row in zip(got.choi_blocks, ref.choi_blocks):
             assert all(np.array_equal(x, y) for x, y in zip(row, ref_row))
@@ -353,6 +356,22 @@ def test_assemble_e_is_tp_and_has_the_right_marginal():
         )
         expected = sf.apply(n_star, rho.conj()).conj()
         assert (marginal - expected).norm() < 1e-9
+
+
+def test_assemble_e_gates_trace_preservation_on_its_kraus_operators():
+    # sum_i U_ik† U_ik = Id per k exactly when N is unital; realize checks
+    # unitality first, so only a direct call reaches the gate
+    s = verified_supermap(seed=21)
+    n_kd = sf.kraus_from_choi(sf.extract_n(s))
+    p_dim = sf.realize(s).p_dim
+    u = sf.assemble_e(n_kd, p_dim)
+    for k, dk in enumerate(n_kd.target.dims):
+        gram = sum(u[k, i].conj().T @ u[k, i] for i in range(len(n_kd.source)))
+        assert np.linalg.norm(gram - np.eye(dk)) < 1e-12
+    pushed = KrausDecomposition(n_kd.source, n_kd.target, {
+        key: tuple((1 + 1e-6) * op for op in ops) for key, ops in n_kd.ops.items()})
+    with pytest.raises(sf.NotTracePreservingError):
+        sf.assemble_e(pushed, p_dim)
 
 
 def test_assemble_e_identity_classical_case():
@@ -576,26 +595,80 @@ def test_check_trials_match_the_dense_oracle(dims, p_dim):
         assert abs(chk.trial_deviation - oracle) <= 1e-13
 
 
+class _CountedReads(dict):
+    """A Kraus family that counts each read of an operator into ``reads``."""
+
+    def __init__(self, ops, reads):
+        super().__init__(ops)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads["U", *key] += 1
+        return super().__getitem__(key)
+
+
 def test_check_realigns_e_and_g_once_for_all_trials(monkeypatch):
     algs = [MultiMatrixAlgebra.single(3, lbl) for lbl in "abcd"]
     s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=3)
-    r = sf.realize(s)
     reads = collections.Counter()
+    r = sf.realize(s)
+    r = dataclasses.replace(r, e_kraus=_CountedReads(r.e_kraus, reads))
     choi = sf.CpMap.choi
 
     def counted(m, j, i):
-        if m is r.e_channel or m is r.g_channel:
-            reads[m is r.g_channel, j, i] += 1
+        if m is r.g_channel:
+            reads["G", j, i] += 1
         return choi(m, j, i)
 
     monkeypatch.setattr(sf.CpMap, "choi", counted)
-    counts = {}
-    for trials in (1, 10):
+    blocks = len(r.e_kraus) + len(r.g_channel.source) * len(r.g_channel.target)
+    for trials in (0, 1, 10):
         reads.clear()
         assert sf.check_realisation(r, s, trials=trials, tol=1e-6).passed
-        counts[trials] = dict(reads)
-    assert counts[10] == counts[1]
-    assert len(counts[1]) == len(r.e_channel.source) + len(r.g_channel.source)
+        # one read of every U_ik and every G block per check
+        assert len(reads) == blocks and set(reads.values()) == {1}, (trials, reads)
+
+
+FAST_PATH_SHAPES = (
+    (((2,), (2,), (2,), (2,)), 2), (((3,), (3,), (3,), (3,)), 2),
+    (((4,), (4,), (4,), (4,)), 2),
+    (((1, 2), (2,), (2, 1), (1,)), 2), (((2, 1), (1, 1), (1, 2), (2, 1)), 2),
+    (((1, 1, 1), (2,), (1, 2), (2,)), 1), (((3, 1), (2,), (1, 3), (2, 1)), 2),
+    (((2, 2), (2, 2), (2, 2), (2, 2)), 1), (((1, 3), (2, 1), (1, 1), (2,)), 2),
+    (((2, 1, 2), (1, 2), (2,), (1, 1)), 2), (((3,), (1, 2, 1), (2, 1, 1), (3,)), 1),
+    (((1, 2), (3,), (2, 2), (1, 3)), 2), (((2, 3), (1,), (3, 1), (2, 2)), 1),
+)
+
+
+@pytest.mark.parametrize("dims, p_dim", FAST_PATH_SHAPES)
+def test_check_contracts_through_u_and_agrees_with_the_choi_form_oracle(dims, p_dim,
+                                                                        monkeypatch):
+    # check never builds E's Choi family; its deviations are those of the
+    # circuit's Choi form, contracted from E's Choi blocks
+    algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=p_dim, seed=17)
+    exact = sf.realize(s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check built a Choi form of E")
+
+    # G scaled by 1 + 1e-6 puts the deviations far above roundoff
+    for r in (exact, _g_scaled(exact, 1 + 1e-6)):
+        with monkeypatch.context() as patched:
+            patched.setattr(sf.CpMap, "from_kraus", refuse)
+            patched.setattr(sys.modules["supermap_forge.realize"], "_circuit_choi", refuse)
+            chk = sf.check_realisation(r, s, trials=2, tol=1e-6, seed=3)
+        circuit = sf.circuit_supermap(r.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
+        spanning = max(
+            np.sqrt(sum((np.abs(circuit.inner.choi4(t_cd, t_ab) - s.inner.choi4(t_cd, t_ab)) ** 2)
+                        .sum(axis=(0, 2)) for t_cd in range(len(s.target_hom.base))).max())
+            for t_ab in range(len(s.source_hom.base)))
+        trial = max(
+            (sf.apply_to_choi(circuit, x) - sf.apply_to_choi(s, x)).norm()
+            for x in (sf.choi_element(gen.random_channel(r.a, r.b, seed=3 + t), s.source_hom)
+                      for t in range(2)))
+        assert abs(chk.spanning_deviation - spanning) <= 1e-14
+        assert abs(chk.trial_deviation - trial) <= 1e-14
 
 
 def test_check_realisation_memory_stays_small_at_q4():
@@ -614,7 +687,8 @@ def test_check_realisation_memory_stays_small_at_q4():
 
 def test_check_trials_measure_deviation_not_channel_validity():
     # G scaled by 1 + 3e-7: its TP residual (4.2e-7) fails evaluate_circuit's
-    # validation at 1e-7, but the trials still report a deviation (~3.1e-7)
+    # validation at its default VERIFY_TOL, but the trials still report a
+    # deviation (~3.1e-7)
     m2 = [MultiMatrixAlgebra.from_dims([2], lbl) for lbl in "abcd"]
     s = gen.random_supermap_from_circuit(*m2, p_dim=2, seed=3)
     r = _g_scaled(sf.realize(s), 1 + 3e-7)
@@ -658,7 +732,8 @@ def test_check_realisation_refuses_mismatched_algebras_before_contracting(monkey
     def no_contraction(*args, **kwargs):
         raise AssertionError("the link product ran before the algebras were compared")
 
-    monkeypatch.setattr(sys.modules["supermap_forge.realize"], "_circuit_choi", no_contraction)
+    for name in ("_circuit_choi", "_link"):
+        monkeypatch.setattr(sys.modules["supermap_forge.realize"], name, no_contraction)
     with pytest.raises(sf.AlgebraMismatchError):
         sf.check_realisation(r, other, trials=1)
 
@@ -674,7 +749,8 @@ def test_check_realisation_refuses_a_bad_tolerance_before_contracting(monkeypatc
     def no_contraction(*args, **kwargs):
         raise AssertionError("the link product ran before the tolerance was checked")
 
-    monkeypatch.setattr(sys.modules["supermap_forge.realize"], "_circuit_choi", no_contraction)
+    for name in ("_circuit_choi", "_link"):
+        monkeypatch.setattr(sys.modules["supermap_forge.realize"], name, no_contraction)
     for tol in (np.inf, np.nan, 0.0, -1.0):
         with pytest.raises(sf.ShapeMismatchError, match="tolerance must be positive and finite"):
             sf.check_realisation(r, s1, trials=2, tol=tol)
@@ -683,9 +759,10 @@ def test_check_realisation_refuses_a_bad_tolerance_before_contracting(monkeypatc
 def test_check_realisation_fails_on_non_cp_circuit():
     s = verified_supermap(seed=45)
     r = sf.realize(s)
-    broken = dataclasses.replace(r, e_channel=r.e_channel.scaled(-1.0))
     with pytest.raises(sf.NotCompletelyPositiveError):
-        sf.circuit_supermap(broken.e_channel, r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
+        sf.circuit_supermap(r.e_channel.scaled(-1.0), r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
+    # an E held as Kraus operators is CP by construction: break it through U
+    broken = dataclasses.replace(r, e_kraus={key: 2 * u for key, u in r.e_kraus.items()})
     chk = sf.check_realisation(broken, s, trials=0, tol=1e-6)
     assert not chk.passed and chk.spanning_deviation > 1e-3
     # the trials report the deviation too, not the channel check's error
@@ -851,8 +928,8 @@ def test_realize_decomposes_each_choi_block_once(monkeypatch):
     sf.realize(s)
     a, c = s.source_hom.in_algebra, s.target_hom.in_algebra
     s_blocks = len(s.inner.source) * len(s.inner.target)
-    assert calls == {"_eigh_kraus": 2, "_psd_block": s_blocks + len(a) * len(c),
-                     "from_kraus": 1}
+    # E is assembled as its Kraus operators: no Choi family of E is built
+    assert calls == {"_eigh_kraus": 2, "_psd_block": s_blocks + len(a) * len(c)}
 
 
 def test_realize_rejects_before_any_eigendecomposition(monkeypatch):

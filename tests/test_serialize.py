@@ -77,7 +77,7 @@ def test_base64_payloads_bypass_the_json_encoder(tmp_path, monkeypatch):
     serialize.save_document(path, serialize.realisation_document(r))
     assert len(dumped) == 1
     assert len(dumped[0]) < 2048 and path.stat().st_size > 1 << 20
-    assert dumped[0].count('"c16":""') == len(r.e_channel.source) * len(r.e_channel.target) \
+    assert dumped[0].count('"c16":""') == len(r.e_kraus) \
         + len(r.g_channel.source) * len(r.g_channel.target)
 
 
