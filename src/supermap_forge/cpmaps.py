@@ -208,15 +208,15 @@ def is_cp(m: CpMap, tol: float = DEFAULT_TOL) -> PositivityWitness:
     return _psd_blocks(((p, m.choi(*p)) for p in pairs), tol)
 
 
-def _not_cp(witness: PositivityWitness, what: str = "Choi block") -> NotCompletelyPositiveError:
-    return NotCompletelyPositiveError(f"{what} {witness.block!r} not PSD ({witness.reason})")
+def _not_cp(witness: PositivityWitness) -> NotCompletelyPositiveError:
+    return NotCompletelyPositiveError(f"Choi block {witness.block!r} not PSD ({witness.reason})")
 
 
-def require_cp_map(m: CpMap, tol: float = DEFAULT_TOL, what: str = "Choi block") -> CpMap:
+def require_cp_map(m: CpMap, tol: float = DEFAULT_TOL) -> CpMap:
     """Return m, or raise NotCompletelyPositiveError naming a non-PSD block."""
     witness = is_cp(m, tol)
     if not witness:
-        raise _not_cp(witness, what)
+        raise _not_cp(witness)
     return m
 
 

@@ -120,9 +120,9 @@ def random_supermap_from_circuit(
 ) -> Supermap:
     """Draw random circuit channels E and G and read off the supermap.
 
-    The supermap's action on the matrix-unit basis of Hom(A, B) is computed
-    by evaluating the circuit, so the result is deterministic by
-    construction and always passes verification.
+    The supermap's Choi blocks are the circuit's link product
+    (circuit_supermap), so the result is CP and deterministic by
+    construction and passes verification; nothing here checks positivity.
     """
     return random_circuit_pieces(a, b, c, d, p_dim, seed)[0]
 
@@ -202,7 +202,7 @@ def perturb_supermap(s: Supermap, epsilon: float, mode: str, seed=None) -> Super
     if epsilon < 0:
         raise ShapeMismatchError("epsilon must be >= 0")
     if epsilon == 0:
-        return Supermap(s.inner, s.source_hom, s.target_hom, validate=False)
+        return Supermap(s.inner, s.source_hom, s.target_hom)
     inner = s.inner
     n_src = len(inner.source)
     n_tgt = len(inner.target)
@@ -217,7 +217,7 @@ def perturb_supermap(s: Supermap, epsilon: float, mode: str, seed=None) -> Super
                     shift = w[0] + epsilon
                     blocks[j][i] = blk - shift * np.outer(vec0, vec0.conj())
                     new = CpMap(inner.source, inner.target, blocks)
-                    return Supermap(new, s.source_hom, s.target_hom, validate=False)
+                    return Supermap(new, s.source_hom, s.target_hom)
         raise ShapeMismatchError("supermap has no nonzero Choi block to damage")
     if mode == "tp-breaking":
         rng = _rng(seed)
@@ -238,5 +238,5 @@ def perturb_supermap(s: Supermap, epsilon: float, mode: str, seed=None) -> Super
             for j in range(n_tgt)
         ]
         new = CpMap(inner.source, inner.target, blocks)
-        return Supermap(new, s.source_hom, s.target_hom, validate=False)
+        return Supermap(new, s.source_hom, s.target_hom)
     raise ShapeMismatchError(f"unknown perturbation mode {mode!r}")

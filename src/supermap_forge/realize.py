@@ -48,7 +48,7 @@ from ._linalg import dag, frob
 from .algebra import DEFAULT_TOL, MultiMatrixAlgebra
 from .cpmaps import (
     Channel, CpMap, KrausDecomposition, _eigh_kraus, _minimal_pinv, _not_cp, apply,
-    as_channel, hs_dual, require_cp_map,
+    as_channel, hs_dual,
 )
 from .errors import (
     AlgebraMismatchError, IsometryDefectError, NotTracePreservingError, NotUnitalError,
@@ -377,14 +377,12 @@ def circuit_supermap(
     b: MultiMatrixAlgebra,
     c: MultiMatrixAlgebra,
     d: MultiMatrixAlgebra,
-    tol: float = DEFAULT_TOL,
 ) -> Supermap:
     """The supermap presented by a circuit with plugged channels E and G.
 
-    Raises NotCompletelyPositiveError when its Choi family is not PSD.
+    No positivity check: verify_deterministic decides whether it is CP.
     """
-    inner = require_cp_map(_circuit_choi(e, g, p_dim, a, b, c, d), max(tol, 1e-8))
-    return Supermap(inner, hom_algebra(a, b), hom_algebra(c, d), validate=False)
+    return Supermap(_circuit_choi(e, g, p_dim, a, b, c, d), hom_algebra(a, b), hom_algebra(c, d))
 
 
 def _realign(block: np.ndarray, t: int, m: int, s: int) -> np.ndarray:

@@ -297,7 +297,7 @@ def load_supermap(path) -> Supermap:
         hom_cd = hom_algebra(algebra_from_payload(p["c"]), algebra_from_payload(p["d"]))
         blocks = _choi_blocks(p["choi"], hom_ab.base, hom_cd.base, doc["format_version"])
         inner = CpMap(hom_ab.base, hom_cd.base, blocks)
-        return Supermap(inner, hom_ab, hom_cd, validate=False)
+        return Supermap(inner, hom_ab, hom_cd)
 
 
 def realisation_document(r: CircuitRealisation) -> Dict[str, Any]:

@@ -36,8 +36,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ._linalg import frob, hermitian_basis
-from .algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness
-from .cpmaps import CpMap, apply, identity_cpmap, is_cp, require_cp_map
+from .algebra import BlockOperator, MultiMatrixAlgebra, PositivityWitness
+from .cpmaps import CpMap, apply, identity_cpmap, is_cp
 from .errors import AlgebraMismatchError, ShapeMismatchError
 
 VERIFY_TOL = 1e-8  # default of verify, realize, the brute-force oracle and the CLI
@@ -164,24 +164,16 @@ def traceout_kernel_basis(hom: HomAlgebra) -> List[BlockOperator]:
 
 
 class Supermap:
-    """A CP map between Hom-algebras.
+    """The Choi blocks of a linear map between Hom-algebras.
 
-    Holds no verification state: verify_deterministic returns a report, and
+    Construction checks the algebras only: verify_deterministic decides
+    whether the map is CP, and deterministic, in a report it returns, and
     realize runs it as its gate.
     """
 
-    def __init__(
-        self,
-        inner: CpMap,
-        source_hom: HomAlgebra,
-        target_hom: HomAlgebra,
-        tol: float = DEFAULT_TOL,
-        validate: bool = True,
-    ):
+    def __init__(self, inner: CpMap, source_hom: HomAlgebra, target_hom: HomAlgebra):
         if inner.source != source_hom.base or inner.target != target_hom.base:
             raise AlgebraMismatchError("inner map does not match the Hom-algebras")
-        if validate:
-            require_cp_map(inner, tol, what="supermap Choi block")
         self.inner = inner
         self.source_hom = source_hom
         self.target_hom = target_hom
@@ -194,7 +186,7 @@ class Supermap:
 
 def identity_supermap(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> Supermap:
     hom = hom_algebra(a, b)
-    return Supermap(identity_cpmap(hom.base), hom, hom, validate=False)
+    return Supermap(identity_cpmap(hom.base), hom, hom)
 
 
 def apply_to_choi(s: Supermap, c: BlockOperator) -> BlockOperator:
@@ -208,39 +200,38 @@ def extract_n(s: Supermap) -> CpMap:
     """The induced map N on the source factors: N(x) = Tr_out S(section(x)).
 
     For a deterministic supermap N is unital and CP, and
-    Tr_out[S(c)] = N(Tr_out[c]) for every Hom element c.
+    Tr_out[S(c)] = N(Tr_out[c]) for every Hom element c.  Read off S's Choi
+    blocks with no positivity check; the first half of _n_and_phi.
+    """
+    return _n_and_phi(s)[0]
 
-    Read off the Choi blocks of S directly: N's block (k, i) is
-    (1/dim B) sum over (l, j) of S's block ((l, k), (j, i)) traced over both
-    out factors, D_l and B_j.  No positivity check.
+
+def _n_and_phi(s: Supermap) -> Tuple[CpMap, CpMap]:
+    """N and the marginal map Phi = Tr_out o S, in one pass over S's Choi blocks.
+
+    N's block (k, i) is (1/dim B) sum over (l, j) of S's block ((l, k), (j, i))
+    traced over both out factors, D_l and B_j.  Phi's block (k, (j, i)) is
+    the sum over l of that block traced over D_l alone.
     """
     src_hom, tgt_hom = s.source_hom, s.target_hom
     src, tgt = src_hom.in_algebra, tgt_hom.in_algebra
-    blocks = [[np.zeros((dk, di, dk, di), dtype=complex) for di in src.dims]
-              for dk in tgt.dims]
+    n_blocks = [[np.zeros((dk, di, dk, di), dtype=complex) for di in src.dims]
+                for dk in tgt.dims]
+    phi_blocks = [[np.zeros((dk * dh,) * 2, dtype=complex) for dh in src_hom.base.dims]
+                  for dk in tgt.dims]
     for t_cd, (l, k) in enumerate(tgt_hom.pairs):
         dl, dk = tgt_hom.out_algebra.dims[l], tgt.dims[k]
         for t_ab, (j, i) in enumerate(src_hom.pairs):
             dj, di = src_hom.out_algebra.dims[j], src.dims[i]
-            s8 = s.inner.choi(t_cd, t_ab).reshape(dl, dk, dj, di, dl, dk, dj, di)
-            blocks[k][i] += np.einsum("oqcaoQcb->qaQb", s8)
+            c = s.inner.choi(t_cd, t_ab)
+            s8 = c.reshape(dl, dk, dj, di, dl, dk, dj, di)
+            n_blocks[k][i] += np.einsum("oqcaoQcb->qaQb", s8)
+            c6 = c.reshape(dl, dk, dj * di, dl, dk, dj * di)
+            phi_blocks[k][t_ab] += np.einsum("xapxbq->apbq", c6).reshape(dk * dj * di, -1)
     scale = 1.0 / src_hom.out_algebra.dim
-    return CpMap(src, tgt, [[scale * b.reshape(b.shape[0] * b.shape[1], -1) for b in row]
-                            for row in blocks])
-
-
-def _marginal_map(s: Supermap) -> CpMap:
-    """Phi = Tr_out o S: the out factor traced inside each of S's target Choi
-    factors, merging the target blocks that share the surviving in index."""
-    hom, src = s.target_hom, s.inner.source
-    blocks = [[np.zeros((di * dh,) * 2, dtype=complex) for dh in src.dims]
-              for di in hom.in_algebra.dims]
-    for t, (j, i) in enumerate(hom.pairs):
-        dj, di = hom.out_algebra.dims[j], hom.in_algebra.dims[i]
-        for u, dh in enumerate(src.dims):
-            c6 = s.inner.choi(t, u).reshape(dj, di, dh, dj, di, dh)
-            blocks[i][u] += np.einsum("xapxbq->apbq", c6).reshape(di * dh, di * dh)
-    return CpMap(src, hom.in_algebra, blocks)
+    n = CpMap(src, tgt, [[scale * b.reshape(b.shape[0] * b.shape[1], -1) for b in row]
+                         for row in n_blocks])
+    return n, CpMap(src_hom.base, tgt, phi_blocks)
 
 
 def kernel_residual(phi: CpMap, n: CpMap, source_hom: HomAlgebra) -> float:
@@ -298,17 +289,19 @@ def verify_deterministic(s: Supermap, tol: float = VERIFY_TOL) -> VerificationRe
     """Decide whether the supermap sends trace-preserving Choi operators to
     trace-preserving Choi operators.
 
-    Checks CP-ness, kernel containment as the Choi-level factorisation
-    Phi = N o Tr_out of the marginal map Phi = Tr_out o S, and unitality of
-    the induced map N.  The verdict also requires N to pass the PSD rule:
-    exact CP-ness of S implies it, but N's Choi blocks are partial traces of
-    S's and can sit up to dim D / dim B times further below zero.  The
-    verdict is realize's gate.  Pure: the supermap is left unchanged.
+    The one place that decides S's complete positivity: Supermap and
+    circuit_supermap check none.  Checks CP-ness, kernel containment as the
+    Choi-level factorisation Phi = N o Tr_out of the marginal map
+    Phi = Tr_out o S, and unitality of the induced map N.  The verdict also
+    requires N to pass the PSD rule: exact CP-ness of S implies it, but N's
+    Choi blocks are partial traces of S's and can sit up to dim D / dim B
+    times further below zero.  Reads each of S's Choi blocks twice, once for
+    the PSD rule and once for N and Phi.  The verdict is realize's gate.
+    Pure: the supermap is left unchanged.
     """
     _require_tolerance(tol)
     s_witness = is_cp(s.inner, tol)
-    n_map = extract_n(s)
-    phi = _marginal_map(s)
+    n_map, phi = _n_and_phi(s)
     residual = kernel_residual(phi, n_map, s.source_hom)
     unital_residual = (apply(n_map, n_map.source.identity()) - n_map.target.identity()).norm()
     n_witness = is_cp(n_map, tol)
@@ -323,7 +316,7 @@ class Lemma1Decomposition:
     residual: float
 
 
-def lemma1_decompose(c: BlockOperator, hom: HomAlgebra, tol: float = DEFAULT_TOL) -> Lemma1Decomposition:
+def lemma1_decompose(c: BlockOperator, hom: HomAlgebra) -> Lemma1Decomposition:
     """Split c as Id (x) rho plus a residual.
 
     rho = Tr_out(c) / dim(out algebra); the residual is the Frobenius

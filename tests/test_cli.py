@@ -657,7 +657,7 @@ def test_cli_realize_runs_one_gate_pass(tmp_path, monkeypatch):
     broken = gen.perturb_supermap(s, 1e-3, "tp-breaking", seed=1)
     serialize.save_document(bad, serialize.supermap_document(broken))
     s_blocks = len(s.inner.source) * len(s.inner.target)
-    gate = {"_psd_block": s_blocks + len(a) * len(c), "extract_n": 1, "kernel_residual": 1}
+    gate = {"_psd_block": s_blocks + len(a) * len(c), "_n_and_phi": 1, "kernel_residual": 1}
     calls = _count_calls(monkeypatch, [*gate, "_eigh_kraus"])
     assert run(["realize", str(ok), "--out", str(tmp_path / "r.json")]) == 0
     assert calls == {**gate, "_eigh_kraus": 2}
@@ -730,7 +730,7 @@ def test_codec_edge_values_and_old_layout_are_bit_exact(tmp_path):
     edge = vals[np.arange(n) % len(vals)] + 1j * vals[(np.arange(n) + 3) % len(vals)]
     blocks[0][0] = edge.reshape(blocks[0][0].shape)
     s = sf.Supermap(sf.CpMap(s.inner.source, s.inner.target, blocks),
-                    s.source_hom, s.target_hom, validate=False)
+                    s.source_hom, s.target_hom)
     path = tmp_path / "sm.json"
     serialize.save_document(path, serialize.supermap_document(s))
     text = path.read_text()

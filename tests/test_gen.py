@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import supermap_forge as sf
-from supermap_forge import gen, serialize
+from supermap_forge import algebra, gen, serialize
 from supermap_forge.algebra import MultiMatrixAlgebra
 from supermap_forge.cpmaps import Channel
 
@@ -92,6 +92,17 @@ def test_identity_circuit_pieces_give_identity_supermap():
     assert s.inner.choi_distance(sf.identity_supermap(a, b).inner) < 1e-12
 
 
+def test_random_supermap_from_circuit_runs_no_psd_certificate(monkeypatch):
+    # whether a supermap is CP is verify's to decide, not the generator's
+    calls = []
+    psd_block = algebra._psd_block
+    monkeypatch.setattr(algebra, "_psd_block", lambda *args: calls.append(args) or psd_block(*args))
+    a, b = MultiMatrixAlgebra.from_dims((2, 1), "a"), MultiMatrixAlgebra.single(2, "b")
+    s = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=5)
+    assert calls == []
+    assert sf.verify_deterministic(s).verdict and calls
+
+
 def test_tp_affine_basis_scalars():
     triv = MultiMatrixAlgebra.single(1, "t")
     basis = gen.tp_affine_basis(triv, triv)
@@ -118,9 +129,7 @@ def test_brute_force_oracle_accepts_and_rejects():
     basis = gen.tp_affine_basis(a, b)
     s_id = sf.identity_supermap(a, b)
     assert gen.brute_force_tp_preservation(s_id, basis)
-    scaled = sf.Supermap(
-        s_id.inner.scaled(1.5), s_id.source_hom, s_id.target_hom, validate=False
-    )
+    scaled = sf.Supermap(s_id.inner.scaled(1.5), s_id.source_hom, s_id.target_hom)
     assert not gen.brute_force_tp_preservation(scaled, basis)
     for seed in range(10):
         s = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=seed)

@@ -759,8 +759,14 @@ def test_check_realisation_refuses_a_bad_tolerance_before_contracting(monkeypatc
 def test_check_realisation_fails_on_non_cp_circuit():
     s = verified_supermap(seed=45)
     r = sf.realize(s)
+    # circuit_supermap builds a non-CP circuit's supermap; verify refuses it
+    negated = sf.circuit_supermap(r.e_channel.scaled(-1.0), r.g_channel, r.p_dim,
+                                  r.a, r.b, r.c, r.d)
+    report = sf.verify_deterministic(negated)
+    assert not report.cp_ok and report.s_witness.block == (0, 0)
+    assert report.s_witness.min_eigenvalue < -0.1
     with pytest.raises(sf.NotCompletelyPositiveError):
-        sf.circuit_supermap(r.e_channel.scaled(-1.0), r.g_channel, r.p_dim, r.a, r.b, r.c, r.d)
+        sf.realize(negated)
     # an E held as Kraus operators is CP by construction: break it through U
     broken = dataclasses.replace(r, e_kraus={key: 2 * u for key, u in r.e_kraus.items()})
     chk = sf.check_realisation(broken, s, trials=0, tol=1e-6)
@@ -826,7 +832,7 @@ def agreement_inputs():
     for eps in (4e-9, 6e-9):
         pushed = inner.choi(0, 0) - eps * np.kron(np.eye(2), np.outer(u, u))
         yield f"doubled push {eps}", sf.Supermap(
-            sf.CpMap(inner.source, inner.target, [[pushed]]), hom_ab, hom_cd, validate=False
+            sf.CpMap(inner.source, inner.target, [[pushed]]), hom_ab, hom_cd
         )
     m3 = MultiMatrixAlgebra.single(3, "r")
     shapes = (

@@ -1,5 +1,7 @@
 """Tests for Hom-algebras, supermap verification, and the induced map N."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_apply_to_choi_identity_and_scaling():
     cf = sf.choi_element(f, hom)
     assert (sf.apply_to_choi(s_id, cf) - cf).norm() < 1e-14
     assert sf.tp_residual(sf.apply_to_choi(s_id, cf), hom) < 1e-10
-    doubled = sf.Supermap(s_id.inner.scaled(2.0), hom, hom, validate=False)
+    doubled = sf.Supermap(s_id.inner.scaled(2.0), hom, hom)
     assert sf.tp_residual(sf.apply_to_choi(doubled, cf), hom) > 0.5
 
 
@@ -153,7 +155,7 @@ def random_cp_supermap(a, b, c, d, seed):
             row.append(g @ g.conj().T / (dt * ds))
         blocks.append(row)
     inner = sf.CpMap(hom_ab.base, hom_cd.base, blocks)
-    return sf.Supermap(inner, hom_ab, hom_cd, validate=False)
+    return sf.Supermap(inner, hom_ab, hom_cd)
 
 
 def test_extract_n_matches_probe_oracle():
@@ -239,7 +241,6 @@ def test_verify_rejects_single_block_hermitian_perturbation():
         sf.CpMap(s.inner.source, s.inner.target, blocks),
         s.source_hom,
         s.target_hom,
-        validate=False,
     )
     report = sf.verify_deterministic(bad)
     assert not report.verdict
@@ -323,3 +324,34 @@ def test_supermap_constructor_validates():
     for tol in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(sf.ShapeMismatchError):
             sf.verify_deterministic(sf.identity_supermap(a, b), tol=tol)
+
+
+def test_supermap_constructor_leaves_cp_to_verify():
+    # a non-CP supermap constructs; verify names the failing block, and
+    # realize refuses it
+    a, b, _, _ = small_shape()
+    hom = sf.hom_algebra(a, b)
+    negated = sf.Supermap(sf.identity_supermap(a, b).inner.scaled(-1.0), hom, hom)
+    report = sf.verify_deterministic(negated)
+    assert not report.cp_ok and not report.verdict
+    assert report.s_witness.block == (0, 0) and report.s_witness.min_eigenvalue == pytest.approx(-4.0)
+    with pytest.raises(sf.NotCompletelyPositiveError):
+        sf.realize(negated)
+
+
+def test_verify_reads_each_choi_block_of_s_twice(monkeypatch):
+    # once for the PSD rule, once for N and Phi together
+    a, b, c, d = small_shape()
+    s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=4)
+    reads = collections.Counter()
+    choi = sf.CpMap.choi
+
+    def counted(self, j, i):
+        if self is s.inner:
+            reads[j, i] += 1
+        return choi(self, j, i)
+
+    monkeypatch.setattr(sf.CpMap, "choi", counted)
+    assert sf.verify_deterministic(s).verdict
+    pairs = [(j, i) for j in range(len(s.inner.target)) for i in range(len(s.inner.source))]
+    assert reads == dict.fromkeys(pairs, 2)
