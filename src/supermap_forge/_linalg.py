@@ -20,10 +20,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1)
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v).reshape(rows, cols)
-
-
 def matrix_unit(d: int, a: int, b: int) -> np.ndarray:
     e = np.zeros((d, d), dtype=complex)
     e[a, b] = 1.0

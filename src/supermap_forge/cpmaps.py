@@ -22,7 +22,8 @@ Applying a map uses the componentwise rule
 which for C[j, i] = |K>><<K| reduces to K x K†.  The Choi blocks are the
 map's only representation: Kraus families are read off them by the
 eigendecomposition of each block (the PSD rule at an absolute tol, then a
-rank cutoff relative to the largest eigenvalue).
+rank cutoff relative to the largest eigenvalue), one array of operators per
+block pair.
 """
 
 from dataclasses import dataclass
@@ -30,22 +31,18 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import dag, frob, herm_part, unvec, vec
+from ._linalg import dag, frob, herm_part, vec
 from .algebra import (
     DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _psd_blocks,
 )
 from .errors import (
     AlgebraMismatchError,
     NotCompletelyPositiveError,
-    NotMinimalError,
     NotTracePreservingError,
     ShapeMismatchError,
 )
 
 KRAUS_RANK_REL_TOL = 1e-10
-# _minimal_pinv rejects Kraus rows (realize's, of N) as not minimal when their
-# smallest singular value falls below this fraction of their largest
-INTERTWINER_REL_CUT = 1e-10
 
 
 class CpMap:
@@ -251,30 +248,44 @@ def identity_channel(a: MultiMatrixAlgebra) -> Channel:
 
 @dataclass(frozen=True)
 class KrausDecomposition:
-    """Per (source block i, target block j): a list of operators H_i -> K_j.
+    """Per (source block i, target block j): operators H_i -> K_j, stacked
+    from any sequence into one read-only (r_ij, dim K_j, dim H_i) array.
 
-    Produced from the Choi eigendecomposition, so the operators within each
-    list are orthogonal under the Hilbert-Schmidt pairing, hence linearly
-    independent and minimal in number.
+    kraus_from_choi reads them off the Choi eigendecomposition, so within a
+    pair they are orthogonal under the Hilbert-Schmidt pairing, hence
+    linearly independent and minimal in number.
     """
 
     source: MultiMatrixAlgebra
     target: MultiMatrixAlgebra
-    ops: Dict[Tuple[int, int], Tuple[np.ndarray, ...]]
+    ops: Dict[Tuple[int, int], np.ndarray]
+
+    def __post_init__(self):
+        ops = {}
+        for (i, j), ks in self.ops.items():
+            shape = (self.target.dims[j], self.source.dims[i])
+            try:
+                ops[i, j] = np.array(ks if len(ks) else np.zeros((0, *shape)), dtype=complex)
+            except ValueError:  # operators of unequal shapes
+                ops[i, j] = np.zeros(0)
+            if ops[i, j].shape[1:] != shape:
+                raise ShapeMismatchError(f"Kraus operators for ({i},{j}) are not all {shape}")
+            ops[i, j].flags.writeable = False
+        object.__setattr__(self, "ops", ops)
 
     def rank(self, i: int, j: int) -> int:
         return len(self.ops.get((i, j), ()))
 
     def gram(self, i: int, j: int) -> np.ndarray:
-        """G[a, b] = Tr(K_a† K_b) over the (i, j) list."""
-        v = np.array([vec(k) for k in self.ops.get((i, j), ())], dtype=complex)
-        return v.conj() @ v.T if v.size else np.zeros((len(v), len(v)), dtype=complex)
+        """G[a, b] = Tr(K_a† K_b) over the (i, j) operators."""
+        v = np.reshape(self.ops.get((i, j), ()), (-1, self.target.dims[j] * self.source.dims[i]))
+        return v.conj() @ v.T
 
     def min_gram_eig(self) -> float:
-        """Smallest Gram eigenvalue across nonempty lists (inf if all empty)."""
+        """Smallest Gram eigenvalue across nonempty pairs (inf if all empty)."""
         lo = np.inf
         for (i, j), ks in self.ops.items():
-            if ks:
+            if len(ks):
                 lo = min(lo, float(np.linalg.eigvalsh(self.gram(i, j)).min()))
         return lo
 
@@ -288,7 +299,7 @@ def kraus_from_choi(
     the block's largest eigenvalue, and never below the eigensolver's
     roundoff (block size times machine epsilon, relative), so eigenvalues
     that are numerically zero never become Kraus operators of size
-    sqrt(roundoff).
+    sqrt(roundoff).  Operator beta is its eigenvector times sqrt(lambda_beta).
     """
     return _eigh_kraus(require_cp_map(m, tol), rank_tol)
 
@@ -296,31 +307,13 @@ def kraus_from_choi(
 def _eigh_kraus(m: CpMap, rank_tol: float = KRAUS_RANK_REL_TOL) -> KrausDecomposition:
     """kraus_from_choi's factorisation, with no PSD check: for a map whose
     Choi blocks already passed the PSD rule."""
-    ops: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
+    ops: Dict[Tuple[int, int], np.ndarray] = {}
     for j, dk in enumerate(m.target.dims):
         for i, dh in enumerate(m.source.dims):
             w, v = np.linalg.eigh(herm_part(m.choi(j, i)))
-            cut = max(rank_tol, dk * dh * np.finfo(float).eps) * max(float(w.max()), 0.0)
-            ops[(i, j)] = tuple(
-                np.sqrt(lam) * unvec(v[:, k], dk, dh) for k, lam in enumerate(w) if lam > cut
-            )
+            keep = w > max(rank_tol, dk * dh * np.finfo(float).eps) * max(float(w.max()), 0.0)
+            ops[(i, j)] = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, dk, dh)
     return KrausDecomposition(m.source, m.target, ops)
-
-
-def _minimal_pinv(ma: np.ndarray, key) -> np.ndarray:
-    """Pseudo-inverse of Kraus rows ma (row alpha vec(K_alpha)), by SVD.
-
-    Raises NotMinimalError when ma is rank deficient: its smallest singular
-    value is at most INTERTWINER_REL_CUT times its largest.
-    """
-    if ma.shape[0] == 0:
-        return np.zeros((ma.shape[1], 0), dtype=complex)
-    u, s, vt = np.linalg.svd(ma, full_matrices=False)
-    if len(s) < ma.shape[0] or s.min() <= INTERTWINER_REL_CUT * s.max():
-        raise NotMinimalError(
-            f"Kraus rows {key} are rank deficient; the dilation they give is not minimal"
-        )
-    return dag(vt) @ (dag(u) / s[:, None])
 
 
 # -- duals, composition, copy -------------------------------------------------

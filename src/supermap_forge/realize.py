@@ -15,13 +15,13 @@ map N.  Its dilations put the environment on the source side
 minimal one with components M_a = Id_B_j (x) X_ik, row beta of X_ik being
 vec(N_beta†), so every other dilation is (Id (x) W) of it for a unique
 environment isometry W = M_b R, R = M_a+ = Id_B_j (x) X_ik+.  No dilation,
-W or Kraus family of S is ever formed: X_ik+ is one r_ik x d_i d_k SVD, W's
-residual and isometry defect come from a factor of Phi's small Choi blocks,
-and G's Choi blocks from S's, pulled back through R.  P has dimension
-max r_ik, the largest of N's Kraus ranks, and N's environment for (i, k) is
-the span of P's first r_ik basis vectors.  E is assembled from N's Kraus
-operators placed there, and G routes that span through W, sending the rest
-of P to a fixed pure state so that G is trace preserving.
+W or Kraus family of S is ever formed: X_ik's rows are orthogonal, so X_ik+
+is X_ik† over their squared norms; W's figures come from a factor of Phi's
+small Choi blocks, and G's Choi blocks from S's, pulled back through R.  P
+has dimension max r_ik, the largest of N's Kraus ranks, and N's environment
+for (i, k) is the span of P's first r_ik basis vectors.  E is assembled
+from N's Kraus operators placed there, and G routes that span through W,
+sending the rest of P to a fixed pure state so that G is trace preserving.
 
 E is an isometry: its block (k -> i) is conjugation by one operator U_ik,
 and a realisation holds E as these U_ik, not as Choi blocks.  The supermap
@@ -45,10 +45,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ._linalg import dag, frob
-from .algebra import DEFAULT_TOL, MultiMatrixAlgebra
+from .algebra import MultiMatrixAlgebra
 from .cpmaps import (
-    Channel, CpMap, KrausDecomposition, _eigh_kraus, _minimal_pinv, _not_cp, apply,
-    as_channel, hs_dual,
+    Channel, CpMap, KrausDecomposition, _eigh_kraus, _not_cp, apply, as_channel, hs_dual,
 )
 from .errors import (
     AlgebraMismatchError, IsometryDefectError, NotTracePreservingError, NotUnitalError,
@@ -105,10 +104,13 @@ class SolvedW:
 
 def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
             tol: float = VERIFY_TOL) -> SolvedW:
-    """X_ik+ per pair (i, k), one r_ik x d_i d_k SVD of N's Kraus rows
-    vec(N_beta†) ordered (A_i, C_k), and W's residual and isometry defect.
+    """X_ik+ per pair (i, k) for N's Kraus rows x_beta = vec(N_beta†) ordered
+    (A_i, C_k), and W's residual and isometry defect.
 
-    N's Kraus family must be minimal, otherwise NotMinimalError.  W itself
+    n_kraus must be eigh's, as kraus_from_choi gives: rows that are scaled
+    eigenvectors, every lambda_beta above the rank cut, are orthogonal, so
+    X_ik+ = X_ik† diag(1 / ||x_beta||^2) with no SVD.  Rows that are not
+    orthogonal defeat that closed form, and a gate below refuses.  W itself
     needs a left dilation of Phi; its diagnostics do not.  Each realigned
     (k, (j, i)) block M of the marginal map Phi factors as F†F, with F's rows
     the Kraus operators of Phi's dual (eigenvalues above roundoff).  Every
@@ -120,18 +122,17 @@ def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
     """
     if n_kraus.source != source_hom.in_algebra:
         raise AlgebraMismatchError("induced map must act on the in-factor algebra")
-    rows = {}
-    for (i, k), ops in n_kraus.ops.items():
-        di, dk = n_kraus.source.dims[i], n_kraus.target.dims[k]
-        x = np.reshape(np.array(ops, dtype=complex), (-1, dk, di)).conj()
-        rows[(i, k)] = x.transpose(0, 2, 1).reshape(-1, di * dk)
-    pinv = {key: _minimal_pinv(x, key) for key, x in rows.items()}
+    rows, pinv = {}, {}
+    for key, ops in n_kraus.ops.items():
+        r, dk, di = ops.shape
+        x = rows[key] = ops.conj().transpose(0, 2, 1).reshape(r, di * dk)
+        pinv[key] = dag(x) / (x.real ** 2 + x.imag ** 2).sum(axis=1)
     f_kd = _eigh_kraus(hs_dual(phi), rank_tol=0.0)
     res_sq = defect_sq = 0.0
     for (k, t), f_ops in f_kd.ops.items():
         j, i = source_hom.pairs[t]
         x, xp = rows[(i, k)], pinv[(i, k)]
-        f = np.reshape(f_ops, (-1, x.shape[1]))  # rows (mu, b), columns (A_i, C_k)
+        f = f_ops.reshape(-1, x.shape[1])  # rows (mu, b), columns (A_i, C_k)
         w_f = f @ xp
         res_sq += frob(w_f @ x - f) ** 2
         w_f = w_f.reshape(len(f_ops), source_hom.out_algebra.dims[j] * x.shape[0])
@@ -150,7 +151,7 @@ def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
 
 
 def assemble_e(n_kraus: KrausDecomposition, p_dim: int,
-               tol: float = DEFAULT_TOL) -> Dict[Tuple[int, int], np.ndarray]:
+               tol: float = VERIFY_TOL) -> Dict[Tuple[int, int], np.ndarray]:
     """The pre-processing channel E: C -> (+)_i B(P (x) H_in_i), as its
     Kraus operators: (source k, target i) -> U_ik, a (p d_i) x d_k matrix.
 
@@ -167,9 +168,9 @@ def assemble_e(n_kraus: KrausDecomposition, p_dim: int,
     ops: Dict[Tuple[int, int], np.ndarray] = {}
     for k, dk in enumerate(c_alg.dims):
         for i, dhi in enumerate(a_alg.dims):
+            n_ik = n_kraus.ops[(i, k)]
             u = np.zeros((p_dim, dhi, dk), dtype=complex)
-            for beta, n_beta in enumerate(n_kraus.ops[(i, k)]):
-                u[beta] = n_beta.T
+            u[:len(n_ik)] = n_ik.transpose(0, 2, 1)
             ops[(k, i)] = u = u.reshape(p_dim * dhi, dk)
             u.flags.writeable = False
     residuals = [frob(sum(dag(ops[k, i]) @ ops[k, i] for i in range(len(a_alg))) - np.eye(dk))
@@ -285,11 +286,11 @@ def _rejection(report: VerificationReport) -> SupermapForgeError:
 def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     """Build the circuit (E, G, P) realising a deterministic supermap.
 
-    Orchestrates: induced map N -> N's minimal Kraus family -> one SVD per
-    (i, k) for X_ik+, R = Id_B (x) X_ik+ -> channel assembly.  The memory dimension is N's largest Kraus rank r_ik (at
-    least 1), so it respects the bound max_{i,k} dim(H_in_i) * dim(K_in_k)
-    by construction: r_ik counts eigenvalues of N's (k, i) Choi block, a
-    matrix of that size.
+    Orchestrates: induced map N -> N's minimal Kraus family -> X_ik+ in
+    closed form, R = Id_B (x) X_ik+ -> channel assembly; no SVD runs.  The
+    memory dimension is N's largest Kraus rank r_ik (at least 1), so it
+    respects the bound max_{i,k} dim(H_in_i) * dim(K_in_k) by construction:
+    r_ik counts eigenvalues of N's (k, i) Choi block, a matrix of that size.
 
     Its gate is verify_deterministic at tol, run before any
     eigendecomposition.  A NOT deterministic verdict raises, with the report

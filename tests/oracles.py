@@ -11,8 +11,10 @@ The W path to G lives in ``tests/w_oracle.py``.
 
 The package holds a CP map by its Choi blocks alone.  Stinespring dilations
 (``StinespringDilation``, ``minimal_stinespring``, the least-squares
-``environment_intertwiner`` between two of them) and ``psd_factor`` live
-here, for the tests that check dilation uniqueness and the W path.
+``environment_intertwiner`` between two of them, and the SVD pseudo-inverse
+``_minimal_pinv`` it solves with) and ``psd_factor`` live here, for the
+tests that check dilation uniqueness, the W path and realize's closed-form
+pseudo-inverse of N's Kraus rows.
 """
 
 from dataclasses import dataclass
@@ -25,9 +27,9 @@ from supermap_forge.algebra import (
     DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, hs_inner, is_positive,
 )
 from supermap_forge.cpmaps import (
-    Channel, CpMap, KrausDecomposition, _minimal_pinv, kraus_from_choi, require_cp_map,
+    Channel, CpMap, KrausDecomposition, kraus_from_choi, require_cp_map,
 )
-from supermap_forge.errors import AlgebraMismatchError, NotPositiveError
+from supermap_forge.errors import AlgebraMismatchError, NotMinimalError, NotPositiveError
 from supermap_forge.supermap import HomAlgebra, embed_with_out_identity
 
 
@@ -179,7 +181,7 @@ def _stack_dilation(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
 def dilation_from_kraus(m: CpMap, kd: KrausDecomposition) -> StinespringDilation:
     """Stack each Kraus list against an orthonormal environment basis."""
     return _stack_dilation(m.source, m.target, {
-        (i, j): np.stack(kd.ops[(i, j)], axis=1) if kd.ops[(i, j)] else np.zeros((dk, 0, dh))
+        (i, j): np.stack(kd.ops[(i, j)], axis=1) if len(kd.ops[(i, j)]) else np.zeros((dk, 0, dh))
         for i, dh in enumerate(m.source.dims) for j, dk in enumerate(m.target.dims)
     })
 
@@ -198,6 +200,27 @@ def _kraus_rows(d: StinespringDilation, i: int, j: int) -> np.ndarray:
     dk, dh = d.target.dims[j], d.source.dims[i]
     r = d.env_dims[(i, j)]
     return d.component(i, j).reshape(dk, r, dh).transpose(1, 0, 2).reshape(r, dk * dh)
+
+
+# _minimal_pinv rejects Kraus rows as not minimal when their smallest
+# singular value falls below this fraction of their largest
+INTERTWINER_REL_CUT = 1e-10
+
+
+def _minimal_pinv(ma: np.ndarray, key) -> np.ndarray:
+    """Pseudo-inverse of Kraus rows ma (row alpha vec(K_alpha)), by SVD.
+
+    Raises NotMinimalError when ma is rank deficient: its smallest singular
+    value is at most INTERTWINER_REL_CUT times its largest.
+    """
+    if ma.shape[0] == 0:
+        return np.zeros((ma.shape[1], 0), dtype=complex)
+    u, s, vt = np.linalg.svd(ma, full_matrices=False)
+    if len(s) < ma.shape[0] or s.min() <= INTERTWINER_REL_CUT * s.max():
+        raise NotMinimalError(
+            f"Kraus rows {key} are rank deficient; the dilation they give is not minimal"
+        )
+    return dag(vt) @ (dag(u) / s[:, None])
 
 
 def environment_intertwiner(

@@ -218,7 +218,7 @@ def test_criterion_7_stinespring_choi_suite():
         # dilation uniqueness: environment padded and mixed by a unitary
         mixed = {}
         for key, ops in dil.kraus.ops.items():
-            padded = list(ops) + ([np.zeros_like(ops[0])] if ops else [])
+            padded = list(ops) + ([np.zeros_like(ops[0])] if len(ops) else [])
             r = len(padded)
             if r == 0:
                 mixed[key] = ()

@@ -121,6 +121,26 @@ def test_kraus_reconstructs_choi():
         assert sf.CpMap.from_kraus(kd.source, kd.target, kd.ops).choi_distance(ch) < 1e-10
 
 
+def test_kraus_decomposition_stacks_each_pair_into_one_read_only_array():
+    a = MultiMatrixAlgebra((("x", 2), ("y", 3)))
+    b = MultiMatrixAlgebra((("u", 1), ("v", 2)))
+    rng = np.random.default_rng(0)
+    ops = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
+    given = {(1, 1): tuple(ops), (0, 1): [ops[0, :, :2]], (1, 0): ops[:, :1].real, (0, 0): ()}
+    kd = sf.KrausDecomposition(a, b, given)
+    assert kd.ops.keys() == given.keys()
+    for (i, j), stacked in kd.ops.items():
+        assert stacked.dtype == complex and not stacked.flags.writeable
+        assert stacked.shape == (len(given[(i, j)]), b.dims[j], a.dims[i])
+        assert np.array_equal(stacked, np.reshape(given[(i, j)], stacked.shape))
+    assert kd.rank(0, 0) == 0 and kd.gram(0, 0).shape == (0, 0)
+    # the given array is copied, not frozen in place
+    assert given[(1, 0)].flags.writeable
+    for bad in ([ops[0]], [ops[0][:, :2], ops[0]], np.zeros((2, 3))):
+        with pytest.raises(sf.ShapeMismatchError, match=r"\(0,1\)"):
+            sf.KrausDecomposition(a, b, {(0, 1): bad})
+
+
 def test_kraus_from_choi_rejects_non_cp():
     m = choi_from_action(
         lambda x: BlockOperator(M2, [x.block(0).T]), M2, M2, require_cp=False

@@ -16,8 +16,8 @@ from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition
 from supermap_forge.supermap import partial_trace_out
 from oracles import (
-    choi_from_action, dilation_from_kraus, heisenberg_apply, matrix_units, minimal_stinespring,
-    tensor,
+    _minimal_pinv, choi_from_action, dilation_from_kraus, heisenberg_apply, matrix_units,
+    minimal_stinespring, tensor,
 )
 from w_oracle import left_dilation, right_dilation, solve_w, w_path
 
@@ -192,7 +192,7 @@ def test_solve_w_padded_inclusion():
     n = sf.extract_n(s)
     vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     padded_ops = {
-        key: tuple(list(ops) + [np.zeros_like(ops[0])]) if ops else ops
+        key: tuple(list(ops) + [np.zeros_like(ops[0])]) if len(ops) else ops
         for key, ops in vr.kraus.ops.items()
     }
     kd = KrausDecomposition(vr.source, vr.target, padded_ops)
@@ -318,23 +318,100 @@ def test_realize_eigendecomposes_no_block_larger_than_n_or_phi(dims, monkeypatch
     assert sizes and max(sizes) <= largest
 
 
-def test_realize_takes_no_svd_larger_than_n_choi_block(monkeypatch):
-    # R = Id_B (x) X_ik+: one SVD of N's Kraus rows, r_ik x d_i d_k, per
-    # (i, k), never of the B-inflated right-dilation component
-    q3 = [MultiMatrixAlgebra.from_dims((3,), lbl) for lbl in "abcd"]
-    s = gen.random_supermap_from_circuit(*q3, p_dim=2, seed=1)
-    n_map = sf.verify_deterministic(s).n_map
-    largest = max(x.shape[0] for row in n_map.choi_blocks for x in row)
-    shapes = []
+def test_realize_takes_no_svd(monkeypatch):
+    # R = Id_B (x) X_ik+, with X_ik+ in closed form from N's orthogonal
+    # Kraus rows: realize factorises nothing but N's and Phi's blocks by eigh
+    shapes = [[MultiMatrixAlgebra.from_dims((3,), lbl) for lbl in "abcd"], small_shape()]
+    supermaps = [gen.random_supermap_from_circuit(*algs, p_dim=2, seed=1) for algs in shapes]
+    calls = []
     svd = np.linalg.svd
 
     def recorded(m, *args, **kwargs):
-        shapes.append(np.shape(m))
+        calls.append(np.shape(m))
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
-    sf.realize(s)
-    assert shapes and max(map(max, shapes)) <= largest
+    for s in supermaps:
+        sf.realize(s)
+    assert calls == []
+
+
+def _n_kraus_and_phi(s, tol=1e-8):
+    """N's Kraus family as realize reads it, and the marginal map Phi."""
+    report = sf.verify_deterministic(s, tol)
+    assert report.verdict
+    return sf.kraus_from_choi(report.n_map, tol=tol), report.phi
+
+
+def _n_rows(ops):
+    """X_ik: row beta is vec(N_beta†), ordered (A_i, C_k)."""
+    r, dk, di = ops.shape
+    return ops.conj().transpose(0, 2, 1).reshape(r, di * dk)
+
+
+CLOSED_FORM_SHAPES = (
+    ((2,),) * 4, ((3,),) * 4, ((4,),) * 4, ((5,),) * 4,
+    ((2, 1), (2,), (1, 2), (2, 1)), ((1, 1, 1), (2,), (3,), (2,)),
+    ((2, 2), (1,), (2,), (1,)), ((1, 2), (1, 1), (2, 1), (2,)),
+    ((3,), (1,), (1, 1), (3,)), ((2, 1), (1, 2), (2, 2), (1, 1)),
+)
+
+
+def _closed_form_inputs():
+    for n, dims in enumerate(CLOSED_FORM_SHAPES):
+        algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+        p_dim = 1 if max(dims[0]) >= 4 else 2
+        yield dims, gen.random_supermap_from_circuit(*algs, p_dim=p_dim, seed=10 + n)
+    # verify accepts it, but N keeps eigenvalues near the 1e-9 push
+    m2 = MultiMatrixAlgebra.single(2)
+    yield "pushed identity", gen.perturb_supermap(
+        sf.identity_supermap(m2, m2), 1e-9, "tp-breaking", seed=0)
+
+
+def test_closed_form_pinv_agrees_with_the_svd_reference():
+    # eigh's Kraus rows are orthogonal, so X+ = X† diag(1 / ||x_beta||^2) is
+    # a right inverse of X, and the SVD pseudo-inverse agrees with it.  Both
+    # are backward stable, so each is accurate to a few eps * kappa(X) in
+    # relative terms; the pushed identity has kappa ~ 9e4, where the SVD
+    # reference's own error reaches 2.5e-12 ||X+||
+    bound = 100 * np.finfo(float).eps
+    checked = 0
+    for name, s in _closed_form_inputs():
+        n_kd, phi = _n_kraus_and_phi(s)
+        # gates at 10 * tol = 10 let the pushed identity's X+ through
+        pinv = sf.solve_w(n_kd, phi, s.source_hom, tol=1.0).pinv
+        assert pinv.keys() == n_kd.ops.keys()
+        for key, ops in n_kd.ops.items():
+            x, xp = _n_rows(ops), pinv[key]
+            assert xp.shape == x.shape[::-1], (name, key)
+            if not len(ops):
+                continue
+            xp_norm = np.linalg.norm(xp, 2)
+            kappa = np.linalg.norm(x, 2) * xp_norm
+            assert np.linalg.norm(x @ xp - np.eye(len(ops))) <= bound * kappa, (name, key)
+            reference = _minimal_pinv(x, key)
+            assert np.linalg.norm(xp - reference) <= bound * kappa * xp_norm, (name, key)
+            checked += 1
+    assert checked >= 20
+
+
+def test_solve_w_refuses_a_kraus_family_mixed_by_a_non_unitary():
+    # a family that is not eigh's, mixed by an invertible non-unitary matrix,
+    # has rows that are not orthogonal: the closed form is no pseudo-inverse
+    # of them, and one of solve_w's gates refuses what it gives
+    rng = np.random.default_rng(3)
+    for dims in CLOSED_FORM_SHAPES[:2] + CLOSED_FORM_SHAPES[4:6]:
+        algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+        s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=4)
+        n_kd, phi = _n_kraus_and_phi(s)
+        mixed = {}
+        for key, ops in n_kd.ops.items():
+            r = len(ops)
+            g = np.eye(r) + 0.5 * (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+            assert np.linalg.matrix_rank(g) == r
+            mixed[key] = np.tensordot(g, ops, axes=1)
+        with pytest.raises((sf.ResidualTooLargeError, sf.IsometryDefectError)):
+            sf.solve_w(KrausDecomposition(n_kd.source, n_kd.target, mixed), phi, s.source_hom)
 
 
 def test_assemble_e_is_tp_and_has_the_right_marginal():

@@ -110,7 +110,7 @@ def test_dilation_uniqueness_partial_isometry():
         # pad with a zero Kraus operator and mix by a random environment unitary
         mixed = {}
         for key, ops in dmin.kraus.ops.items():
-            padded = list(ops) + ([np.zeros_like(ops[0])] if ops else [])
+            padded = list(ops) + ([np.zeros_like(ops[0])] if len(ops) else [])
             r = len(padded)
             if r == 0:
                 mixed[key] = ()

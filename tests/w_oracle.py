@@ -43,7 +43,7 @@ def right_dilation(
     for k, dk in enumerate(src.dims):
         for t, (j, i) in enumerate(source_hom.pairs):
             di, ops = source_hom.in_algebra.dims[i], n_kraus.ops[(i, k)]
-            n3 = np.stack(ops, axis=1) if ops else np.zeros((dk, 0, di))
+            n3 = np.stack(ops, axis=1) if len(ops) else np.zeros((dk, 0, di))
             # K_(b, beta) = |b> (x) N_beta†
             components[(k, t)] = np.einsum(
                 "cb,xry->cybrx", np.eye(b_dims[j]), n3.conj()
