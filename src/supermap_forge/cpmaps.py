@@ -127,23 +127,17 @@ class CpMap:
         target: MultiMatrixAlgebra,
         ops: Dict[Tuple[int, int], Sequence[np.ndarray]],
     ) -> "CpMap":
-        """Choi family from per-(source i, target j) Kraus lists: one V V† per block."""
+        """Choi family from per-(source i, target j) Kraus lists, stacked and
+        shape-checked as KrausDecomposition does: one V V† per block, V's
+        columns the operators' row-major vecs."""
         blocks = [
             [np.zeros((target.dims[j] * source.dims[i],) * 2, dtype=complex)
              for i in range(len(source))]
             for j in range(len(target))
         ]
-        for (i, j), kraus_list in ops.items():
-            dk, dh = target.dims[j], source.dims[i]
-            ks = [np.asarray(k, dtype=complex) for k in kraus_list]
-            for k in ks:
-                if k.shape != (dk, dh):
-                    raise ShapeMismatchError(
-                        f"Kraus operator for ({i},{j}) has shape {k.shape}, "
-                        f"expected ({dk},{dh})"
-                    )
-            if ks:
-                v = np.stack([vec(k) for k in ks], axis=1)
+        for (i, j), ks in KrausDecomposition(source, target, ops).ops.items():
+            if len(ks):
+                v = ks.reshape(len(ks), -1).T
                 blocks[j][i] = v @ dag(v)
         return cls(source, target, blocks)
 

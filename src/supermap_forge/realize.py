@@ -293,10 +293,13 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     r_ik counts eigenvalues of N's (k, i) Choi block, a matrix of that size.
 
     Its gate is verify_deterministic at tol, run before any
-    eigendecomposition.  A NOT deterministic verdict raises, with the report
-    as the error's ``report``: NotCompletelyPositiveError naming N's, else
-    S's, failing block and reason; else ResidualTooLargeError when
-    kernel_residual exceeds tol; else NotUnitalError.
+    eigendecomposition; after a verify of the same supermap at the same tol
+    it is that call's report, so S is certified once per pipeline, with the
+    same verdicts, errors and outputs.  A NOT deterministic verdict raises,
+    with the report as the error's ``report``: NotCompletelyPositiveError
+    naming N's, else S's, failing block and reason; else
+    ResidualTooLargeError when kernel_residual exceeds tol; else
+    NotUnitalError.
 
     After a pass, eigh runs on N's Choi blocks and on those of the report's
     marginal map Phi, dim(C_k) dim(B_j) dim(A_i) square, never on S's;

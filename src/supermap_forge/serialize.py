@@ -21,13 +21,14 @@ RANK_ONE_TOL * max(1, ||C||_F).
 
 Loading raises ShapeMismatchError on any malformed payload: a matrix whose
 layout is not its document's version, base64 that is not strict, a byte
-length other than 16*r*c, a boolean where an integer belongs, a non-finite
-entry, a missing or repeated Choi or E entry, a document nested too deeply
-to parse, a format "3" document of another kind than a realisation, and a
-realisation whose E and G do not have the types its algebras and p_dim
-give, whose stored E block is not rank one, whose p_bound is not the bound
-its algebras give, or whose scalar is a boolean, non-finite, or
-(w_residual, w_isometry_defect) negative.  Saving raises it, and writes
+length other than 16*r*c, a boolean where an integer belongs, a format "1"
+entry other than two strings, a non-finite entry, a missing or repeated
+Choi or E entry, a document nested too deeply to parse, a format "3"
+document of another kind than a realisation, and a realisation whose E
+and G do not have the types its algebras and p_dim give, whose stored E
+block is not rank one, whose p_bound is not the bound its algebras give,
+or whose scalar is a boolean, non-finite, or (w_residual,
+w_isometry_defect) negative.  Saving raises it, and writes
 nothing, for a non-finite number, scalar or matrix entry: every written
 document is RFC 8259 JSON that loading accepts.
 
@@ -101,15 +102,19 @@ def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
     return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
 
 
+def _v1_entry(x) -> complex:
+    """One format 1 matrix entry: [re, im] as two decimal strings."""
+    if not (isinstance(x, list) and len(x) == 2 and all(isinstance(v, str) for v in x)):
+        raise ShapeMismatchError(f"a format 1 matrix entry is [re, im] as two strings, got {x!r}")
+    return complex(float(x[0]), float(x[1]))
+
+
 def decode_matrix(m, version: str = FORMAT_VERSION) -> np.ndarray:
     """Decode one matrix stored in a document of the given format version."""
     if version == "1":
         if not isinstance(m, list):
             raise ShapeMismatchError("a format 1 matrix is a list of [re, im] rows")
-        out = np.array(
-            [[complex(float(re), float(im)) for re, im in row] for row in m],
-            dtype=complex,
-        )
+        out = np.array([[_v1_entry(x) for x in row] for row in m], dtype=complex)
     else:
         if not isinstance(m, dict):
             raise ShapeMismatchError(

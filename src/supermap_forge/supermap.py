@@ -30,6 +30,7 @@ Hilbert-Schmidt norm of Phi restricted to ``ker Tr_out``; it is at least the
 largest ``||Tr_out S(b)||`` over any orthonormal basis b of that kernel.
 """
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -168,15 +169,22 @@ class Supermap:
 
     Construction checks the algebras only: verify_deterministic decides
     whether the map is CP, and deterministic, in a report it returns, and
-    realize runs it as its gate.
+    realize runs it as its gate.  ``inner``, ``source_hom`` and
+    ``target_hom`` cannot be rebound, and inner's Choi blocks are read-only
+    copies, so a supermap's report stays its own; verify_deterministic keeps
+    the last one outside the object, and ``vars(s)`` never changes.
     """
 
     def __init__(self, inner: CpMap, source_hom: HomAlgebra, target_hom: HomAlgebra):
         if inner.source != source_hom.base or inner.target != target_hom.base:
             raise AlgebraMismatchError("inner map does not match the Hom-algebras")
-        self.inner = inner
-        self.source_hom = source_hom
-        self.target_hom = target_hom
+        vars(self).update(inner=inner, source_hom=source_hom, target_hom=target_hom)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Supermap is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Supermap is immutable; cannot delete {name!r}")
 
     def __repr__(self) -> str:
         s = "+".join(str(d) for d in self.source_hom.base.dims)
@@ -285,6 +293,10 @@ def _require_tolerance(tol: float) -> None:
         raise ShapeMismatchError("tolerance must be positive and finite")
 
 
+# the last report verify_deterministic computed for each live supermap
+_REPORTS: "weakref.WeakKeyDictionary[Supermap, VerificationReport]" = weakref.WeakKeyDictionary()
+
+
 def verify_deterministic(s: Supermap, tol: float = VERIFY_TOL) -> VerificationReport:
     """Decide whether the supermap sends trace-preserving Choi operators to
     trace-preserving Choi operators.
@@ -297,17 +309,26 @@ def verify_deterministic(s: Supermap, tol: float = VERIFY_TOL) -> VerificationRe
     Choi blocks are partial traces of S's and can sit up to dim D / dim B
     times further below zero.  Reads each of S's Choi blocks twice, once for
     the PSD rule and once for N and Phi.  The verdict is realize's gate.
-    Pure: the supermap is left unchanged.
+
+    The last report computed for a supermap is kept, weakly keyed by the
+    object, and returned as it is for a call at the same tol; so realize
+    after a verify at its tol runs none of the checks again.  Pure: the
+    supermap is left unchanged, and a report, like the supermap, is
+    immutable, so threads that share either see the same values.
     """
     _require_tolerance(tol)
+    report = _REPORTS.get(s)
+    if report is not None and report.tol == tol:
+        return report
     s_witness = is_cp(s.inner, tol)
     n_map, phi = _n_and_phi(s)
     residual = kernel_residual(phi, n_map, s.source_hom)
     unital_residual = (apply(n_map, n_map.source.identity()) - n_map.target.identity()).norm()
     n_witness = is_cp(n_map, tol)
     verdict = s_witness.ok and n_witness.ok and residual <= tol and unital_residual <= tol
-    return VerificationReport(s_witness, residual, phi, n_map, unital_residual, n_witness,
-                              verdict, tol)
+    _REPORTS[s] = report = VerificationReport(s_witness, residual, phi, n_map, unital_residual,
+                                              n_witness, verdict, tol)
+    return report
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,13 @@ DECODE_ERRORS = {
     # 31 and 32 bytes both encode to 44 characters
     "one byte short, same text length": ("2", _c16([1, 2], bytes(31)), "holds 31 bytes"),
     "nan": ("2", _c16([1, 1], np.array([np.nan], "<c16").tobytes()), "finite"),
+    "true entry": ("1", [[True]], "two strings, got True"),
+    "boolean pair entry": ("1", [[[True, "0"]]], r"two strings, got \[True, '0'\]"),
+    "bare number entry": ("1", [[0.5]], "two strings, got 0.5"),
+    "null entry": ("1", [[None]], "two strings, got None"),
+    "number pair entry": ("1", [[[0, 0]]], r"two strings, got \[0, 0\]"),
+    "one-element entry": ("1", [[["0"]]], r"two strings, got \['0'\]"),
+    "three-element entry": ("1", [[["0", "0", "0"]]], r"two strings, got \['0', '0', '0'\]"),
 }
 
 
@@ -220,6 +227,21 @@ def test_decode_matrix_names_what_is_malformed(case):
     version, m, message = DECODE_ERRORS[case]
     with pytest.raises(sf.ShapeMismatchError, match=message):
         serialize.decode_matrix(m, version)
+
+
+def test_format_1_entry_of_two_booleans_is_input_error(tmp_path, capsys):
+    # format 1's writer stored every entry as two decimal strings; [true,
+    # false] once read as 1 + 0j, and verify printed NOT deterministic, exit 1
+    path = _v1_copy(tmp_path, "supermap.json")
+    assert run(["verify", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["payload"]["choi"][0]["matrix"][0][0] = [True, False]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entry is [re, im] as two strings, got [True, False]" in captured.err
 
 
 def _v2_realisation_document(r):

@@ -139,6 +139,13 @@ def test_kraus_decomposition_stacks_each_pair_into_one_read_only_array():
     for bad in ([ops[0]], [ops[0][:, :2], ops[0]], np.zeros((2, 3))):
         with pytest.raises(sf.ShapeMismatchError, match=r"\(0,1\)"):
             sf.KrausDecomposition(a, b, {(0, 1): bad})
+        # CpMap.from_kraus stacks its lists the same way
+        with pytest.raises(sf.ShapeMismatchError, match=r"\(0,1\)"):
+            sf.CpMap.from_kraus(a, b, {(0, 1): bad})
+    m = sf.CpMap.from_kraus(a, b, given)
+    for (i, j), ks in kd.ops.items():
+        v = ks.reshape(len(ks), b.dims[j] * a.dims[i]).T
+        assert np.array_equal(m.choi(j, i), v @ v.conj().T)
 
 
 def test_kraus_from_choi_rejects_non_cp():

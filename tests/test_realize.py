@@ -991,28 +991,61 @@ def test_realize_rejects_kernel_containment_exactly_when_verify_does():
                 assert raised == expected, (dims, eps, mode, rep.summary())
 
 
-def test_realize_decomposes_each_choi_block_once(monkeypatch):
-    s = verified_supermap(seed=13)
-    calls = collections.Counter()
+def _unverified(s):
+    """A new supermap on s's Choi blocks: no report is kept for it yet."""
+    return sf.Supermap(s.inner, s.source_hom, s.target_hom)
 
-    def count(owner, name):
+
+def _count_calls(monkeypatch, names):
+    """Count calls of (owner, name) pairs, keyed by name."""
+    calls = collections.Counter()
+    for owner, name in names:
         inner = getattr(owner, name)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+    return calls
 
-    count(sys.modules["supermap_forge.realize"], "_eigh_kraus")
-    count(algebra, "_psd_block")
-    count(sf.CpMap, "from_kraus")
-    count(sf.CpMap, "choi_distance")
+
+def test_realize_decomposes_each_choi_block_once(monkeypatch):
+    s = _unverified(verified_supermap(seed=13))
+    calls = _count_calls(monkeypatch, [
+        (sys.modules["supermap_forge.realize"], "_eigh_kraus"), (algebra, "_psd_block"),
+        (sf.CpMap, "from_kraus"), (sf.CpMap, "choi_distance"),
+    ])
     sf.realize(s)
     a, c = s.source_hom.in_algebra, s.target_hom.in_algebra
     s_blocks = len(s.inner.source) * len(s.inner.target)
     # E is assembled as its Kraus operators: no Choi family of E is built
     assert calls == {"_eigh_kraus": 2, "_psd_block": s_blocks + len(a) * len(c)}
+
+
+def test_realize_after_a_verify_at_its_tol_runs_no_gate_pass(monkeypatch):
+    s = verified_supermap(seed=13)
+    fresh = sf.realize(_unverified(s))
+    supermap = sys.modules["supermap_forge.supermap"]
+    calls = _count_calls(monkeypatch, [
+        (algebra, "_psd_block"), (supermap, "_n_and_phi"), (supermap, "kernel_residual"),
+    ])
+    r = sf.realize(s)
+    assert calls == {}
+    # the outputs are those of a realize with no prior verify, bit for bit
+    for key, u in fresh.e_kraus.items():
+        assert np.array_equal(r.e_kraus[key], u), key
+    for row, fresh_row in zip(r.g_channel.choi_blocks, fresh.g_channel.choi_blocks):
+        assert all(np.array_equal(g, h) for g, h in zip(row, fresh_row))
+    fields = ("p_dim", "p_bound", "gram_min_eig", "w_residual", "w_isometry_defect")
+    assert [getattr(r, f) for f in fields] == [getattr(fresh, f) for f in fields]
+    # at another tol the whole gate runs, and its report is the one kept
+    sf.realize(s, 1e-7)
+    a, c = s.source_hom.in_algebra, s.target_hom.in_algebra
+    s_blocks = len(s.inner.source) * len(s.inner.target)
+    gate = {"_psd_block": s_blocks + len(a) * len(c), "_n_and_phi": 1, "kernel_residual": 1}
+    assert calls == gate
+    assert sf.verify_deterministic(s, 1e-7).tol == 1e-7 and calls == gate
 
 
 def test_realize_rejects_before_any_eigendecomposition(monkeypatch):
@@ -1032,21 +1065,18 @@ def test_realize_rejects_before_any_eigendecomposition(monkeypatch):
 
 def test_realize_names_the_failing_psd_block_without_a_second_pass(monkeypatch):
     s = gen.perturb_supermap(verified_supermap(seed=5), 1e-3, "cp-breaking")
-    calls = collections.Counter()
-    inner = algebra._psd_block
-
-    def counted(*args):
-        calls["_psd_block"] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(algebra, "_psd_block", counted)
+    calls = _count_calls(monkeypatch, [(algebra, "_psd_block")])
     report = sf.verify_deterministic(s)
     verify_calls = calls["_psd_block"]
     calls.clear()
     with pytest.raises(sf.NotCompletelyPositiveError) as info:
-        sf.realize(s)
+        sf.realize(_unverified(s))
     assert calls["_psd_block"] == verify_calls  # no second PSD pass
     assert info.value.report.s_witness == report.s_witness
+    calls.clear()
+    with pytest.raises(sf.NotCompletelyPositiveError) as again:
+        sf.realize(s)
+    assert calls["_psd_block"] == 0 and again.value.report is report
     witness = next(w for w in (report.n_witness, report.s_witness) if not w)
     assert witness.reason.startswith("min eigenvalue")
     assert str(info.value) == f"Choi block {witness.block!r} not PSD ({witness.reason})"

@@ -1,6 +1,12 @@
 """Tests for Hom-algebras, supermap verification, and the induced map N."""
 
 import collections
+import copy
+import gc
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -355,3 +361,70 @@ def test_verify_reads_each_choi_block_of_s_twice(monkeypatch):
     assert sf.verify_deterministic(s).verdict
     pairs = [(j, i) for j in range(len(s.inner.target)) for i in range(len(s.inner.source))]
     assert reads == dict.fromkeys(pairs, 2)
+
+
+def test_verify_keeps_the_last_report_per_supermap_outside_it():
+    a, b, c, d = small_shape()
+    s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=1, seed=3)
+    before = dict(vars(s))
+    report = sf.verify_deterministic(s)
+    assert sf.verify_deterministic(s) is report
+    assert vars(s) == before
+    other = sf.verify_deterministic(s, 1e-7)
+    assert other is not report and other.tol == 1e-7
+    assert sf.verify_deterministic(s, 1e-7) is other
+    # the kept report lives no longer than its supermap
+    s_ref, report_ref = weakref.ref(s), weakref.ref(other)
+    del s, report, other
+    gc.collect()
+    assert s_ref() is None and report_ref() is None
+
+
+def test_supermap_attributes_cannot_be_rebound():
+    a, b, _, _ = small_shape()
+    s = sf.identity_supermap(a, b)
+    for name in ("inner", "source_hom", "target_hom"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(s, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        s.report = None
+    with pytest.raises(ValueError, match="read-only"):
+        s.inner.choi(0, 0)[0, 0] = 0
+    # copies are built without setting attributes, so they still work
+    twin = copy.deepcopy(s)
+    assert vars(twin).keys() == vars(s).keys() and sf.verify_deterministic(twin).verdict
+
+
+def test_threads_verifying_one_supermap_get_equal_reports():
+    # four threads on two cores, switching often, each alternating two tols:
+    # every call must get the report for its own tol, equal to a fresh one
+    a, b, c, d = small_shape()
+    s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=6)
+    twin = sf.Supermap(s.inner, s.source_hom, s.target_hom)
+    want = {tol: sf.verify_deterministic(twin, tol) for tol in (1e-8, 1e-7)}
+    fields = ("s_witness", "n_witness", "kernel_residual", "n_unital_residual", "verdict", "tol")
+    start = threading.Barrier(4, timeout=30)
+
+    def verify(t):
+        start.wait()
+        reports = []
+        for n in range(20):
+            tol = (1e-8, 1e-7)[(t + n) % 2]
+            reports.append((tol, sf.verify_deterministic(s, tol)))
+        return reports
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(verify, t) for t in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for reports in results:
+        assert len(reports) == 20
+        for tol, rep in reports:
+            assert [getattr(rep, f) for f in fields] == [getattr(want[tol], f) for f in fields]
+            assert rep.phi.choi_distance(want[tol].phi) == 0
+            assert rep.n_map.choi_distance(want[tol].n_map) == 0
