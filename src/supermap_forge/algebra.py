@@ -34,6 +34,41 @@ DEFAULT_TOL = 1e-9
 Label = Union[str, int, Tuple]
 
 
+class _Frozen:
+    """A value whose slots __init__ sets once, through object.__setattr__,
+    and nothing rebinds or deletes.  Copies and pickles rebuild it from the
+    stored slots, validating nothing again, and mark its arrays read-only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a {type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a {type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        names = [n for c in type(self).__mro__ for n in getattr(c, "__slots__", ())]
+        return _rebuild, (type(self), {n: getattr(self, n) for n in names})
+
+
+def _read_only(x):
+    """x, with every array in it, through nested tuples, marked read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, tuple):
+        for y in x:
+            _read_only(y)
+    return x
+
+
+def _rebuild(cls, slots):
+    obj = object.__new__(cls)
+    for name, value in slots.items():
+        object.__setattr__(obj, name, _read_only(value))
+    return obj
+
+
 @dataclass(frozen=True)
 class MultiMatrixAlgebra:
     """An ordered list of labelled matrix blocks describing (+)_i B(H_i).
@@ -90,10 +125,11 @@ class MultiMatrixAlgebra:
         return BlockOperator(self, [np.zeros((d, d), dtype=complex) for d in self.dims])
 
 
-class BlockOperator:
+class BlockOperator(_Frozen):
     """One complex matrix per block of a multimatrix algebra.
 
-    Values are immutable after construction; all arithmetic returns new
+    Values are immutable after construction: the blocks are read-only
+    copies and no attribute can be rebound.  All arithmetic returns new
     operators.  Binary operations require both operands to share the same
     algebra.
     """
@@ -110,8 +146,8 @@ class BlockOperator:
             if m.shape != (d, d):
                 raise ShapeMismatchError(f"block of shape {m.shape} where ({d}, {d}) expected")
             m.flags.writeable = False
-        self.algebra = algebra
-        self._mats = mats
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "_mats", mats)
 
     def block(self, i: int) -> np.ndarray:
         return self._mats[i]
@@ -251,9 +287,9 @@ def is_positive(x: BlockOperator, tol: float = DEFAULT_TOL) -> PositivityWitness
     return _psd_blocks(zip(x.algebra.labels, x.mats), tol)
 
 
-class HybridState:
+class HybridState(_Frozen):
     """A trace-one positive element: distribution over blocks plus a density
-    matrix per block."""
+    matrix per block.  Immutable, as its operator is."""
 
     __slots__ = ("operator",)
 
@@ -264,7 +300,7 @@ class HybridState:
         tr = operator.trace()
         if abs(tr - 1.0) > tol:
             raise ShapeMismatchError(f"state trace {tr:.12g} != 1")
-        self.operator = operator
+        object.__setattr__(self, "operator", operator)
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._linalg import dag, frob, herm_part, vec
 from .algebra import (
-    DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _psd_blocks,
+    DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _Frozen, _psd_blocks,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -45,19 +45,18 @@ from .errors import (
 KRAUS_RANK_REL_TOL = 1e-10
 
 
-class CpMap:
+class CpMap(_Frozen):
     """A linear map stored by its block Choi matrices.
 
     Construction validates shapes only; complete positivity is a predicate
     (`is_cp`) so that intermediate linear algebra may pass through
-    non-positive data (e.g. when probing a map on a non-PSD basis).
+    non-positive data (e.g. when probing a map on a non-PSD basis).  The
+    blocks are read-only copies and no attribute can be rebound.
     """
 
     __slots__ = ("source", "target", "_blocks")
 
     def __init__(self, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra, blocks):
-        self.source = source
-        self.target = target
         rows = []
         if len(blocks) != len(target.blocks):
             raise ShapeMismatchError("one row of Choi blocks per target block expected")
@@ -75,7 +74,9 @@ class CpMap:
                 m.flags.writeable = False
                 out.append(m)
             rows.append(tuple(out))
-        self._blocks = tuple(rows)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_blocks", tuple(rows))
 
     # -- accessors ---------------------------------------------------------
 
@@ -216,7 +217,10 @@ def is_unital(m: CpMap, tol: float = DEFAULT_TOL) -> bool:
 
 
 class Channel(CpMap):
-    """A CP map satisfying the block trace-preservation condition."""
+    """A CP map satisfying the block trace-preservation condition; with
+    validate=False, one the caller vouches for."""
+
+    __slots__ = ()
 
     def __init__(self, source, target, blocks, tol: float = DEFAULT_TOL, validate: bool = True):
         super().__init__(source, target, blocks)

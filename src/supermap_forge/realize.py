@@ -38,9 +38,10 @@ these choices the assembled circuit reproduces ``S`` exactly rather than its
 conjugate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -238,6 +239,8 @@ class CircuitRealisation:
     ``e_kraus[k, i]`` is U_ik, a (p_dim d_i) x d_k matrix, for every block k
     of C and i of A.  ``e_channel`` is E's Choi family, U_ik U_ik† per block,
     built from them on first use; checking a realisation never builds it.
+    ``e_kraus`` is a read-only view of the mapping it was given, and its
+    arrays are marked read-only, so E cannot change under that cache.
     Realisations compare by identity, as their channels do.
     """
 
@@ -246,12 +249,23 @@ class CircuitRealisation:
     c: MultiMatrixAlgebra
     d: MultiMatrixAlgebra
     p_dim: int
-    e_kraus: Dict[Tuple[int, int], np.ndarray]
+    e_kraus: Mapping[Tuple[int, int], np.ndarray]
     g_channel: Channel
     w_residual: float
     w_isometry_defect: float
     gram_min_eig: float
     p_bound: int
+
+    def __post_init__(self):
+        for u in self.e_kraus.values():
+            u.flags.writeable = False
+        object.__setattr__(self, "e_kraus", MappingProxyType(self.e_kraus))
+
+    def __reduce__(self):
+        # a mappingproxy neither copies nor pickles: pass __init__ a dict
+        return CircuitRealisation, tuple(
+            dict(self.e_kraus) if f.name == "e_kraus" else getattr(self, f.name)
+            for f in fields(self))
 
     @cached_property
     def e_channel(self) -> Channel:

@@ -38,6 +38,13 @@ would make CPython fall back to its pure-Python encoder), each matrix a hole
 {"shape": [r, c], "c16": ""}; it splices each matrix's base64 in as bytes
 and writes the file once, the bytes json.dumps gives for encode_matrix's
 dicts.  Indented documents load the same.
+
+Reading accepts what base64.b64decode(text, validate=True) accepts, and
+nothing else.  A c16 text of _B64_CUT characters or more decodes through a
+65,536-entry table from each two characters to their 12 bits; binascii
+decodes shorter texts and the last 4-11 characters, and any text the table
+or the tail rejects is handed to it whole, so the bytes and every error
+message are binascii's.
 """
 
 import base64
@@ -64,6 +71,29 @@ READABLE_VERSIONS = ("1", FORMAT_VERSION, REALISATION_VERSION)
 RANK_ONE_TOL = 1e-12
 _C16 = np.dtype("<c16")
 _HOLE = b'"c16":""'  # under ensure_ascii, only a key/value pair the encoder wrote
+# a c16 text this long or longer decodes through the pair table; below it,
+# binascii is as fast (the two meet near 2**14 characters)
+_B64_CUT = 1 << 15
+_B64_CHUNK = 1 << 15  # 8-character groups per step: 1 MB of table indices
+
+
+def _pair_table() -> np.ndarray:
+    """The 12 bits of each two base64 characters, indexed by the pair read
+    as one little-endian uint16; 0xFFFF where either is outside the alphabet.
+
+    Built with no temporary as large as the table: freeing one would raise
+    glibc's mmap threshold at import, and move the heap of the whole process.
+    """
+    sextet = np.full(256, 0xFFFF, np.uint16)
+    alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    sextet[np.frombuffer(alphabet, np.uint8)] = np.arange(64)
+    # row: the second character (the high byte), column: the first
+    table = (sextet << 6)[None, :] | sextet[:, None]
+    table[table > 0xFFF] = 0xFFFF
+    return table.reshape(-1)
+
+
+_B64_PAIRS = _pair_table()
 
 
 def _fmt(x: float) -> str:
@@ -102,6 +132,49 @@ def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
     return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
 
 
+def _b64decode(text: str):
+    """base64.b64decode(text, validate=True): the same bytes, or the same
+    ValueError, as a read-only buffer.
+
+    Below _B64_CUT characters, and for any text the fast path rejects, it is
+    that call.  Otherwise each 8 characters before the last 4-11 are four
+    table lookups, written as three big-endian 16-bit words, and base64
+    decodes the tail: base64 groups decode independently, so the body and
+    the tail together are accepted exactly when the whole text is.
+    """
+    if len(text) < _B64_CUT:
+        return base64.b64decode(text, validate=True)
+    groups = (len(text) - 4) // 8
+    try:
+        raw = text.encode("ascii")
+        tail = base64.b64decode(raw[8 * groups:], validate=True)
+    except ValueError:  # a non-ASCII character, or a tail binascii rejects
+        return base64.b64decode(text, validate=True)
+    out = np.empty(6 * groups + len(tail), np.uint8)
+    out[6 * groups:] = np.frombuffer(tail, np.uint8)
+    pairs = np.frombuffer(raw, "<u2", 4 * groups).reshape(groups, 4)
+    words = out[:6 * groups].view(">u2").reshape(groups, 3)
+    n = min(groups, _B64_CHUNK)
+    bits, native, scratch = (np.empty(shape, np.uint16) for shape in ((n, 4), (n, 3), n))
+    for g in range(0, groups, n):
+        k = min(n, groups - g)
+        v, w, x = bits[:k], native[:k], scratch[:k]
+        np.take(_B64_PAIRS, pairs[g:g + k], out=v)
+        if v.max() > 0xFFF:
+            return base64.b64decode(text, validate=True)
+        # the 48 bits a|b|c|d of a group; uint16 shifts drop what overflows
+        a, b, c, d = v.T
+        np.left_shift(a, 4, out=w[:, 0])
+        w[:, 0] |= np.right_shift(b, 8, out=x)
+        np.left_shift(b, 8, out=w[:, 1])
+        w[:, 1] |= np.right_shift(c, 4, out=x)
+        np.left_shift(c, 12, out=w[:, 2])
+        w[:, 2] |= d
+        words[g:g + k] = w
+    out.flags.writeable = False
+    return out
+
+
 def _v1_entry(x) -> complex:
     """One format 1 matrix entry: [re, im] as two decimal strings."""
     if not (isinstance(x, list) and len(x) == 2 and all(isinstance(v, str) for v in x)):
@@ -131,7 +204,7 @@ def decode_matrix(m, version: str = FORMAT_VERSION) -> np.ndarray:
                 f"c16 must be the base64 text of {nbytes} bytes for shape {shape!r}"
             )
         try:
-            raw = base64.b64decode(text, validate=True)
+            raw = _b64decode(text)
         except ValueError as exc:
             raise ShapeMismatchError(f"c16 is not strict base64: {exc}") from exc
         if len(raw) != nbytes:

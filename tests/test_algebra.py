@@ -1,6 +1,8 @@
 """Tests for multimatrix algebras and block operators."""
 
+import copy
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -337,3 +339,84 @@ def test_psd_block_in_place_h_gives_the_reference_verdicts():
         checked += got[2] is None
     # passes through Cholesky, eigvalsh and each failure are all covered
     assert 0 < checked < len(blocks)
+
+
+# -- values are immutable, and copy and pickle -------------------------------
+
+
+def _values():
+    """(name, value) for one value of each type a caller holds."""
+    a, b = c_plus_m2(), MultiMatrixAlgebra.single(2, "j")
+    s = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=4)
+    ch = gen.random_channel(a, b, seed=1)
+    yield "algebra", a
+    yield "block operator", gen.random_block_operator(a, seed=0)
+    yield "hybrid state", gen.random_state(a, seed=0)
+    yield "cp map", ch.scaled(0.5)
+    yield "channel", ch
+    yield "non-TP channel", sf.Channel(a, b, ch.scaled(2.0).choi_blocks, validate=False)
+    yield "supermap", s
+    yield "realisation", sf.realize(s)
+
+
+def _bits(x):
+    """x's type and contents, each array as its shape and bytes, for
+    bit-exact comparison; every array must be read-only."""
+    if isinstance(x, np.ndarray):
+        assert not x.flags.writeable
+        return x.shape, x.dtype.str, x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(_bits(y) for y in x)
+    if isinstance(x, BlockOperator):
+        return type(x), x.algebra, _bits(x.mats)
+    if isinstance(x, sf.HybridState):
+        return type(x), _bits(x.operator)
+    if isinstance(x, sf.CpMap):
+        return type(x), x.source, x.target, _bits(x.choi_blocks)
+    if isinstance(x, sf.Supermap):
+        return type(x), x.source_hom, x.target_hom, _bits(x.inner)
+    if isinstance(x, sf.CircuitRealisation):
+        e = tuple((key, _bits(x.e_kraus[key])) for key in sorted(x.e_kraus))
+        return type(x), e, *(_bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+                              if f.name != "e_kraus")
+    return x
+
+
+@pytest.mark.parametrize("kind", ["block operator", "hybrid state", "cp map", "channel",
+                                  "non-TP channel"])
+def test_value_attributes_cannot_be_rebound(kind):
+    x = dict(_values())[kind]
+    names = {"block operator": ("algebra", "_mats"), "hybrid state": ("operator",)}.get(
+        kind, ("source", "target", "_blocks"))
+    for name in names:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        x.note = None
+    assert not hasattr(x, "__dict__")
+
+
+def test_a_realisation_holds_e_read_only():
+    r = dict(_values())["realisation"]
+    key = next(iter(r.e_kraus))
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        r.e_kraus[key] = np.zeros_like(r.e_kraus[key])
+    with pytest.raises(ValueError, match="read-only"):
+        r.e_kraus[key][0, 0] = 1
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_values_copy_and_pickle_bit_exact(how):
+    twin = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+            "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how]
+    for name, x in _values():
+        y = twin(x)
+        assert _bits(y) == _bits(x), name
+        if not isinstance(y, (MultiMatrixAlgebra, sf.Supermap, sf.CircuitRealisation)):
+            with pytest.raises(AttributeError, match="immutable"):
+                y.note = None
+    # rebuilt from its blocks: the TP check the caller waived is not run
+    channel = dict(_values())["non-TP channel"]
+    assert not sf.is_tp(twin(channel))

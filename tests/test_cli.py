@@ -196,6 +196,18 @@ def _c16(shape, raw):
     return {"shape": shape, "c16": _b64(raw)}
 
 
+def _long_c16(damage):
+    """A 1 x 2048 matrix whose 43,692-character text, past the cut at which
+    the pair table decodes it, is damaged by ``damage``."""
+    text = _b64(np.arange(2048, dtype="<c16").tobytes())
+    assert len(text) >= serialize._B64_CUT
+    return {"shape": [1, 2048], "c16": damage(text)}
+
+
+def _middle(char):
+    return lambda text: text[:len(text) // 2] + char + text[len(text) // 2 + 1:]
+
+
 # (format version, stored matrix, what the error names); each case fails
 # exactly one of the decoder's checks
 DECODE_ERRORS = {
@@ -212,6 +224,15 @@ DECODE_ERRORS = {
     # 31 and 32 bytes both encode to 44 characters
     "one byte short, same text length": ("2", _c16([1, 2], bytes(31)), "holds 31 bytes"),
     "nan": ("2", _c16([1, 1], np.array([np.nan], "<c16").tobytes()), "finite"),
+    "long, non-alphabet in the middle": (
+        "2", _long_c16(_middle("*")), "not strict base64: Only base64 data is allowed"),
+    "long, = in the middle": (
+        "2", _long_c16(_middle("=")), "not strict base64: Discontinuous padding"),
+    "long, non-ASCII": (
+        "2", _long_c16(_middle("é")), "not strict base64: string argument should contain only"),
+    # strict base64 reads "====" as a group of no bytes, where "AAA=" held 2
+    "long, excess padding": (
+        "2", _long_c16(lambda text: text[:-4] + "===="), "holds 32766 bytes"),
     "true entry": ("1", [[True]], "two strings, got True"),
     "boolean pair entry": ("1", [[[True, "0"]]], r"two strings, got \[True, '0'\]"),
     "bare number entry": ("1", [[0.5]], "two strings, got 0.5"),
@@ -286,6 +307,23 @@ def test_malformed_v2_payload_is_input_error(variant, command, documents, capsys
     argv = ["check", str(sm), str(real)] if command == "check" else [command, str(sm)]
     assert run(argv) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_q4_supermap_with_a_damaged_middle_character_is_input_error(tmp_path, capsys):
+    # S's one 256 x 256 block is 1,398,104 characters: the pair table reads it
+    q4 = MultiMatrixAlgebra.single(4)
+    s = gen.random_supermap_from_circuit(q4, q4, q4, q4, p_dim=2, seed=1)
+    path = tmp_path / "sm.json"
+    serialize.save_document(path, serialize.supermap_document(s))
+    assert run(["verify", str(path)]) == 0
+    text = path.read_bytes()
+    middle = text.index(b'"c16":"') + len(text) // 2
+    path.write_bytes(text[:middle] + b"*" + text[middle + 1:])
+    capsys.readouterr()
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c16 is not strict base64: Only base64 data is allowed" in captured.err
 
 
 def _set_bool(doc, field):

@@ -1,10 +1,12 @@
 """Tests for how save_document writes a document: the bytes, and the path
-the base64 takes."""
+the base64 takes; and for the decoder that reads long base64 back."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import supermap_forge as sf
 from supermap_forge import gen, serialize
@@ -91,3 +93,48 @@ def test_a_field_that_looks_like_a_hole_is_refused(tmp_path):
     serialize.save_document(out, serialize.report_document("verify", {"x": '"c16":""'}))
     assert out.read_bytes() == _oracle_text(
         serialize.report_document("verify", {"x": '"c16":""'}))
+
+
+# -- the pair-table base64 decoder ---------------------------------------------
+
+_CUT, _CHUNK = serialize._B64_CUT, serialize._B64_CHUNK
+# text lengths: either side of the cut, and bodies of 8-character groups
+# ending one group before, at and after the first chunk edge, with a 4- or
+# 8-character tail
+_LENGTHS = (_CUT - 8, _CUT - 4, _CUT, _CUT + 4,
+            *(8 * (_CHUNK + d) + t for d in (-1, 0, 1) for t in (4, 8)))
+_DAMAGE = ("*", "=", "\n", " ", "é")
+
+
+def _decoded(decode, text):
+    """decode's bytes, or the type and message of the ValueError it raised."""
+    try:
+        return bytes(decode(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _agrees(text):
+    """_b64decode gives strict base64's bytes or error on text."""
+    got = _decoded(serialize._b64decode, text)
+    assert got == _decoded(lambda t: base64.b64decode(t, validate=True), text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(length=st.sampled_from(_LENGTHS), padding=st.sampled_from((0, 1, 2)),
+       seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 7))
+def test_pair_table_decoder_agrees_with_strict_base64(length, padding, seed, offset):
+    # 3 * length / 4 bytes need no "=", one byte fewer one, two fewer two:
+    # the three cases 16 r c mod 3 gives a c16 text
+    raw = np.random.default_rng(seed).bytes(3 * length // 4 - padding)
+    text = base64.b64encode(raw).decode("ascii")
+    assert len(text) == length
+    _agrees(text)
+    # the bytes came through the table, not through binascii as a whole
+    assert isinstance(serialize._b64decode(text), np.ndarray) == (length >= _CUT)
+    body = 8 * ((length - 4) // 8)
+    # first, middle, a chunk edge, the last body group, the tail
+    for pos in (0, length // 2, min(8 * _CHUNK - 4 + offset, length - 1), body - 8 + offset,
+                body + offset % (length - body)):
+        for damage in _DAMAGE:
+            _agrees(text[:pos] + damage + text[pos + 1:])

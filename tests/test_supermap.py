@@ -397,6 +397,20 @@ def test_supermap_attributes_cannot_be_rebound():
     assert vars(twin).keys() == vars(s).keys() and sf.verify_deterministic(twin).verdict
 
 
+def test_a_verified_supermap_cannot_be_handed_other_blocks():
+    # rebinding inner._blocks once left verify's kept report stale: verify
+    # still said True on a TP-broken map, and realize failed in assemble_g
+    m2 = MultiMatrixAlgebra.single(2)
+    s = gen.random_supermap_from_circuit(m2, m2, m2, m2, p_dim=1, seed=0)
+    bad = gen.perturb_supermap(s, 1e-3, "tp-breaking", seed=0)
+    assert sf.verify_deterministic(s).verdict and not sf.verify_deterministic(bad).verdict
+    blocks = s.inner.choi_blocks
+    with pytest.raises(AttributeError, match="a CpMap is immutable; cannot set '_blocks'"):
+        s.inner._blocks = bad.inner._blocks
+    assert s.inner.choi_blocks is blocks
+    assert sf.realize(s).p_dim >= 1
+
+
 def test_threads_verifying_one_supermap_get_equal_reports():
     # four threads on two cores, switching often, each alternating two tols:
     # every call must get the report for its own tol, equal to a fresh one
