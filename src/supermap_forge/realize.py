@@ -239,8 +239,8 @@ class CircuitRealisation:
     ``e_kraus[k, i]`` is U_ik, a (p_dim d_i) x d_k matrix, for every block k
     of C and i of A.  ``e_channel`` is E's Choi family, U_ik U_ik† per block,
     built from them on first use; checking a realisation never builds it.
-    ``e_kraus`` is a read-only view of the mapping it was given, and its
-    arrays are marked read-only, so E cannot change under that cache.
+    ``e_kraus`` is a read-only view of a copy of the mapping it was given,
+    and its arrays are marked read-only, so E cannot change under that cache.
     Realisations compare by identity, as their channels do.
     """
 
@@ -257,9 +257,10 @@ class CircuitRealisation:
     p_bound: int
 
     def __post_init__(self):
-        for u in self.e_kraus.values():
+        e_kraus = MappingProxyType(dict(self.e_kraus))
+        for u in e_kraus.values():
             u.flags.writeable = False
-        object.__setattr__(self, "e_kraus", MappingProxyType(self.e_kraus))
+        object.__setattr__(self, "e_kraus", e_kraus)
 
     def __reduce__(self):
         # a mappingproxy neither copies nor pickles: pass __init__ a dict

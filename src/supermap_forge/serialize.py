@@ -45,10 +45,23 @@ nothing else.  A c16 text of _B64_CUT characters or more decodes through a
 decodes shorter texts and the last 4-11 characters, and any text the table
 or the tail rejects is handed to it whole, so the bytes and every error
 message are binascii's.
+
+load_supermap, load_realisation and load_channel read the file once, as
+bytes, and json parses only the skeleton, the mirror of save_document: in a
+compact document with no backslash, each c16 text of _B64_CUT characters or
+more is cut out for a placeholder and decode_matrix decodes it straight from
+the file buffer, with no str made of it.  The text reader, load_document
+(the file read as UTF-8 text, json.load, decode_matrix on each str), is the
+authority: it reads every file that holds a backslash (so no escape can
+forge a placeholder), indented files, files with no text at the cut, and
+every file on which the skeleton path raises anything or leaves a long text
+unread.  Accepted documents, decoded bits and every error message are
+therefore its own.
 """
 
 import base64
 import json
+import os
 from contextlib import contextmanager
 from typing import Any, Dict
 
@@ -75,6 +88,7 @@ _HOLE = b'"c16":""'  # under ensure_ascii, only a key/value pair the encoder wro
 # binascii is as fast (the two meet near 2**14 characters)
 _B64_CUT = 1 << 15
 _B64_CHUNK = 1 << 15  # 8-character groups per step: 1 MB of table indices
+_KEY = b'"c16":"'  # in a compact document, the start of each c16 text
 
 
 def _pair_table() -> np.ndarray:
@@ -132,9 +146,9 @@ def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
     return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
 
 
-def _b64decode(text: str):
-    """base64.b64decode(text, validate=True): the same bytes, or the same
-    ValueError, as a read-only buffer.
+def _b64decode(text):
+    """base64.b64decode(text, validate=True) of a str or a bytes-like text:
+    the same bytes, or the same ValueError, as a read-only buffer.
 
     Below _B64_CUT characters, and for any text the fast path rejects, it is
     that call.  Otherwise each 8 characters before the last 4-11 are four
@@ -146,7 +160,7 @@ def _b64decode(text: str):
         return base64.b64decode(text, validate=True)
     groups = (len(text) - 4) // 8
     try:
-        raw = text.encode("ascii")
+        raw = text.encode("ascii") if isinstance(text, str) else text
         tail = base64.b64decode(raw[8 * groups:], validate=True)
     except ValueError:  # a non-ASCII character, or a tail binascii rejects
         return base64.b64decode(text, validate=True)
@@ -155,22 +169,20 @@ def _b64decode(text: str):
     pairs = np.frombuffer(raw, "<u2", 4 * groups).reshape(groups, 4)
     words = out[:6 * groups].view(">u2").reshape(groups, 3)
     n = min(groups, _B64_CHUNK)
-    bits, native, scratch = (np.empty(shape, np.uint16) for shape in ((n, 4), (n, 3), n))
+    # a group's four lookups as four contiguous rows: the shifts run on
+    # contiguous uint16s, and only their results are written strided
+    bits, hi, lo = np.empty((4, n), np.uint16), np.empty(n, np.uint16), np.empty(n, np.uint16)
     for g in range(0, groups, n):
         k = min(n, groups - g)
-        v, w, x = bits[:k], native[:k], scratch[:k]
-        np.take(_B64_PAIRS, pairs[g:g + k], out=v)
+        v, x, y, w = bits[:, :k], hi[:k], lo[:k], words[g:g + k]
+        np.take(_B64_PAIRS, pairs[g:g + k].T, out=v)
         if v.max() > 0xFFF:
             return base64.b64decode(text, validate=True)
         # the 48 bits a|b|c|d of a group; uint16 shifts drop what overflows
-        a, b, c, d = v.T
-        np.left_shift(a, 4, out=w[:, 0])
-        w[:, 0] |= np.right_shift(b, 8, out=x)
-        np.left_shift(b, 8, out=w[:, 1])
-        w[:, 1] |= np.right_shift(c, 4, out=x)
-        np.left_shift(c, 12, out=w[:, 2])
-        w[:, 2] |= d
-        words[g:g + k] = w
+        a, b, c, d = v
+        np.bitwise_or(np.left_shift(a, 4, out=x), np.right_shift(b, 8, out=y), out=w[:, 0])
+        np.bitwise_or(np.left_shift(b, 8, out=x), np.right_shift(c, 4, out=y), out=w[:, 1])
+        np.bitwise_or(np.left_shift(c, 12, out=x), d, out=w[:, 2])
     out.flags.writeable = False
     return out
 
@@ -193,13 +205,15 @@ def decode_matrix(m, version: str = FORMAT_VERSION) -> np.ndarray:
             raise ShapeMismatchError(
                 f'a format {version} matrix is {{"shape": [r, c], "c16": ...}}')
         shape, text = m["shape"], m["c16"]
+        if isinstance(text, _Payload):
+            text.read, text = True, text.view
         if not isinstance(shape, list) or len(shape) != 2:
             raise ShapeMismatchError(f"matrix shape must be [rows, cols], got {shape!r}")
         r, c = (_integer(x, "matrix shape") for x in shape)
         if r < 0 or c < 0:
             raise ShapeMismatchError(f"matrix shape must be non-negative, got {shape!r}")
         nbytes = _C16.itemsize * r * c
-        if not isinstance(text, str) or len(text) != 4 * -(-nbytes // 3):
+        if not isinstance(text, (str, memoryview)) or len(text) != 4 * -(-nbytes // 3):
             raise ShapeMismatchError(
                 f"c16 must be the base64 text of {nbytes} bytes for shape {shape!r}"
             )
@@ -322,14 +336,8 @@ def _decoding(kind: str):
         raise ShapeMismatchError(f"malformed {kind} document: {exc!r}") from exc
 
 
-def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except UnicodeDecodeError as exc:
-        raise ShapeMismatchError(f"not a UTF-8 document: {exc}") from exc
-    except RecursionError as exc:
-        raise ShapeMismatchError("document nests too deeply to parse") from exc
+def _envelope(doc, expect_kind: str = None) -> Dict[str, Any]:
+    """doc, once its envelope is one this module reads, of the expected kind."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ShapeMismatchError("not an interchange document")
     if doc["format_version"] not in READABLE_VERSIONS:
@@ -343,6 +351,92 @@ def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
     return doc
 
 
+def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except UnicodeDecodeError as exc:
+        raise ShapeMismatchError(f"not a UTF-8 document: {exc}") from exc
+    except RecursionError as exc:
+        raise ShapeMismatchError("document nests too deeply to parse") from exc
+    return _envelope(doc, expect_kind)
+
+
+class _Payload:
+    """A c16 text _skeleton kept out of json, as a view of the file buffer;
+    decode_matrix marks it read."""
+
+    __slots__ = ("view", "read")
+
+    def __init__(self, view: memoryview):
+        self.view, self.read = view, False
+
+
+def _skeleton(path):
+    """(doc, payloads) for the file at path read as bytes, or None when it
+    holds a backslash or no c16 text of _B64_CUT characters or more.
+
+    Each text from a "c16":" to the next quote that long is cut out of the
+    buffer, and json parses "\\u0000k" in its place; an object hook swaps
+    that string for payloads[k].  In a file with no backslash no escape can
+    forge a placeholder, and no other string json returns starts with NUL.
+    """
+    if os.stat(path).st_size < _B64_CUT:  # too short to hold such a text
+        return None
+    with open(path, "rb") as f:
+        data = f.read()
+    if b"\\" in data:
+        return None
+    view, pieces, payloads, start = memoryview(data), [], [], 0
+    at = data.find(_KEY)
+    while at >= 0:
+        begin = at + len(_KEY)
+        end = data.index(b'"', begin)
+        if end - begin >= _B64_CUT:
+            pieces += (view[start:begin], b"\\u0000%d" % len(payloads))
+            payloads.append(_Payload(view[begin:end]))
+            start = end
+        at = data.find(_KEY, end + 1)
+    if not payloads:
+        return None
+
+    def swap(obj):
+        text = obj.get("c16")
+        if isinstance(text, str) and text[:1] == "\0":
+            obj["c16"] = payloads[int(text[1:])]
+        return obj
+
+    skeleton = b"".join([*pieces, view[start:]]).decode("utf-8")
+    return json.loads(skeleton, object_hook=swap), payloads
+
+
+def _load(path, kind: str, build):
+    """build(doc) for the document of the given kind at path.
+
+    The file is read once, as bytes, json parses only its skeleton, and
+    decode_matrix decodes each long payload straight from the file buffer.
+    load_document is the authority: it reads the file again when _skeleton
+    declines it, when this path raises anything, or when a payload goes
+    unread (a repeated "c16" key, or one in a field no loader reads), whose
+    text no decoder checked.  Otherwise each placeholder parsed as a string,
+    as its backslash is JSON nowhere else, so the text it replaced sat in
+    that string, and that text was strict base64: the file parses the same
+    both ways, and the result is load_document's.
+    """
+    try:
+        parsed = _skeleton(path)
+        if parsed is not None:
+            doc, payloads = parsed
+            obj = build(_envelope(doc, kind))
+            if all(p.read for p in payloads):
+                return obj
+    except Exception:  # load_document gives the verdict and the message
+        pass
+    doc = load_document(path, kind)
+    with _decoding(kind):
+        return build(doc)
+
+
 # -- object-level helpers -----------------------------------------------------
 
 
@@ -351,9 +445,8 @@ def channel_document(ch: CpMap) -> Dict[str, Any]:
 
 
 def load_channel(path) -> Channel:
-    doc = load_document(path, "channel")
-    with _decoding("channel"):
-        return cpmap_from_payload(doc["payload"], doc["format_version"], channel=True)
+    return _load(path, "channel", lambda doc: cpmap_from_payload(
+        doc["payload"], doc["format_version"], channel=True))
 
 
 def supermap_document(s: Supermap) -> Dict[str, Any]:
@@ -367,15 +460,17 @@ def supermap_document(s: Supermap) -> Dict[str, Any]:
     return document("supermap", payload)
 
 
+def _supermap(doc) -> Supermap:
+    p = doc["payload"]
+    hom_ab = hom_algebra(algebra_from_payload(p["a"]), algebra_from_payload(p["b"]))
+    hom_cd = hom_algebra(algebra_from_payload(p["c"]), algebra_from_payload(p["d"]))
+    blocks = _choi_blocks(p["choi"], hom_ab.base, hom_cd.base, doc["format_version"])
+    inner = CpMap(hom_ab.base, hom_cd.base, blocks)
+    return Supermap(inner, hom_ab, hom_cd)
+
+
 def load_supermap(path) -> Supermap:
-    doc = load_document(path, "supermap")
-    with _decoding("supermap"):
-        p = doc["payload"]
-        hom_ab = hom_algebra(algebra_from_payload(p["a"]), algebra_from_payload(p["b"]))
-        hom_cd = hom_algebra(algebra_from_payload(p["c"]), algebra_from_payload(p["d"]))
-        blocks = _choi_blocks(p["choi"], hom_ab.base, hom_cd.base, doc["format_version"])
-        inner = CpMap(hom_ab.base, hom_cd.base, blocks)
-        return Supermap(inner, hom_ab, hom_cd)
+    return _load(path, "supermap", _supermap)
 
 
 def realisation_document(r: CircuitRealisation) -> Dict[str, Any]:
@@ -437,51 +532,53 @@ def _rank_one_root(block: np.ndarray, what: str) -> np.ndarray:
     return u
 
 
-def load_realisation(path) -> CircuitRealisation:
-    doc = load_document(path, "realisation")
-    with _decoding("realisation"):
-        p, version = doc["payload"], doc["format_version"]
-        a, c = algebra_from_payload(p["a"]), algebra_from_payload(p["c"])
-        p_dim = _integer(p["p_dim"], "p_dim")
-        e_target = memory_target_algebra(a, p_dim)
-        if version == REALISATION_VERSION:
-            e_kraus = _e_kraus(p["e_kraus"], c, e_target, p_dim)
-        else:
-            e = cpmap_from_payload(p["e_channel"], version)
-            if (e.source, e.target) != (c, e_target):
-                raise ShapeMismatchError(
-                    f"realisation channel E does not match its algebras and p_dim "
-                    f"(p_dim {p_dim}; E: {e!r})")
-            e_kraus = {}
-            for k, dk in enumerate(c.dims):
-                for i, d in enumerate(e_target.dims):
-                    u = _rank_one_root(e.choi(i, k), f"E block for C block {k} -> A block {i}")
-                    e_kraus[k, i] = u.reshape(d, dk)
-        r = CircuitRealisation(
-            a=a,
-            b=algebra_from_payload(p["b"]),
-            c=c,
-            d=algebra_from_payload(p["d"]),
-            p_dim=p_dim,
-            e_kraus=e_kraus,
-            g_channel=cpmap_from_payload(p["g_channel"], version, channel=True),
-            w_residual=_scalar(p["w_residual"], "w_residual", nonneg=True),
-            w_isometry_defect=_scalar(p["w_isometry_defect"], "w_isometry_defect", nonneg=True),
-            gram_min_eig=_scalar(p["gram_min_eig"], "gram_min_eig"),
-            p_bound=_integer(p["p_bound"], "p_bound"),
+def _realisation(doc) -> CircuitRealisation:
+    p, version = doc["payload"], doc["format_version"]
+    a, c = algebra_from_payload(p["a"]), algebra_from_payload(p["c"])
+    p_dim = _integer(p["p_dim"], "p_dim")
+    e_target = memory_target_algebra(a, p_dim)
+    if version == REALISATION_VERSION:
+        e_kraus = _e_kraus(p["e_kraus"], c, e_target, p_dim)
+    else:
+        e = cpmap_from_payload(p["e_channel"], version)
+        if (e.source, e.target) != (c, e_target):
+            raise ShapeMismatchError(
+                f"realisation channel E does not match its algebras and p_dim "
+                f"(p_dim {p_dim}; E: {e!r})")
+        e_kraus = {}
+        for k, dk in enumerate(c.dims):
+            for i, d in enumerate(e_target.dims):
+                u = _rank_one_root(e.choi(i, k), f"E block for C block {k} -> A block {i}")
+                e_kraus[k, i] = u.reshape(d, dk)
+    r = CircuitRealisation(
+        a=a,
+        b=algebra_from_payload(p["b"]),
+        c=c,
+        d=algebra_from_payload(p["d"]),
+        p_dim=p_dim,
+        e_kraus=e_kraus,
+        g_channel=cpmap_from_payload(p["g_channel"], version, channel=True),
+        w_residual=_scalar(p["w_residual"], "w_residual", nonneg=True),
+        w_isometry_defect=_scalar(p["w_isometry_defect"], "w_isometry_defect", nonneg=True),
+        gram_min_eig=_scalar(p["gram_min_eig"], "gram_min_eig"),
+        p_bound=_integer(p["p_bound"], "p_bound"),
+    )
+    bound = memory_bound(r.a, r.c)
+    if r.p_bound != bound:
+        raise ShapeMismatchError(
+            f"p_bound {r.p_bound} is not the memory bound {bound} its algebras give"
         )
-        bound = memory_bound(r.a, r.c)
-        if r.p_bound != bound:
-            raise ShapeMismatchError(
-                f"p_bound {r.p_bound} is not the memory bound {bound} its algebras give"
-            )
-        g = r.g_channel
-        if (g.source, g.target) != (g_source_algebra(r.a, r.b, r.c, r.p_dim), r.d):
-            raise ShapeMismatchError(
-                "realisation channel G does not match its algebras and p_dim "
-                f"(p_dim {r.p_dim}; G: {g!r})"
-            )
+    g = r.g_channel
+    if (g.source, g.target) != (g_source_algebra(r.a, r.b, r.c, r.p_dim), r.d):
+        raise ShapeMismatchError(
+            "realisation channel G does not match its algebras and p_dim "
+            f"(p_dim {r.p_dim}; G: {g!r})"
+        )
     return r
+
+
+def load_realisation(path) -> CircuitRealisation:
+    return _load(path, "realisation", _realisation)
 
 
 def report_document(report_type: str, fields: Dict[str, Any]) -> Dict[str, Any]:

@@ -6,6 +6,7 @@ import json
 import sys
 import tracemalloc
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -689,7 +690,8 @@ def test_check_realigns_e_and_g_once_for_all_trials(monkeypatch):
     s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=3)
     reads = collections.Counter()
     r = sf.realize(s)
-    r = dataclasses.replace(r, e_kraus=_CountedReads(r.e_kraus, reads))
+    # set on the built value: its constructor copies the mapping it is given
+    object.__setattr__(r, "e_kraus", MappingProxyType(_CountedReads(r.e_kraus, reads)))
     choi = sf.CpMap.choi
 
     def counted(m, j, i):
@@ -704,6 +706,18 @@ def test_check_realigns_e_and_g_once_for_all_trials(monkeypatch):
         assert sf.check_realisation(r, s, trials=trials, tol=1e-6).passed
         # one read of every U_ik and every G block per check
         assert len(reads) == blocks and set(reads.values()) == {1}, (trials, reads)
+
+
+def test_a_realisation_copies_the_mapping_it_is_given():
+    # E must not change under a realisation when its caller's dict does
+    algs = [MultiMatrixAlgebra.single(2, lbl) for lbl in "abcd"]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=3)
+    r = sf.realize(s)
+    d = dict(r.e_kraus)
+    r2 = dataclasses.replace(r, e_kraus=d)
+    d[0, 0] = np.zeros_like(d[0, 0])
+    assert r2.e_kraus[0, 0] is r.e_kraus[0, 0]
+    assert sf.check_realisation(r2, s).passed
 
 
 FAST_PATH_SHAPES = (

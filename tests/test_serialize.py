@@ -1,15 +1,18 @@
 """Tests for how save_document writes a document: the bytes, and the path
-the base64 takes; and for the decoder that reads long base64 back."""
+the base64 takes; for the decoder that reads long base64 back; and for the
+skeleton reader, against the text reader."""
 
 import base64
+import dataclasses
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import supermap_forge as sf
-from supermap_forge import gen, serialize
+from supermap_forge import cli, gen, serialize
 from supermap_forge.algebra import MultiMatrixAlgebra
 
 
@@ -138,3 +141,175 @@ def test_pair_table_decoder_agrees_with_strict_base64(length, padding, seed, off
                 body + offset % (length - body)):
         for damage in _DAMAGE:
             _agrees(text[:pos] + damage + text[pos + 1:])
+
+
+# -- the skeleton reader against the text reader ------------------------------
+
+_KINDS = ("supermap", "realisation", "channel")
+_ODD_LABEL = '"c16":""'  # json writes it escaped
+
+
+@pytest.fixture(scope="module")
+def compact(tmp_path_factory):
+    """{label: {kind: a compact document's bytes, "sm": the supermap's path}}
+    for M4 algebras, p_dim 2, and an M8-to-M8 channel: every document holds
+    a c16 text of at least _B64_CUT characters."""
+    out = {}
+    for label in ("a", _ODD_LABEL):
+        folder = tmp_path_factory.mktemp("compact")
+        algs = [MultiMatrixAlgebra.single(4, lbl) for lbl in (label, "b", "c", "d")]
+        s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=1)
+        m8 = [MultiMatrixAlgebra.single(8, lbl) for lbl in (label, "y")]
+        docs = {"supermap": serialize.supermap_document(s),
+                "realisation": serialize.realisation_document(sf.realize(s)),
+                "channel": serialize.channel_document(gen.random_channel(*m8, seed=2))}
+        out[label] = {"sm": folder / "supermap.json"}
+        for kind, doc in docs.items():
+            serialize.save_document(folder / f"{kind}.json", doc)
+            out[label][kind] = (folder / f"{kind}.json").read_bytes()
+    return out
+
+
+def _first_long(data):
+    """(begin, end) of the first c16 text of at least _B64_CUT characters."""
+    end = 0
+    while True:
+        begin = data.index(serialize._KEY, end) + len(serialize._KEY)
+        end = data.index(b'"', begin)
+        if end - begin >= _CUT:
+            return begin, end
+
+
+def _at_middle(new):
+    """Write new in place of the middle character of the first long text."""
+    def mutate(data):
+        begin, end = _first_long(data)
+        mid = (begin + end) // 2
+        return data[:mid] + (new(data[mid]) if callable(new) else new) + data[mid + 1:]
+    return mutate
+
+
+def _damaged(text):
+    return text[:len(text) // 2] + b"*" + text[len(text) // 2 + 1:]
+
+
+def _repeated(first, last):
+    """The first long matrix with its "c16" key twice: first(text), then
+    last(text)."""
+    def mutate(data):
+        begin, end = _first_long(data)
+        text = data[begin:end]
+        return data[:begin] + first(text) + b'","c16":"' + last(text) + data[end:]
+    return mutate
+
+
+def _unknown_field(text):
+    return lambda data: b'{"note":{"c16":"' + text + b'"},' + data[1:]
+
+
+def _long_matrix(chars):
+    """The first long matrix replaced by a [32, 48] one, whose c16 text is
+    _B64_CUT characters long, cut to its first ``chars``."""
+    entries = np.random.default_rng(4).standard_normal((32, 48, 2)).view(complex)[..., 0]
+    text = serialize.encode_matrix(entries)["c16"]
+    assert len(text) == _CUT
+
+    def mutate(data):
+        begin, end = _first_long(data)
+        start = data.rindex(b'{"shape":', 0, begin)
+        return data[:start] + b'{"shape":[32,48],"c16":"%s"}' % text[:chars].encode() \
+            + data[end + 2:]
+    return mutate
+
+
+def _no_closing_quote(data):
+    end = _first_long(data)[1]
+    return data[:end] + data[end + 1:]
+
+
+def _version_1(data):
+    for version in (b'"2"', b'"3"'):
+        data = data.replace(b'"format_version":' + version, b'"format_version":"1"', 1)
+    return data
+
+
+# case: (the label of the documents, how each is changed)
+_CASES = {
+    "compact": ("a", lambda data: data),
+    "escaped label": (_ODD_LABEL, lambda data: data),
+    "escaped base64 character": ("a", _at_middle(lambda ch: b"\\u%04x" % ch)),
+    "repeated c16, first damaged": ("a", _repeated(_damaged, lambda text: text)),
+    "repeated c16, last damaged": ("a", _repeated(lambda text: text, _damaged)),
+    # what a placeholder parses to, written as a document's own text
+    "repeated c16, last a placeholder": ("a", _repeated(lambda text: text,
+                                                        lambda text: b"\\u00000")),
+    "unknown c16 field": ("a", _unknown_field(b"not base64! " * 3000)),
+    "unknown c16 field, control character": ("a", _unknown_field(b"\x01" * _CUT)),
+    **{f"{name} in a long text": ("a", _at_middle(new)) for name, new in (
+        ("*", b"*"), ("=", b"="), ("control character", b"\x1f"), ("é", "é".encode()))},
+    "no closing quote": ("a", _no_closing_quote),
+    "text of _B64_CUT - 1": ("a", _long_matrix(_CUT - 1)),
+    "text of _B64_CUT": ("a", _long_matrix(_CUT)),
+    "UTF-8 BOM": ("a", lambda data: b"\xef\xbb\xbf" + data),
+    "UTF-16": ("a", lambda data: data.decode("utf-8").encode("utf-16")),
+    "indented": ("a", lambda data: json.dumps(json.loads(data), indent=2).encode()),
+    "format 1": ("a", _version_1),
+}
+
+
+def _parts(x):
+    """x's algebras and scalars, and the dtype, shape and bytes of each matrix."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, sf.Supermap):
+        return x.source_hom, x.target_hom, _parts(x.inner)
+    if isinstance(x, sf.CpMap):
+        return type(x), x.source, x.target, tuple(
+            _parts(x.choi(j, i)) for j in range(len(x.target)) for i in range(len(x.source)))
+    if isinstance(x, sf.CircuitRealisation):
+        return tuple(_parts(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, Mapping):
+        return tuple((key, _parts(x[key])) for key in sorted(x))
+    return x
+
+
+def _outcome(fn):
+    """("ok", fn()), or the type and message of what fn raised."""
+    try:
+        return "ok", fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("case", _CASES)
+def test_the_skeleton_reader_agrees_with_the_text_reader(case, kind, compact, tmp_path,
+                                                         monkeypatch, capsys):
+    label, mutate = _CASES[case]
+    path = tmp_path / "doc.json"
+    path.write_bytes(mutate(compact[label][kind]))
+    load = getattr(serialize, f"load_{kind}")
+    argv = {"supermap": ["verify", str(path)],
+            "realisation": ["check", str(compact[label]["sm"]), str(path), "--trials", "0"]}
+
+    def outcomes():
+        got = [_outcome(lambda: _parts(load(path)))]
+        if kind in argv:
+            got += [_outcome(lambda: cli.main(argv[kind])), capsys.readouterr()]
+        return got
+
+    new = outcomes()
+    monkeypatch.setattr(serialize, "_skeleton", lambda path: None)  # the text reader
+    assert new == outcomes()
+    if case in ("compact", "escaped label", "indented"):
+        assert new[0][0] == "ok" and new[1:2] in ([], [("ok", 0)]), new[1:]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_compact_documents_load_without_the_text_reader(kind, compact, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_bytes(compact["a"][kind])
+    load = getattr(serialize, f"load_{kind}")
+    expected = _parts(load(path))
+    monkeypatch.setattr(serialize, "load_document", None)
+    assert _parts(load(path)) == expected
