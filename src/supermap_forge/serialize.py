@@ -50,18 +50,19 @@ load_supermap, load_realisation and load_channel read the file once, as
 bytes, and json parses only the skeleton, the mirror of save_document: in a
 compact document with no backslash, each c16 text of _B64_CUT characters or
 more is cut out for a placeholder and decode_matrix decodes it straight from
-the file buffer, with no str made of it.  The text reader, load_document
-(the file read as UTF-8 text, json.load, decode_matrix on each str), is the
-authority: it reads every file that holds a backslash (so no escape can
-forge a placeholder), indented files, files with no text at the cut, and
-every file on which the skeleton path raises anything or leaves a long text
-unread.  Accepted documents, decoded bits and every error message are
-therefore its own.
+the file buffer, with no str made of it.  The text reader (the same bytes
+read as UTF-8 text with universal newlines, as load_document's open reads
+the file, then json.load and decode_matrix on each str) is the authority: it
+reads every file that holds a backslash (so no escape can forge a
+placeholder), indented files, files with no text at the cut, and every file
+on which the skeleton path raises anything or leaves a long text unread.
+Accepted documents, decoded bits and every error message are therefore its
+own, and no file is read twice.
 """
 
 import base64
+import io
 import json
-import os
 from contextlib import contextmanager
 from typing import Any, Dict
 
@@ -351,15 +352,21 @@ def _envelope(doc, expect_kind: str = None) -> Dict[str, Any]:
     return doc
 
 
-def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
+def _document(text, expect_kind: str = None) -> Dict[str, Any]:
+    """The document json reads from the text stream, once its envelope is
+    one this module reads, of the expected kind."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = json.load(text)
     except UnicodeDecodeError as exc:
         raise ShapeMismatchError(f"not a UTF-8 document: {exc}") from exc
     except RecursionError as exc:
         raise ShapeMismatchError("document nests too deeply to parse") from exc
     return _envelope(doc, expect_kind)
+
+
+def load_document(path, expect_kind: str = None) -> Dict[str, Any]:
+    with open(path, "r", encoding="utf-8") as f:
+        return _document(f, expect_kind)
 
 
 class _Payload:
@@ -372,20 +379,16 @@ class _Payload:
         self.view, self.read = view, False
 
 
-def _skeleton(path):
-    """(doc, payloads) for the file at path read as bytes, or None when it
-    holds a backslash or no c16 text of _B64_CUT characters or more.
+def _skeleton(data: bytes):
+    """(doc, payloads) for a file that holds data, or None when it holds a
+    backslash or no c16 text of _B64_CUT characters or more.
 
     Each text from a "c16":" to the next quote that long is cut out of the
     buffer, and json parses "\\u0000k" in its place; an object hook swaps
     that string for payloads[k].  In a file with no backslash no escape can
     forge a placeholder, and no other string json returns starts with NUL.
     """
-    if os.stat(path).st_size < _B64_CUT:  # too short to hold such a text
-        return None
-    with open(path, "rb") as f:
-        data = f.read()
-    if b"\\" in data:
+    if len(data) < _B64_CUT or b"\\" in data:
         return None
     view, pieces, payloads, start = memoryview(data), [], [], 0
     at = data.find(_KEY)
@@ -415,24 +418,28 @@ def _load(path, kind: str, build):
 
     The file is read once, as bytes, json parses only its skeleton, and
     decode_matrix decodes each long payload straight from the file buffer.
-    load_document is the authority: it reads the file again when _skeleton
-    declines it, when this path raises anything, or when a payload goes
-    unread (a repeated "c16" key, or one in a field no loader reads), whose
-    text no decoder checked.  Otherwise each placeholder parsed as a string,
-    as its backslash is JSON nowhere else, so the text it replaced sat in
-    that string, and that text was strict base64: the file parses the same
-    both ways, and the result is load_document's.
+    The text reader is the authority: the same bytes, read as UTF-8 text
+    with universal newlines as load_document's open reads them, go through
+    json.load and decode_matrix on each str when _skeleton declines them,
+    when this path raises anything, or when a payload goes unread (a
+    repeated "c16" key, or one in a field no loader reads), whose text no
+    decoder checked.  Otherwise each placeholder parsed as a string, as its
+    backslash is JSON nowhere else, so the text it replaced sat in that
+    string, and that text was strict base64: the file parses the same both
+    ways, and the result is the text reader's.
     """
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        parsed = _skeleton(path)
+        parsed = _skeleton(data)
         if parsed is not None:
             doc, payloads = parsed
             obj = build(_envelope(doc, kind))
             if all(p.read for p in payloads):
                 return obj
-    except Exception:  # load_document gives the verdict and the message
+    except Exception:  # the text reader gives the verdict and the message
         pass
-    doc = load_document(path, kind)
+    doc = _document(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), kind)
     with _decoding(kind):
         return build(doc)
 
