@@ -308,10 +308,16 @@ def _eigh_kraus(m: CpMap, rank_tol: float = KRAUS_RANK_REL_TOL) -> KrausDecompos
     ops: Dict[Tuple[int, int], np.ndarray] = {}
     for j, dk in enumerate(m.target.dims):
         for i, dh in enumerate(m.source.dims):
-            w, v = np.linalg.eigh(herm_part(m.choi(j, i)))
-            keep = w > max(rank_tol, dk * dh * np.finfo(float).eps) * max(float(w.max()), 0.0)
-            ops[(i, j)] = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, dk, dh)
+            ops[(i, j)] = _eigh_rows(herm_part(m.choi(j, i)), rank_tol).reshape(-1, dk, dh)
     return KrausDecomposition(m.source, m.target, ops)
+
+
+def _eigh_rows(h: np.ndarray, rank_tol: float) -> np.ndarray:
+    """One Hermitian block's Kraus vecs as rows, sqrt(lambda_beta) v_beta^T
+    for each eigenvalue above kraus_from_choi's cutoff."""
+    w, v = np.linalg.eigh(h)
+    keep = w > max(rank_tol, len(h) * np.finfo(float).eps) * max(float(w.max()), 0.0)
+    return (v[:, keep] * np.sqrt(w[keep])).T
 
 
 # -- duals, composition, copy -------------------------------------------------

@@ -16,8 +16,11 @@ minimal one with components M_a = Id_B_j (x) X_ik, row beta of X_ik being
 vec(N_beta†), so every other dilation is (Id (x) W) of it for a unique
 environment isometry W = M_b R, R = M_a+ = Id_B_j (x) X_ik+.  No dilation,
 W or Kraus family of S is ever formed: X_ik's rows are orthogonal, so X_ik+
-is X_ik† over their squared norms; W's figures come from a factor of Phi's
-small Choi blocks, and G's Choi blocks from S's, pulled back through R.  P
+is X_ik† over their squared norms; W's figures come from a factor F of each
+of Phi's small Choi blocks M, F†F = M, and G's Choi blocks from S's, pulled
+back through R.  The figures are the same for every such F, which is fixed
+only up to a unitary on the Kraus index, so F is a Cholesky factor, and an
+eigh factor only for a block whose pivots fall to roundoff.  P
 has dimension max r_ik, the largest of N's Kraus ranks, and N's environment
 for (i, k) is the span of P's first r_ik basis vectors.  E is assembled
 from N's Kraus operators placed there, and G routes that span through W,
@@ -45,10 +48,11 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from ._linalg import dag, frob
+from ._linalg import dag, frob, herm_part
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import (
-    Channel, CpMap, KrausDecomposition, _eigh_kraus, _not_cp, apply, as_channel, hs_dual,
+    Channel, CpMap, KrausDecomposition, _eigh_kraus, _eigh_rows, _not_cp, apply, as_channel,
+    hs_dual,
 )
 from .errors import (
     AlgebraMismatchError, IsometryDefectError, NotTracePreservingError, NotUnitalError,
@@ -103,6 +107,26 @@ class SolvedW:
     isometry_defect: float
 
 
+def _cholesky_rows(h: np.ndarray):
+    """F = L^T for the Cholesky factor L L† = h of a Hermitian block, so that
+    F's rows are Kraus vecs of h as _eigh_rows's are; None when Cholesky
+    fails or a pivot L_ii^2 is at or below 2 (n + 2) eps tr(h).
+
+    That cut is the bound _psd_block's certificate puts on Cholesky's
+    backward error, less its tol term, and at least _eigh_rows's rank cut
+    n eps lambda_max, as tr(h) >= lambda_max.  A block that is singular
+    in exact arithmetic can pass Cholesky on a pivot of roundoff size; the
+    row of size sqrt(eps) it leaves in F would raise W's residual towards
+    its gate, so such a block is left to eigh, which drops that direction.
+    """
+    try:
+        l = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+    cut = 2 * (len(h) + 2) * np.finfo(float).eps * np.trace(h).real
+    return None if (l.diagonal().real ** 2).min() <= cut else l.T
+
+
 def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
             tol: float = VERIFY_TOL) -> SolvedW:
     """X_ik+ per pair (i, k) for N's Kraus rows x_beta = vec(N_beta†) ordered
@@ -114,9 +138,12 @@ def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
     orthogonal defeat that closed form, and a gate below refuses.  W itself
     needs a left dilation of Phi; its diagnostics do not.  Each realigned
     (k, (j, i)) block M of the marginal map Phi factors as F†F, with F's rows
-    the Kraus operators of Phi's dual (eigenvalues above roundoff).  Every
-    left dilation has M_b†M_b = M, so W_F = F R has W_F†W_F = W†W and
-    ||W_F M_a - F|| = ||W M_a - M_b||; F meets X_ik+ over (A_i, C_k) alone.
+    Kraus operators of Phi's dual.  Every left dilation has M_b†M_b = M, so
+    W_F = F R has W_F†W_F = W†W and ||W_F M_a - F|| = ||W M_a - M_b||; F
+    meets X_ik+ over (A_i, C_k) alone.  Any two such F differ by a partial
+    isometry on the Kraus index mu, F' = U F, which neither norm sees, so F
+    comes from _cholesky_rows, and from _eigh_rows, the eigenvalues above
+    roundoff, only for a block whose Cholesky pivots say it is singular.
     Raises ResidualTooLargeError when the residual, and IsometryDefectError
     when the isometry defect, exceeds 10 * tol: dilations of different maps
     can solve to a small residual, but not to an isometry.
@@ -128,16 +155,21 @@ def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
         r, dk, di = ops.shape
         x = rows[key] = ops.conj().transpose(0, 2, 1).reshape(r, di * dk)
         pinv[key] = dag(x) / (x.real ** 2 + x.imag ** 2).sum(axis=1)
-    f_kd = _eigh_kraus(hs_dual(phi), rank_tol=0.0)
+    dual = hs_dual(phi)
     res_sq = defect_sq = 0.0
-    for (k, t), f_ops in f_kd.ops.items():
-        j, i = source_hom.pairs[t]
-        x, xp = rows[(i, k)], pinv[(i, k)]
-        f = f_ops.reshape(-1, x.shape[1])  # rows (mu, b), columns (A_i, C_k)
-        w_f = f @ xp
-        res_sq += frob(w_f @ x - f) ** 2
-        w_f = w_f.reshape(len(f_ops), source_hom.out_algebra.dims[j] * x.shape[0])
-        defect_sq += frob(dag(w_f) @ w_f - np.eye(w_f.shape[1])) ** 2
+    for t, (j, i) in enumerate(source_hom.pairs):
+        for k in range(len(dual.source)):
+            x, xp = rows[(i, k)], pinv[(i, k)]
+            h = herm_part(dual.choi(t, k))
+            f = _cholesky_rows(h)
+            if f is None:
+                f = _eigh_rows(h, rank_tol=0.0)
+            n_ops = len(f)
+            f = f.reshape(-1, x.shape[1])  # rows (mu, b), columns (A_i, C_k)
+            w_f = f @ xp
+            res_sq += frob(w_f @ x - f) ** 2
+            w_f = w_f.reshape(n_ops, source_hom.out_algebra.dims[j] * x.shape[0])
+            defect_sq += frob(dag(w_f) @ w_f - np.eye(w_f.shape[1])) ** 2
     residual, defect = float(np.sqrt(res_sq)), float(np.sqrt(defect_sq))
     if residual > 10 * tol:
         raise ResidualTooLargeError(
@@ -316,10 +348,12 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
     ResidualTooLargeError when kernel_residual exceeds tol; else
     NotUnitalError.
 
-    After a pass, eigh runs on N's Choi blocks and on those of the report's
-    marginal map Phi, dim(C_k) dim(B_j) dim(A_i) square, never on S's;
-    S's blocks enter G through two GEMMs each.  solve_w's two gates then
-    apply at 10 * tol.
+    After a pass, eigh runs on N's Choi blocks, never on S's; S's blocks
+    enter G through two GEMMs each.  The report's marginal map Phi, whose
+    blocks are dim(C_k) dim(B_j) dim(A_i) square, is factored by Cholesky:
+    W's figures are the same for any factor, and a block with a pivot at or
+    below 2 (n + 2) eps tr falls back to eigh (see solve_w and
+    _cholesky_rows).  solve_w's two gates then apply at 10 * tol.
     """
     report = verify_deterministic(s, tol)
     if not report.verdict:

@@ -31,7 +31,7 @@ largest ``||Tr_out S(b)||`` over any orthonormal basis b of that kernel.
 """
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -50,17 +50,20 @@ class HomAlgebra:
 
     Blocks are ordered lexicographically by (out block, in block); each block
     carries the out factor first.  ``base`` is the plain multimatrix algebra;
-    ``pairs`` lists the (out index, in index) behind each base block.
+    ``pairs`` lists the (out index, in index) behind each base block.  It is
+    read off the algebras once, at construction; equality, hashing and repr
+    depend on the three algebras alone.
     """
 
     in_algebra: MultiMatrixAlgebra
     out_algebra: MultiMatrixAlgebra
     base: MultiMatrixAlgebra
+    pairs: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+    def __post_init__(self):
         n_in = len(self.in_algebra)
-        return tuple((t // n_in, t % n_in) for t in range(len(self.base)))
+        object.__setattr__(self, "pairs", tuple((t // n_in, t % n_in)
+                                                for t in range(len(self.base))))
 
     def block_index(self, j: int, i: int) -> int:
         return j * len(self.in_algebra) + i

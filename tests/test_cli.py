@@ -718,9 +718,12 @@ def test_cli_realize_runs_one_gate_pass(tmp_path, monkeypatch):
     serialize.save_document(bad, serialize.supermap_document(broken))
     s_blocks = len(s.inner.source) * len(s.inner.target)
     gate = {"_psd_block": s_blocks + len(a) * len(c), "_n_and_phi": 1, "kernel_residual": 1}
-    calls = _count_calls(monkeypatch, [*gate, "_eigh_kraus"])
+    calls = _count_calls(monkeypatch, [*gate, "_eigh_kraus", "_eigh_rows", "_cholesky_rows"])
     assert run(["realize", str(ok), "--out", str(tmp_path / "r.json")]) == 0
-    assert calls == {**gate, "_eigh_kraus": 2}
+    # one eigh per block of N, inside _eigh_kraus, and one Cholesky per block
+    # of Phi's dual, none of which falls back to eigh
+    assert calls == {**gate, "_eigh_kraus": 1, "_eigh_rows": len(a) * len(c),
+                     "_cholesky_rows": len(c) * len(a) * len(b)}
     calls.clear()
     assert run(["realize", str(bad), "--out", str(tmp_path / "r.json")]) == 1
     assert calls == gate

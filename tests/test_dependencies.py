@@ -1,17 +1,22 @@
-"""The package imports nothing outside numpy and the standard library."""
+"""The package imports nothing outside numpy and the standard library, and
+the tests nothing that ``pip install -e .[test]`` does not install."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import supermap_forge
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "supermap_forge"}
+TESTS = Path(__file__).parent
 
 
-def test_package_imports_only_numpy_and_the_stdlib():
+def _outside_imports(paths, allowed):
+    """'file:line module' for each absolute import whose top-level module is
+    not in allowed."""
     outside = []
-    for path in sorted(Path(supermap_forge.__file__).parent.rglob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -21,8 +26,33 @@ def test_package_imports_only_numpy_and_the_stdlib():
                 continue
             outside += [
                 f"{path.name}:{node.lineno} {name}"
-                for name in names if name.split(".")[0] not in ALLOWED
+                for name in names if name.split(".")[0] not in allowed
             ]
+    return outside
+
+
+def test_package_imports_only_numpy_and_the_stdlib():
+    paths = sorted(Path(supermap_forge.__file__).parent.rglob("*.py"))
+    outside = _outside_imports(paths, ALLOWED)
+    assert not outside, outside
+
+
+def _declared(key):
+    """The distribution names in pyproject.toml's list ``key = [...]``."""
+    text = (TESTS.parent / "pyproject.toml").read_text()
+    requirements = ast.literal_eval(re.search(rf"^{key} = (\[.*?\])", text, re.M | re.S)[1])
+    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in requirements}
+
+
+def test_tests_import_only_what_the_test_extra_installs():
+    # the install line, `pip install -e .[test]`, brings the package's
+    # dependencies and the test extra; a test module that imports anything
+    # else fails to collect
+    paths = sorted(TESTS.rglob("*.py"))
+    installed = _declared("dependencies") | _declared("test")
+    assert {"numpy", "pytest", "hypothesis"} <= installed
+    local = {path.stem for path in paths} | {"supermap_forge"}
+    outside = _outside_imports(paths, set(sys.stdlib_module_names) | installed | local)
     assert not outside, outside
 
 

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import supermap_forge as sf
-from supermap_forge import algebra, gen, serialize
+from supermap_forge import algebra, gallery, gen, serialize
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
-from supermap_forge.cpmaps import KrausDecomposition
+from supermap_forge.cpmaps import KrausDecomposition, _eigh_kraus, hs_dual
+from supermap_forge.realize import g_source_algebra, memory_target_algebra
 from supermap_forge.supermap import partial_trace_out
 from oracles import (
     _minimal_pinv, choi_from_action, dilation_from_kraus, heisenberg_apply, matrix_units,
@@ -321,7 +322,8 @@ def test_realize_eigendecomposes_no_block_larger_than_n_or_phi(dims, monkeypatch
 
 def test_realize_takes_no_svd(monkeypatch):
     # R = Id_B (x) X_ik+, with X_ik+ in closed form from N's orthogonal
-    # Kraus rows: realize factorises nothing but N's and Phi's blocks by eigh
+    # Kraus rows: realize factorises nothing but N's blocks by eigh, and
+    # Phi's by Cholesky
     shapes = [[MultiMatrixAlgebra.from_dims((3,), lbl) for lbl in "abcd"], small_shape()]
     supermaps = [gen.random_supermap_from_circuit(*algs, p_dim=2, seed=1) for algs in shapes]
     calls = []
@@ -413,6 +415,142 @@ def test_solve_w_refuses_a_kraus_family_mixed_by_a_non_unitary():
             mixed[key] = np.tensordot(g, ops, axes=1)
         with pytest.raises((sf.ResidualTooLargeError, sf.IsometryDefectError)):
             sf.solve_w(KrausDecomposition(n_kd.source, n_kd.target, mixed), phi, s.source_hom)
+
+
+def _eigh_w_figures(n_kd, phi, source_hom):
+    """W's residual and isometry defect from eigh's factor of each block of
+    Phi's dual, eigenvalues above roundoff: the reference solve_w's
+    Cholesky factor must agree with."""
+    f_kd = _eigh_kraus(hs_dual(phi), rank_tol=0.0)
+    res_sq = defect_sq = 0.0
+    for (k, t), f_ops in f_kd.ops.items():
+        j, i = source_hom.pairs[t]
+        x = _n_rows(n_kd.ops[i, k])
+        f = f_ops.reshape(-1, x.shape[1])
+        w_f = f @ (x.conj().T / (x.real ** 2 + x.imag ** 2).sum(axis=1))
+        res_sq += np.linalg.norm(w_f @ x - f) ** 2
+        w_f = w_f.reshape(len(f_ops), source_hom.out_algebra.dims[j] * x.shape[0])
+        defect_sq += np.linalg.norm(w_f.conj().T @ w_f - np.eye(w_f.shape[1])) ** 2
+    return float(np.sqrt(res_sq)), float(np.sqrt(defect_sq))
+
+
+def _solve_w_recording_fallbacks(s, monkeypatch):
+    """solve_w on s, and the sizes of the Phi-dual blocks it left to eigh."""
+    realize = sys.modules["supermap_forge.realize"]
+    fallbacks = []
+
+    def recorded(h, *args, _eigh_rows=realize._eigh_rows, **kwargs):
+        fallbacks.append(len(h))
+        return _eigh_rows(h, *args, **kwargs)
+
+    monkeypatch.setattr(realize, "_eigh_rows", recorded)
+    n_kd, phi = _n_kraus_and_phi(s)
+    w = sf.solve_w(n_kd, phi, s.source_hom)
+    return w, fallbacks, _eigh_w_figures(n_kd, phi, s.source_hom)
+
+
+def _dual_block_ranks(s):
+    """(size, rank) of each block of Phi's dual, rank as eigh's cut counts it."""
+    dual = hs_dual(sf.verify_deterministic(s).phi)
+    out = []
+    for row in dual.choi_blocks:
+        for m in row:
+            w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+            out.append((len(m), int((w > len(m) * np.finfo(float).eps * max(w.max(), 0)).sum())))
+    return out
+
+
+def test_solve_w_leaves_singular_dual_blocks_to_eigh(monkeypatch):
+    # Cholesky fails on each singular Phi-dual block of the identity
+    # supermaps; the gallery's blocks are all nonsingular, and it factors them
+    m3, m21 = MultiMatrixAlgebra.single(3, "q"), MultiMatrixAlgebra.from_dims((2, 1), "q")
+    for name, s in [("identity M3", sf.identity_supermap(m3, m3)),
+                    ("identity M2+M1", sf.identity_supermap(m21, m21)),
+                    *((name, demo().supermap) for name, demo in gallery.DEMOS.items())]:
+        w, fallbacks, (residual, defect) = _solve_w_recording_fallbacks(s, monkeypatch)
+        singular = [n for n, rank in _dual_block_ranks(s) if rank < n]
+        assert fallbacks == singular, name
+        if name.startswith("identity"):
+            assert singular, name
+            assert (w.residual, w.isometry_defect) == (residual, defect), name
+        else:
+            assert not singular, name
+            assert abs(w.residual - residual) <= 1e-12, name
+            assert abs(w.isometry_defect - defect) <= 1e-12, name
+
+
+def _rank_three_marginal_supermap(seed):
+    """A deterministic supermap M2 -> M1 to M2 -> M2 whose only Phi-dual
+    block, 4 x 4, has rank 3: E is an isometry C -> A (x) M3 traced over M3."""
+    a, b, c, d = (MultiMatrixAlgebra.single(n, lbl) for n, lbl in zip((2, 1, 2, 2), "abcd"))
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+    target = memory_target_algebra(a, 1)
+    e = sf.CpMap.from_kraus(c, target, {(0, 0): list(v.reshape(2, 3, 2).transpose(1, 0, 2))})
+    g = gen.random_channel(g_source_algebra(a, b, c, 1), d, seed=seed)
+    return sf.circuit_supermap(sf.as_channel(e, tol=1e-12), g, 1, a, b, c, d)
+
+
+def test_solve_w_leaves_a_roundoff_cholesky_pivot_to_eigh(monkeypatch):
+    # Cholesky can pass a block that is singular in exact arithmetic on a
+    # last pivot of roundoff size.  Taken as F, L^T would carry a row of size
+    # sqrt(eps); the pivot cut sends the block to eigh instead
+    eps = np.finfo(float).eps
+    passed = 0
+    for seed in range(40):
+        s = _rank_three_marginal_supermap(seed)
+        assert _dual_block_ranks(s) == [(4, 3)]
+        h = hs_dual(sf.verify_deterministic(s).phi).choi(0, 0)
+        h = (h + h.conj().T) / 2
+        try:
+            l = np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            continue
+        passed += 1
+        # a positive pivot at or below the cut, 2 (n + 2) eps tr(h)
+        assert 0 < (np.diagonal(l).real ** 2).min() <= 12 * eps * np.trace(h).real
+        w, fallbacks, (residual, defect) = _solve_w_recording_fallbacks(s, monkeypatch)
+        assert fallbacks == [4]
+        assert (w.residual, w.isometry_defect) == (residual, defect)
+        assert residual < 1e-13
+        n_kd, _ = _n_kraus_and_phi(s)
+        x = _n_rows(n_kd.ops[0, 0])
+        assert np.linalg.norm(l.T @ w.pinv[0, 0] @ x - l.T) > 1e3 * residual
+    assert passed
+
+
+def _benchmark_small_shapes():
+    """The benchmark's 64 small-blocks shapes: 1-3 blocks of dims 1-2 per
+    algebra and p_dim 1-2, drawn once from a fixed generator."""
+    rng = np.random.default_rng(2024)
+    for _ in range(64):
+        dims = tuple(tuple(int(x) for x in rng.integers(1, 3, size=rng.integers(1, 4)))
+                     for _ in range(4))
+        yield dims, int(rng.integers(1, 3))
+
+
+def test_cholesky_factor_leaves_realize_unchanged_but_for_w_figures(monkeypatch):
+    # E, G, p_dim and gram_min_eig never see Phi's factor: they are bit for
+    # bit those of the eigh factor, and W's figures agree within 1e-12
+    realize = sys.modules["supermap_forge.realize"]
+    shapes = [*_benchmark_small_shapes(), ((((3,),) * 4), 2), ((((4,),) * 4), 2),
+              (((3, 1), (2,), (2, 2), (2, 1)), 2), (((2, 2), (1, 2), (3,), (1,)), 1)]
+    for n, (dims, p_dim) in enumerate(shapes):
+        algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+        s = gen.random_supermap_from_circuit(*algs, p_dim=p_dim, seed=n)
+        r = sf.realize(s)
+        with monkeypatch.context() as m:
+            m.setattr(realize, "_cholesky_rows", lambda h: None)
+            ref = sf.realize(_unverified(s))
+        n_kd, phi = _n_kraus_and_phi(s)
+        assert (ref.w_residual, ref.w_isometry_defect) == _eigh_w_figures(
+            n_kd, phi, s.source_hom), dims
+        assert (r.p_dim, r.p_bound, r.gram_min_eig) == (ref.p_dim, ref.p_bound, ref.gram_min_eig)
+        assert all(np.array_equal(u, ref.e_kraus[key]) for key, u in r.e_kraus.items()), dims
+        for row, ref_row in zip(r.g_channel.choi_blocks, ref.g_channel.choi_blocks):
+            assert all(np.array_equal(g, h) for g, h in zip(row, ref_row)), dims
+        assert abs(r.w_residual - ref.w_residual) <= 1e-12, dims
+        assert abs(r.w_isometry_defect - ref.w_isometry_defect) <= 1e-12, dims
 
 
 def test_assemble_e_is_tp_and_has_the_right_marginal():
@@ -1026,15 +1164,21 @@ def _count_calls(monkeypatch, names):
 
 def test_realize_decomposes_each_choi_block_once(monkeypatch):
     s = _unverified(verified_supermap(seed=13))
+    realize = sys.modules["supermap_forge.realize"]
     calls = _count_calls(monkeypatch, [
-        (sys.modules["supermap_forge.realize"], "_eigh_kraus"), (algebra, "_psd_block"),
+        (realize, "_eigh_kraus"), (realize, "_cholesky_rows"), (realize, "_eigh_rows"),
+        (np.linalg, "eigh"), (np.linalg, "cholesky"), (algebra, "_psd_block"),
         (sf.CpMap, "from_kraus"), (sf.CpMap, "choi_distance"),
     ])
     sf.realize(s)
-    a, c = s.source_hom.in_algebra, s.target_hom.in_algebra
-    s_blocks = len(s.inner.source) * len(s.inner.target)
-    # E is assembled as its Kraus operators: no Choi family of E is built
-    assert calls == {"_eigh_kraus": 2, "_psd_block": s_blocks + len(a) * len(c)}
+    a, b, c = s.source_hom.in_algebra, s.source_hom.out_algebra, s.target_hom.in_algebra
+    gate = len(s.inner.source) * len(s.inner.target) + len(a) * len(c)
+    dual = len(c) * len(a) * len(b)
+    # N's eigh is the only eigendecomposition; Phi's dual blocks take one
+    # Cholesky each, with no eigh fallback, and the gate one per block.  E is
+    # assembled as its Kraus operators: no Choi family of E is built
+    assert calls == {"_eigh_kraus": 1, "eigh": len(a) * len(c), "_cholesky_rows": dual,
+                     "cholesky": gate + dual, "_psd_block": gate}
 
 
 def test_realize_after_a_verify_at_its_tol_runs_no_gate_pass(monkeypatch):

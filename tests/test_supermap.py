@@ -3,6 +3,7 @@
 import collections
 import copy
 import gc
+import pickle
 import sys
 import threading
 import weakref
@@ -49,6 +50,23 @@ def test_hom_block_order_is_target_major():
     hom = sf.hom_algebra(a, b)
     assert hom.base.labels == (("j0", "i0"), ("j0", "i1"), ("j1", "i0"), ("j1", "i1"))
     assert hom.base.dims == (6, 3, 4, 2)
+
+
+def test_hom_algebra_pairs_are_read_once_and_change_no_identity():
+    a = MultiMatrixAlgebra((("i0", 2), ("i1", 1)))
+    b = MultiMatrixAlgebra((("j0", 3), ("j1", 2), ("j2", 1)))
+    hom = sf.hom_algebra(a, b)
+    assert hom.pairs == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
+    assert hom.pairs is hom.pairs
+    # equality, hash and repr depend on the three algebras alone
+    assert repr(hom) == f"HomAlgebra(in_algebra={a!r}, out_algebra={b!r}, base={hom.base!r})"
+    assert hash(hom) == hash((a, b, hom.base))
+    assert hom == sf.hom_algebra(a, b) and hom != sf.hom_algebra(b, a)
+    for twin in (copy.copy(hom), copy.deepcopy(hom), pickle.loads(pickle.dumps(hom))):
+        assert twin == hom and hash(twin) == hash(hom) and repr(twin) == repr(hom)
+        assert twin.pairs == hom.pairs
+    with pytest.raises(AttributeError):
+        hom.pairs = ()
 
 
 def test_apply_to_choi_identity_and_scaling():
