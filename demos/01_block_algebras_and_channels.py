@@ -48,4 +48,5 @@ print("||sum K†K - I||:", tp_defect)
 
 # The Hilbert-Schmidt dual swaps trace preservation for unitality.
 dual = sf.hs_dual(povm)
-print("dual is unital:", sf.is_unital(dual))
+unital = sf.apply(dual, dual.source.identity()).allclose(dual.target.identity())
+print("dual is unital:", unital)

@@ -7,31 +7,23 @@ from .algebra import (
     HybridState,
     MultiMatrixAlgebra,
     PositivityWitness,
-    hs_inner,
     is_positive,
-    trace,
 )
 from .cpmaps import (
     Channel,
     CpMap,
     KrausDecomposition,
     apply,
-    as_channel,
-    compose,
-    copy_channel,
     hs_dual,
-    identity_channel,
     identity_cpmap,
     is_cp,
     is_tp,
-    is_unital,
     kraus_from_choi,
 )
 from .errors import (
     AlgebraMismatchError,
     IsometryDefectError,
     NotCompletelyPositiveError,
-    NotMinimalError,
     NotPositiveError,
     NotTracePreservingError,
     NotUnitalError,
@@ -48,7 +40,6 @@ from .supermap import (
     apply_to_choi,
     choi_element,
     cpmap_from_element,
-    extract_n,
     hom_algebra,
     identity_supermap,
     kernel_residual,

@@ -211,16 +211,6 @@ class BlockOperator(_Frozen):
         return f"BlockOperator(blocks={dims}, trace={self.trace():.4g})"
 
 
-def trace(x: BlockOperator) -> complex:
-    return x.trace()
-
-
-def hs_inner(x: BlockOperator, y: BlockOperator) -> complex:
-    """Hilbert-Schmidt pairing <x, y> = sum_blocks Tr(x† y)."""
-    x._check_same(y)
-    return complex(sum(np.trace(dag(a) @ b) for a, b in zip(x.mats, y.mats)))
-
-
 @dataclass(frozen=True)
 class PositivityWitness:
     """Outcome of a PSD check.  On a failure, ``block`` names the offending block and

@@ -212,10 +212,6 @@ def require_cp_map(m: CpMap, tol: float = DEFAULT_TOL) -> CpMap:
     return m
 
 
-def is_unital(m: CpMap, tol: float = DEFAULT_TOL) -> bool:
-    return apply(m, m.source.identity()).allclose(m.target.identity(), tol)
-
-
 class Channel(CpMap):
     """A CP map satisfying the block trace-preservation condition; with
     validate=False, one the caller vouches for."""
@@ -230,15 +226,6 @@ class Channel(CpMap):
                 raise NotTracePreservingError(
                     f"TP residuals {tuple(f'{r:.3g}' for r in report.residuals)} exceed {tol}"
                 )
-
-
-def as_channel(m: CpMap, tol: float = DEFAULT_TOL) -> Channel:
-    return Channel(m.source, m.target, m.choi_blocks, tol=tol)
-
-
-def identity_channel(a: MultiMatrixAlgebra) -> Channel:
-    m = identity_cpmap(a)
-    return Channel(a, a, m.choi_blocks, validate=False)
 
 
 # -- Kraus families -----------------------------------------------------------
@@ -320,7 +307,7 @@ def _eigh_rows(h: np.ndarray, rank_tol: float) -> np.ndarray:
     return (v[:, keep] * np.sqrt(w[keep])).T
 
 
-# -- duals, composition, copy -------------------------------------------------
+# -- duals --------------------------------------------------------------------
 
 
 def hs_dual(m: CpMap) -> CpMap:
@@ -338,33 +325,3 @@ def hs_dual(m: CpMap) -> CpMap:
             row.append(c4.transpose(1, 0, 3, 2).conj().reshape(dh * dk, dh * dk))
         blocks.append(row)
     return CpMap(m.target, m.source, blocks)
-
-
-def compose(g: CpMap, f: CpMap) -> CpMap:
-    """g after f, contracted at the Choi level (the link product):
-
-        C_{g o f}[l, i] = sum_j  sum_{r,s} C_g[l, j][o, r, O, s] C_f[j, i][r, a, s, b],
-
-    one GEMM per block pair (l, i) of superops, with the sum over j inside it.
-    """
-    if f.target != g.source:
-        raise AlgebraMismatchError("compose: target of f must equal source of g")
-    mid = range(len(f.target))
-    g_rows = [np.concatenate([g.superop(l, j) for j in mid], axis=1) for l in range(len(g.target))]
-    f_cols = [np.concatenate([f.superop(j, i) for j in mid]) for i in range(len(f.source))]
-    return CpMap(f.source, g.target, [
-        [(g_row @ f_col).reshape(dl, dl, dh, dh).transpose(0, 2, 1, 3).reshape(dl * dh, -1)
-         for f_col, dh in zip(f_cols, f.source.dims)]
-        for g_row, dl in zip(g_rows, g.target.dims)])
-
-
-def copy_channel(a: MultiMatrixAlgebra) -> Channel:
-    """Classical copy: block-k content moves to block (k, k) unchanged.
-
-    The target keeps only the diagonal pairs; off-diagonal pairs would be
-    zero-dimensional and are omitted entirely.
-    """
-    target = MultiMatrixAlgebra(tuple(((lbl, lbl), d) for lbl, d in a.blocks))
-    ops = {(k, k): [np.eye(d, dtype=complex)] for k, d in enumerate(a.dims)}
-    m = CpMap.from_kraus(a, target, ops)
-    return Channel(a, target, m.choi_blocks, validate=False)

@@ -35,10 +35,6 @@ class NotUnitalError(SupermapForgeError):
     """A map expected to be unital does not preserve the identity."""
 
 
-class NotMinimalError(SupermapForgeError):
-    """A dilation assumed minimal is rank deficient."""
-
-
 class ResidualTooLargeError(SupermapForgeError):
     """Two objects that must agree numerically differ beyond tolerance."""
 

@@ -51,8 +51,7 @@ import numpy as np
 from ._linalg import dag, frob, herm_part
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import (
-    Channel, CpMap, KrausDecomposition, _eigh_kraus, _eigh_rows, _not_cp, apply, as_channel,
-    hs_dual,
+    Channel, CpMap, KrausDecomposition, _eigh_kraus, _eigh_rows, _not_cp, apply, hs_dual,
 )
 from .errors import (
     AlgebraMismatchError, IsometryDefectError, NotTracePreservingError, NotUnitalError,
@@ -271,8 +270,8 @@ class CircuitRealisation:
     ``e_kraus[k, i]`` is U_ik, a (p_dim d_i) x d_k matrix, for every block k
     of C and i of A.  ``e_channel`` is E's Choi family, U_ik U_ik† per block,
     built from them on first use; checking a realisation never builds it.
-    ``e_kraus`` is a read-only view of a copy of the mapping it was given,
-    and its arrays are marked read-only, so E cannot change under that cache.
+    ``e_kraus`` is a read-only view of a mapping to read-only copies of the
+    arrays it was given, so E cannot change under that cache.
     Realisations compare by identity, as their channels do.
     """
 
@@ -289,10 +288,10 @@ class CircuitRealisation:
     p_bound: int
 
     def __post_init__(self):
-        e_kraus = MappingProxyType(dict(self.e_kraus))
+        e_kraus = {key: np.array(u, dtype=complex) for key, u in self.e_kraus.items()}
         for u in e_kraus.values():
             u.flags.writeable = False
-        object.__setattr__(self, "e_kraus", e_kraus)
+        object.__setattr__(self, "e_kraus", MappingProxyType(e_kraus))
 
     def __reduce__(self):
         # a mappingproxy neither copies nor pickles: pass __init__ a dict
@@ -519,7 +518,8 @@ def evaluate_circuit(r: CircuitRealisation, f: Channel, tol: float = VERIFY_TOL)
     E's Choi family is materialised.  Output is a channel C -> D, validated
     as trace preserving at tol.
     """
-    return as_channel(_circuit_evaluator(r)(f), tol=tol)
+    m = _circuit_evaluator(r)(f)
+    return Channel(m.source, m.target, m.choi_blocks, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ A document built here holds each Choi block as its ndarray.  save_document
 has json's C encoder write only the compact single-line skeleton (an indent
 would make CPython fall back to its pure-Python encoder), each matrix a hole
 {"shape": [r, c], "c16": ""}; it splices each matrix's base64 in as bytes
-and writes the file once, the bytes json.dumps gives for encode_matrix's
-dicts.  Indented documents load the same.
+and writes the file once, the bytes json.dumps gives when each matrix is
+{"shape": [r, c], "c16": the base64 of its <c16 bytes}.  Indented documents
+load the same.
 
 Reading accepts what base64.b64decode(text, validate=True) accepts, and
 nothing else.  A c16 text of _B64_CUT characters or more decodes through a
@@ -139,12 +140,6 @@ def _c16(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ShapeMismatchError("cannot write a matrix with non-finite entries")
     return m
-
-
-def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
-    """Encode one matrix as a document stores it."""
-    m = _c16(m)
-    return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
 
 
 def _b64decode(text):

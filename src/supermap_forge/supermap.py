@@ -207,16 +207,6 @@ def apply_to_choi(s: Supermap, c: BlockOperator) -> BlockOperator:
     return apply(s.inner, c)
 
 
-def extract_n(s: Supermap) -> CpMap:
-    """The induced map N on the source factors: N(x) = Tr_out S(section(x)).
-
-    For a deterministic supermap N is unital and CP, and
-    Tr_out[S(c)] = N(Tr_out[c]) for every Hom element c.  Read off S's Choi
-    blocks with no positivity check; the first half of _n_and_phi.
-    """
-    return _n_and_phi(s)[0]
-
-
 def _n_and_phi(s: Supermap) -> Tuple[CpMap, CpMap]:
     """N and the marginal map Phi = Tr_out o S, in one pass over S's Choi blocks.
 
@@ -247,8 +237,9 @@ def _n_and_phi(s: Supermap) -> Tuple[CpMap, CpMap]:
 
 def kernel_residual(phi: CpMap, n: CpMap, source_hom: HomAlgebra) -> float:
     """||Phi - Id_B (x) N||_F over all Choi blocks of the marginal map
-    Phi = Tr_out o S, for N = extract_n(s): the Hilbert-Schmidt norm of Phi
-    on ker Tr_out, zero exactly when kernel containment holds."""
+    Phi = Tr_out o S, for S's induced map N (both as _n_and_phi gives them):
+    the Hilbert-Schmidt norm of Phi on ker Tr_out, zero exactly when kernel
+    containment holds."""
     b_dims = source_hom.out_algebra.dims
     total = 0.0
     for k, dk in enumerate(n.target.dims):

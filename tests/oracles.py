@@ -9,6 +9,15 @@ checked against them, so this module imports nothing from
 ``supermap_forge.serialize``; ``tests/test_dependencies.py`` enforces that.
 The W path to G lives in ``tests/w_oracle.py``.
 
+The channel calculus of the paper's circuit lives here too: the link
+product ``compose``, the classical ``copy_channel``, ``identity_channel``,
+``as_channel`` and ``is_unital``.  The package evaluates that circuit with
+one contraction per block triple and treats the copy as a relabelling, so
+only the tests compose channels.  So do the Hilbert-Schmidt pairing
+``hs_inner``, ``extract_n`` (N alone, where the package reads N and Phi
+together), ``NotMinimalError``, which only oracles raise, and
+``encode_matrix``, one matrix as a document stores it.
+
 The package holds a CP map by its Choi blocks alone.  Stinespring dilations
 (``StinespringDilation``, ``minimal_stinespring``, the least-squares
 ``environment_intertwiner`` between two of them, and the SVD pseudo-inverse
@@ -17,20 +26,25 @@ tests that check dilation uniqueness, the W path and realize's closed-form
 pseudo-inverse of N's Kraus rows.
 """
 
+import base64
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from supermap_forge._linalg import dag, frob, herm_part, hermitian_basis, matrix_unit
-from supermap_forge.algebra import (
-    DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, hs_inner, is_positive,
-)
+from supermap_forge.algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, is_positive
 from supermap_forge.cpmaps import (
-    Channel, CpMap, KrausDecomposition, kraus_from_choi, require_cp_map,
+    Channel, CpMap, KrausDecomposition, apply, identity_cpmap, kraus_from_choi, require_cp_map,
 )
-from supermap_forge.errors import AlgebraMismatchError, NotMinimalError, NotPositiveError
-from supermap_forge.supermap import HomAlgebra, embed_with_out_identity
+from supermap_forge.errors import (
+    AlgebraMismatchError, NotPositiveError, ShapeMismatchError, SupermapForgeError,
+)
+from supermap_forge.supermap import HomAlgebra, Supermap, _n_and_phi, embed_with_out_identity
+
+
+class NotMinimalError(SupermapForgeError):
+    """A dilation assumed minimal is rank deficient."""
 
 
 def unit(alg: MultiMatrixAlgebra, block: int, a: int, b: int) -> BlockOperator:
@@ -46,6 +60,12 @@ def matrix_units(alg: MultiMatrixAlgebra) -> Iterator[Tuple[int, int, int, Block
         for a in range(d):
             for b in range(d):
                 yield i, a, b, unit(alg, i, a, b)
+
+
+def hs_inner(x: BlockOperator, y: BlockOperator) -> complex:
+    """Hilbert-Schmidt pairing <x, y> = sum_blocks Tr(x† y)."""
+    x._check_same(y)
+    return complex(sum(np.trace(dag(a) @ b) for a, b in zip(x.mats, y.mats)))
 
 
 def choi_from_action(
@@ -117,12 +137,65 @@ def tensor(f: CpMap, g: CpMap) -> CpMap:
     return CpMap(source, target, blocks)
 
 
+def is_unital(m: CpMap, tol: float = DEFAULT_TOL) -> bool:
+    return apply(m, m.source.identity()).allclose(m.target.identity(), tol)
+
+
+def as_channel(m: CpMap, tol: float = DEFAULT_TOL) -> Channel:
+    return Channel(m.source, m.target, m.choi_blocks, tol=tol)
+
+
+def identity_channel(a: MultiMatrixAlgebra) -> Channel:
+    m = identity_cpmap(a)
+    return Channel(a, a, m.choi_blocks, validate=False)
+
+
+def compose(g: CpMap, f: CpMap) -> CpMap:
+    """g after f, contracted at the Choi level (the link product):
+
+        C_{g o f}[l, i] = sum_j  sum_{r,s} C_g[l, j][o, r, O, s] C_f[j, i][r, a, s, b],
+
+    one GEMM per block pair (l, i) of superops, with the sum over j inside it.
+    """
+    if f.target != g.source:
+        raise AlgebraMismatchError("compose: target of f must equal source of g")
+    mid = range(len(f.target))
+    g_rows = [np.concatenate([g.superop(l, j) for j in mid], axis=1) for l in range(len(g.target))]
+    f_cols = [np.concatenate([f.superop(j, i) for j in mid]) for i in range(len(f.source))]
+    return CpMap(f.source, g.target, [
+        [(g_row @ f_col).reshape(dl, dl, dh, dh).transpose(0, 2, 1, 3).reshape(dl * dh, -1)
+         for f_col, dh in zip(f_cols, f.source.dims)]
+        for g_row, dl in zip(g_rows, g.target.dims)])
+
+
+def copy_channel(a: MultiMatrixAlgebra) -> Channel:
+    """Classical copy: block-k content moves to block (k, k) unchanged.
+
+    The target keeps only the diagonal pairs; off-diagonal pairs would be
+    zero-dimensional and are omitted entirely.
+    """
+    target = MultiMatrixAlgebra(tuple(((lbl, lbl), d) for lbl, d in a.blocks))
+    ops = {(k, k): [np.eye(d, dtype=complex)] for k, d in enumerate(a.dims)}
+    m = CpMap.from_kraus(a, target, ops)
+    return Channel(a, target, m.choi_blocks, validate=False)
+
+
 def discard_copy_channel(a: MultiMatrixAlgebra) -> Channel:
     """Inverse relabelling of copy_channel: block (k, k) back to block k."""
     source = MultiMatrixAlgebra(tuple(((lbl, lbl), d) for lbl, d in a.blocks))
     ops = {(k, k): [np.eye(d, dtype=complex)] for k, d in enumerate(a.dims)}
     m = CpMap.from_kraus(source, a, ops)
     return Channel(source, a, m.choi_blocks, validate=False)
+
+
+def extract_n(s: Supermap) -> CpMap:
+    """The induced map N on the source factors: N(x) = Tr_out S(section(x)).
+
+    For a deterministic supermap N is unital and CP, and
+    Tr_out[S(c)] = N(Tr_out[c]) for every Hom element c.  Read off S's Choi
+    blocks with no positivity check; the first half of _n_and_phi.
+    """
+    return _n_and_phi(s)[0]
 
 
 @dataclass(frozen=True)
@@ -314,3 +387,13 @@ def lemma1_condition_factor(hom: HomAlgebra, probes: List[BlockOperator]) -> flo
     sig = s[:n_complement]
     lo = float(sig.min()) if sig.size else 0.0
     return float(np.inf) if lo <= 0 else 1.0 / lo
+
+
+def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
+    """Encode one matrix as a document stores it: its shape, and the base64
+    of its C-contiguous <c16 bytes.  Refuses a non-finite entry, as
+    save_document does."""
+    m = np.ascontiguousarray(m, dtype="<c16")
+    if not np.isfinite(m).all():
+        raise ShapeMismatchError("cannot write a matrix with non-finite entries")
+    return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}

@@ -16,7 +16,8 @@ from supermap_forge.algebra import MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition
 from supermap_forge.supermap import embed_with_out_identity, partial_trace_out
 from oracles import (
-    choi_from_action, dilation_from_kraus, environment_intertwiner, minimal_stinespring,
+    choi_from_action, dilation_from_kraus, environment_intertwiner, extract_n,
+    minimal_stinespring,
 )
 
 
@@ -144,7 +145,7 @@ def ten_verified_supermaps():
 def test_criterion_4_marginal_factorisation(ten_verified_supermaps):
     worst = 0.0
     for m, s in enumerate(ten_verified_supermaps):
-        n = sf.extract_n(s)
+        n = extract_n(s)
         rng = np.random.default_rng(3000 + m)
         for _ in range(100):
             x = gen.random_block_operator(s.source_hom.base, seed=rng)
@@ -161,7 +162,7 @@ def test_criterion_5_dual_factorisation(ten_verified_supermaps):
     worst = 0.0
     for s in ten_verified_supermaps:
         s_star = sf.hs_dual(s.inner)
-        n_star = sf.hs_dual(sf.extract_n(s))
+        n_star = sf.hs_dual(extract_n(s))
         c_alg = s.target_hom.in_algebra
         for t in range(20):
             rho = gen.random_state(c_alg, seed=1000 + t).operator

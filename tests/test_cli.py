@@ -18,6 +18,7 @@ import supermap_forge as sf
 from supermap_forge import cli, gen, serialize
 from supermap_forge.algebra import MultiMatrixAlgebra
 from supermap_forge.supermap import VERIFY_TOL
+from oracles import encode_matrix
 
 
 # format "1" documents written by the last release that wrote that version;
@@ -188,7 +189,7 @@ MALFORMED_V2 = {
     "format 1 matrix in a format 2 document": (
         "2", lambda m: _v1_layout(serialize.decode_matrix(m))),
     "format 2 matrix in a format 1 document": (
-        "1", lambda m: serialize.encode_matrix(serialize.decode_matrix(m, "1"))),
+        "1", lambda m: encode_matrix(serialize.decode_matrix(m, "1"))),
 }
 
 
@@ -484,7 +485,7 @@ def test_check_verdict_on_a_non_tp_circuit_depends_on_tol_only(p4_realisation, c
     doc = json.loads(real.read_text())
     for entry in doc["payload"]["g_channel"]["choi"]:
         m = serialize.decode_matrix(entry["matrix"]) * (1 + 3e-7)
-        entry["matrix"] = serialize.encode_matrix(m)
+        entry["matrix"] = encode_matrix(m)
     real.write_text(json.dumps(doc))
     for trials in ([], ["--trials", "0"]):
         check = ["check", str(sm), str(real), *trials]
@@ -521,7 +522,7 @@ def test_library_and_cli_check_at_the_same_default_tolerance(p4_realisation, mon
     doc = json.loads(real.read_text())
     for entry in doc["payload"]["g_channel"]["choi"]:
         m = serialize.decode_matrix(entry["matrix"]) * (1 + 3e-7)
-        entry["matrix"] = serialize.encode_matrix(m)
+        entry["matrix"] = encode_matrix(m)
     real.write_text(json.dumps(doc))
     s, r = serialize.load_supermap(sm), serialize.load_realisation(real)
     for trials in (0, 1):
@@ -803,7 +804,7 @@ def test_codec_edge_values_and_old_layout_are_bit_exact(tmp_path):
     doc = json.loads(text)
     assert doc["format_version"] == "2"
     stored = doc["payload"]["choi"][0]["matrix"]
-    assert stored == serialize.encode_matrix(blocks[0][0])
+    assert stored == encode_matrix(blocks[0][0])
     assert _raw(stored) == _bits(blocks[0][0]).tobytes()
     # an indented layout loads to the same blocks
     indented = tmp_path / "indented.json"
@@ -834,9 +835,11 @@ def test_codec_edge_values_and_old_layout_are_bit_exact(tmp_path):
 
 def test_writer_refuses_what_the_reader_refuses(tmp_path):
     out = tmp_path / "rep.json"
+    m2, m1 = MultiMatrixAlgebra.single(2), MultiMatrixAlgebra.single(1)
     for bad in (np.inf, np.nan, complex(1.0, -np.inf)):
+        channel = sf.CpMap(m2, m1, [[np.array([[0.5, bad], [0.0, 0.5]])]])
         with pytest.raises(sf.ShapeMismatchError, match="non-finite"):
-            serialize.encode_matrix(np.array([[0.5, bad]]))
+            serialize.save_document(out, serialize.channel_document(channel))
     report = serialize.report_document("verify", {
         "kernel_residual": 0.0, "extracted_n": np.array([[np.nan]]),
     })
@@ -929,7 +932,7 @@ def _plus_rank_one(m):
     """A stored format 2 matrix plus a rank-one term off its own direction."""
     c = serialize.decode_matrix(m)
     v = np.exp(1j * np.arange(c.shape[0])) * np.arange(1, c.shape[0] + 1)
-    return serialize.encode_matrix(c + np.outer(v, v.conj()))
+    return encode_matrix(c + np.outer(v, v.conj()))
 
 
 def _set_e_entry(index, **fields):
@@ -950,7 +953,7 @@ MALFORMED_E = {
                       "E entry for C block 1 -> A block 1 is missing"),
     "repeated entry": ("3", lambda p: p["e_kraus"].append(p["e_kraus"][0]),
                        "repeated E entry for C block 0 -> A block 0"),
-    "wrong shape": ("3", _set_e_entry(0, matrix=lambda m: serialize.encode_matrix(
+    "wrong shape": ("3", _set_e_entry(0, matrix=lambda m: encode_matrix(
         serialize.decode_matrix(m).reshape(1, -1))),
         "E entry for C block 0 -> A block 0 has shape (1, 4), expected (2, 2)"),
     "non-finite entry": ("3", _set_e_entry(1, matrix=_set_first_value(complex(0, np.inf))),

@@ -6,7 +6,10 @@ import pytest
 import supermap_forge as sf
 from supermap_forge import gen
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
-from oracles import choi_from_action, discard_copy_channel, tensor
+from oracles import (
+    choi_from_action, compose, copy_channel, discard_copy_channel, hs_inner, identity_channel,
+    is_unital, tensor,
+)
 
 
 M2 = MultiMatrixAlgebra.single(2)
@@ -19,7 +22,7 @@ def depolarizing_qubit():
 
 
 def test_choi_of_identity_on_m2():
-    ident = sf.identity_channel(M2)
+    ident = identity_channel(M2)
     blk = ident.choi(0, 0)
     expected = sum(
         np.kron(np.eye(2)[:, [a]] @ np.eye(2)[[b], :], np.eye(2)[:, [a]] @ np.eye(2)[[b], :])
@@ -49,7 +52,7 @@ def test_transpose_map_is_not_cp():
 
 
 def test_apply_identity_and_depolarizing():
-    ident = sf.identity_channel(M2)
+    ident = identity_channel(M2)
     rho = gen.random_state(M2, seed=0).operator
     assert (sf.apply(ident, rho) - rho).norm() < 1e-14
     dep = depolarizing_qubit()
@@ -69,13 +72,13 @@ def test_apply_channel_preserves_states():
 
 
 def test_apply_algebra_mismatch():
-    ch = sf.identity_channel(M2)
+    ch = identity_channel(M2)
     with pytest.raises(sf.AlgebraMismatchError):
         sf.apply(ch, MultiMatrixAlgebra.single(3).identity())
 
 
 def test_is_tp_identity_and_scaled():
-    ident = sf.identity_channel(M2)
+    ident = identity_channel(M2)
     assert sf.is_tp(ident).ok
     doubled = ident.scaled(2.0)
     report = sf.is_tp(doubled)
@@ -98,7 +101,7 @@ def test_classical_channel_is_stochastic_matrix():
 
 
 def test_kraus_from_choi_identity_depolarizing_zero():
-    kd = sf.kraus_from_choi(sf.identity_channel(M2))
+    kd = sf.kraus_from_choi(identity_channel(M2))
     assert kd.rank(0, 0) == 1
     k = kd.ops[(0, 0)][0]
     # single Kraus operator equal to the identity up to a global phase
@@ -158,7 +161,7 @@ def test_kraus_from_choi_rejects_non_cp():
 
 def test_non_finite_choi_blocks_are_not_cp():
     for value in (np.nan, np.inf):
-        blk = sf.identity_channel(M2).choi(0, 0).copy()
+        blk = identity_channel(M2).choi(0, 0).copy()
         blk[1, 2] = value
         m = sf.CpMap(M2, M2, [[blk]])
         witness = sf.is_cp(m)
@@ -168,14 +171,14 @@ def test_non_finite_choi_blocks_are_not_cp():
 
 
 def test_not_cp_message_names_the_failed_part_of_the_psd_rule():
-    blk = sf.identity_channel(M2).choi(0, 0).copy()
+    blk = identity_channel(M2).choi(0, 0).copy()
     blk[1, 2] = np.nan
     # a valid channel scaled by 1e12 fails on its absolute Hermiticity defect
     big = gen.random_channel(M2, M2, seed=0).scaled(1e12)
     cases = (
         (sf.CpMap(M2, M2, [[blk]]), r"\(non-finite entries\)"),
         (big, r"\(Hermiticity defect [0-9.e+-]+\)"),
-        (sf.identity_channel(M2).scaled(-1.0), r"\(min eigenvalue -2\)"),
+        (identity_channel(M2).scaled(-1.0), r"\(min eigenvalue -2\)"),
     )
     for m, message in cases:
         for check in (sf.kraus_from_choi, sf.cpmaps.require_cp_map):
@@ -185,19 +188,19 @@ def test_not_cp_message_names_the_failed_part_of_the_psd_rule():
 
 
 def test_hs_dual_identity_unitality_and_involution():
-    ident = sf.identity_channel(M2)
+    ident = identity_channel(M2)
     assert sf.hs_dual(ident).choi_distance(ident) < 1e-14
     a = MultiMatrixAlgebra((("x", 2), ("y", 1)))
     b = MultiMatrixAlgebra((("u", 3), ("v", 2)))
     for seed in range(5):
         ch = gen.random_channel(a, b, seed=seed)
         dual = sf.hs_dual(ch)
-        assert sf.is_unital(dual, 1e-10)
+        assert is_unital(dual, 1e-10)
         assert sf.hs_dual(dual).choi_distance(ch) < 1e-10
         x = gen.random_block_operator(a, seed=seed + 1)
         y = gen.random_block_operator(b, seed=seed + 2)
-        lhs = sf.hs_inner(sf.apply(ch, x), y)
-        rhs = sf.hs_inner(x, sf.apply(dual, y))
+        lhs = hs_inner(sf.apply(ch, x), y)
+        rhs = hs_inner(x, sf.apply(dual, y))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -206,12 +209,12 @@ def test_compose_identity_and_channels():
     b = MultiMatrixAlgebra.single(2, "u")
     c = MultiMatrixAlgebra.classical(2)
     f = gen.random_channel(a, b, seed=1)
-    assert sf.compose(sf.identity_channel(b), f).choi_distance(f) < 1e-12
+    assert compose(identity_channel(b), f).choi_distance(f) < 1e-12
     g = gen.random_channel(b, c, seed=2)
-    gf = sf.compose(g, f)
+    gf = compose(g, f)
     assert sf.is_tp(gf, 1e-9).ok
     with pytest.raises(sf.AlgebraMismatchError):
-        sf.compose(f, g)
+        compose(f, g)
 
 
 def test_compose_is_associative():
@@ -223,8 +226,8 @@ def test_compose_is_associative():
         f = gen.random_channel(a, b, seed=seed)
         g = gen.random_channel(b, c, seed=seed + 10)
         h = gen.random_channel(c, d, seed=seed + 20)
-        lhs = sf.compose(sf.compose(h, g), f)
-        rhs = sf.compose(h, sf.compose(g, f))
+        lhs = compose(compose(h, g), f)
+        rhs = compose(h, compose(g, f))
         assert lhs.choi_distance(rhs) < 1e-9
 
 
@@ -251,7 +254,7 @@ def test_compose_matches_probe_composition():
         probed = choi_from_action(
             lambda x: sf.apply(g, sf.apply(f, x)), a, c, require_cp=False
         )
-        composed = sf.compose(g, f)
+        composed = compose(g, f)
         assert composed.source == a and composed.target == c
         scale = probed.choi_distance(probed.scaled(0.0))
         assert composed.choi_distance(probed) <= 1e-12 * scale
@@ -280,7 +283,7 @@ def test_compose_matches_the_einsum_link_product():
         pairs = [(_random_linear_map(a, b, k), _random_linear_map(b, c, k + 10)),
                  (gen.random_channel(a, b, seed=k), gen.random_channel(b, c, seed=k))]
         for f, g in pairs:
-            assert _max_deviation(sf.compose(g, f), _einsum_compose(g, f)) <= 1e-13
+            assert _max_deviation(compose(g, f), _einsum_compose(g, f)) <= 1e-13
 
 
 def _lift(source, target, block):
@@ -303,7 +306,7 @@ def _einsum_evaluate_circuit(r, f):
     slots = [(k, i, j) for k, i in copies for j in range(nb)]
     m1 = MultiMatrixAlgebra(tuple(((k, i), p * r.a.dims[i]) for k, i in copies))
     m2 = MultiMatrixAlgebra(tuple(((k, i, j), p * r.b.dims[j]) for k, i, j in slots))
-    stage1 = sf.copy_channel(r.c)
+    stage1 = copy_channel(r.c)
     stage2 = _lift(stage1.target, m1, lambda t, k: (
         r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
     ))
@@ -361,7 +364,7 @@ def test_tensor_of_channels_is_channel_and_acts_as_product():
 
 def test_copy_channel_diagonal_action():
     c2 = MultiMatrixAlgebra.classical(2)
-    cp = sf.copy_channel(c2)
+    cp = copy_channel(c2)
     assert cp.target.blocks == ((("c0", "c0"), 1), (("c1", "c1"), 1))
     rho = BlockOperator(c2, [np.array([[0.3]]), np.array([[0.7]])])
     out = sf.apply(cp, rho)
@@ -371,7 +374,7 @@ def test_copy_channel_diagonal_action():
 
 def test_copy_channel_preserves_states():
     a = MultiMatrixAlgebra((("k0", 2), ("k1", 3)))
-    cp = sf.copy_channel(a)
+    cp = copy_channel(a)
     assert sf.is_tp(cp).ok
     rho = gen.random_state(a, seed=4)
     out = sf.apply(cp, rho.operator)
@@ -381,7 +384,7 @@ def test_copy_channel_preserves_states():
 
 def test_discarding_copy_recovers_identity():
     a = MultiMatrixAlgebra((("k0", 2), ("k1", 1)))
-    roundtrip = sf.compose(discard_copy_channel(a), sf.copy_channel(a))
+    roundtrip = compose(discard_copy_channel(a), copy_channel(a))
     assert roundtrip.choi_distance(sf.identity_cpmap(a)) < 1e-14
 
 

@@ -92,13 +92,19 @@ DILATION_NAMES = {
 }
 
 
-def test_package_holds_no_dilation_layer():
-    # the package holds a CP map by its Choi blocks alone; the dilation
-    # layer lives in tests/oracles.py, under the guard above, and so does the
-    # SVD pseudo-inverse that realize's closed form replaced
+def _package_bindings(policed, methods=True):
+    """'file:line name' for each def, class, import or assignment in the
+    package that binds a name in policed; methods=False skips class bodies."""
     found = []
     for path in sorted(Path(supermap_forge.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_classes = set() if methods else {
+            id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for node in ast.walk(tree):
+            if id(node) in in_classes:
+                continue
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -107,8 +113,52 @@ def test_package_holds_no_dilation_layer():
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in DILATION_NAMES]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in policed]
+    return found
+
+
+def test_package_holds_no_dilation_layer():
+    # the package holds a CP map by its Choi blocks alone; the dilation
+    # layer lives in tests/oracles.py, under the guard above, and so does the
+    # SVD pseudo-inverse that realize's closed form replaced
+    found = _package_bindings(DILATION_NAMES)
     assert not found, found
+
+
+MOVED_NAMES = {
+    "compose", "copy_channel", "identity_channel", "is_unital", "as_channel",
+    "hs_inner", "trace", "extract_n", "NotMinimalError", "encode_matrix",
+}
+
+
+def test_package_holds_no_channel_calculus_it_does_not_call():
+    # the package evaluates the paper's circuit by link products and treats
+    # the copy as a relabelling; the channel calculus, and the helpers only
+    # tests called, live in tests/oracles.py (trace was an alias of
+    # BlockOperator.trace, the one method name here that the check skips)
+    found = _package_bindings(MOVED_NAMES, methods=False)
+    found += [f"supermap_forge.{n}" for n in MOVED_NAMES if hasattr(supermap_forge, n)]
+    assert not found, found
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # a name imported and never read is what a move out of a module leaves
+    # behind; __init__.py imports only to export
+    unused = []
+    for path in sorted(Path(supermap_forge.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused
 
 
 def test_no_einsum_searches_a_contraction_path():

@@ -18,8 +18,8 @@ from supermap_forge.cpmaps import KrausDecomposition, _eigh_kraus, hs_dual
 from supermap_forge.realize import g_source_algebra, memory_target_algebra
 from supermap_forge.supermap import partial_trace_out
 from oracles import (
-    _minimal_pinv, choi_from_action, dilation_from_kraus, heisenberg_apply, matrix_units,
-    minimal_stinespring, tensor,
+    _minimal_pinv, as_channel, choi_from_action, compose, copy_channel, dilation_from_kraus,
+    extract_n, heisenberg_apply, matrix_units, minimal_stinespring, tensor,
 )
 from w_oracle import left_dilation, right_dilation, solve_w, w_path
 
@@ -92,7 +92,7 @@ def test_left_dilation_trivial_out_matches_plain_ranks():
 
 def test_right_dilation_presents_the_marginal_map():
     s = verified_supermap()
-    n = sf.extract_n(s)
+    n = extract_n(s)
     vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     for t in range(5):
         x = gen.random_block_operator(s.source_hom.base, seed=50 + t)
@@ -128,7 +128,7 @@ def _dilation_kraus_by_embedding(s, s_kd, n_kd):
 def test_dilations_equal_their_embedding_definitions():
     for seed in (1, 2):
         s = verified_supermap(seed=seed)
-        n = sf.extract_n(s)
+        n = extract_n(s)
         s_kd, n_kd = sf.kraus_from_choi(s.inner, rank_tol=0.0), sf.kraus_from_choi(n)
         left, right = _dilation_kraus_by_embedding(s, s_kd, n_kd)
         v_left = left_dilation(s, s_kd)
@@ -154,7 +154,7 @@ def test_realize_rejects_non_unital():
 
 def test_solve_w_identity_case():
     s = verified_supermap()
-    n = sf.extract_n(s)
+    n = extract_n(s)
     vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     w = solve_w(vr, vr, 1e-8)
     assert w.residual < 1e-10 and w.isometry_defect < 1e-10
@@ -164,7 +164,7 @@ def test_solve_w_identity_case():
 
 def test_solve_w_recovers_planted_unitary():
     s = verified_supermap(seed=7)
-    n = sf.extract_n(s)
+    n = extract_n(s)
     vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     rng = np.random.default_rng(1)
     mixed = {}
@@ -191,7 +191,7 @@ def test_solve_w_recovers_planted_unitary():
 
 def test_solve_w_padded_inclusion():
     s = verified_supermap(seed=9)
-    n = sf.extract_n(s)
+    n = extract_n(s)
     vr = right_dilation(sf.kraus_from_choi(n), s.source_hom)
     padded_ops = {
         key: tuple(list(ops) + [np.zeros_like(ops[0])]) if len(ops) else ops
@@ -211,8 +211,8 @@ def test_solve_w_padded_inclusion():
 def test_solve_w_rejects_mismatched_dilations():
     s1 = verified_supermap(seed=11)
     s2 = verified_supermap(seed=12)
-    n1 = sf.extract_n(s1)
-    n2 = sf.extract_n(s2)
+    n1 = extract_n(s1)
+    n2 = extract_n(s2)
     vr = right_dilation(sf.kraus_from_choi(n1), s1.source_hom)
     vl = left_dilation(s2, sf.kraus_from_choi(s2.inner))
     # the least-squares solve fits (residual ~1e-15), but not by an isometry
@@ -238,7 +238,7 @@ def test_realize_memory_is_the_largest_kraus_rank_of_n():
     for s in cases:
         r = sf.realize(s)
         p_dims.append(r.p_dim)
-        n_kd = sf.kraus_from_choi(sf.extract_n(s))
+        n_kd = sf.kraus_from_choi(extract_n(s))
         assert r.p_dim == max(max(n_kd.rank(i, k) for i, k in n_kd.ops), 1) <= r.p_bound
         for i, di in enumerate(r.a.dims):
             for k, dk in enumerate(r.c.dims):
@@ -488,7 +488,7 @@ def _rank_three_marginal_supermap(seed):
     target = memory_target_algebra(a, 1)
     e = sf.CpMap.from_kraus(c, target, {(0, 0): list(v.reshape(2, 3, 2).transpose(1, 0, 2))})
     g = gen.random_channel(g_source_algebra(a, b, c, 1), d, seed=seed)
-    return sf.circuit_supermap(sf.as_channel(e, tol=1e-12), g, 1, a, b, c, d)
+    return sf.circuit_supermap(as_channel(e, tol=1e-12), g, 1, a, b, c, d)
 
 
 def test_solve_w_leaves_a_roundoff_cholesky_pivot_to_eigh(monkeypatch):
@@ -558,7 +558,7 @@ def test_assemble_e_is_tp_and_has_the_right_marginal():
     r = sf.realize(s)
     assert sf.is_tp(r.e_channel, 1e-9).ok
     # Tr_P (E(rho)) equals the conjugated dual of the induced map
-    n_star = sf.hs_dual(sf.extract_n(s))
+    n_star = sf.hs_dual(extract_n(s))
     a, c = r.a, r.c
     for seed in range(5):
         rho = gen.random_state(c, seed=seed).operator
@@ -578,7 +578,7 @@ def test_assemble_e_gates_trace_preservation_on_its_kraus_operators():
     # sum_i U_ik† U_ik = Id per k exactly when N is unital; realize checks
     # unitality first, so only a direct call reaches the gate
     s = verified_supermap(seed=21)
-    n_kd = sf.kraus_from_choi(sf.extract_n(s))
+    n_kd = sf.kraus_from_choi(extract_n(s))
     p_dim = sf.realize(s).p_dim
     u = sf.assemble_e(n_kd, p_dim)
     for k, dk in enumerate(n_kd.target.dims):
@@ -606,7 +606,7 @@ def test_assemble_g_is_tp_and_completion_policy():
     g = r.g_channel
     assert sf.is_tp(g, 1e-9).ok
     # find a source block whose environment has a complement inside P
-    n_dil = minimal_stinespring(sf.extract_n(s))
+    n_dil = minimal_stinespring(extract_n(s))
     a, b, c, d = r.a, r.b, r.c, r.d
     found = False
     for i in range(len(a)):
@@ -668,7 +668,7 @@ def test_cdp08_shape_degenerates_to_pre_post_processing():
     sf.verify_deterministic(s)
     r = sf.realize(s)
     assert all(len(x) == 1 for x in (r.a, r.b, r.c, r.d))
-    copy = sf.copy_channel(r.c)
+    copy = copy_channel(r.c)
     ident = sf.identity_cpmap(r.c)
     assert all(
         np.allclose(copy.choi(j, i), ident.choi(j, i))
@@ -731,7 +731,7 @@ def _dense_evaluate_circuit(r, f):
             rows.append(row)
         return sf.CpMap(source, target, rows)
 
-    stage1 = sf.copy_channel(r.c)
+    stage1 = copy_channel(r.c)
     stage2 = lift(stage1.target, m1, lambda t, k: (
         r.e_channel.choi(copies[t][1], k) if copies[t][0] == k else None
     ))
@@ -742,7 +742,7 @@ def _dense_evaluate_circuit(r, f):
     stage4 = lift(m2, r.d, lambda l, t: r.g_channel.choi(
         l, (slots[t][1] * nb + slots[t][2]) * nc + slots[t][0]
     ))
-    return sf.compose(stage4, sf.compose(stage3, sf.compose(stage2, stage1)))
+    return compose(stage4, compose(stage3, compose(stage2, stage1)))
 
 
 @pytest.mark.parametrize("shape", [
@@ -854,7 +854,25 @@ def test_a_realisation_copies_the_mapping_it_is_given():
     d = dict(r.e_kraus)
     r2 = dataclasses.replace(r, e_kraus=d)
     d[0, 0] = np.zeros_like(d[0, 0])
-    assert r2.e_kraus[0, 0] is r.e_kraus[0, 0]
+    assert np.array_equal(r2.e_kraus[0, 0], r.e_kraus[0, 0])
+    assert sf.check_realisation(r2, s).passed
+
+
+def test_a_realisation_copies_the_arrays_it_is_given():
+    # nor when its caller writes to a U_ik it passed in: the realisation
+    # holds read-only copies, so E and its cached Choi family stay in step
+    m2 = MultiMatrixAlgebra.single(2)
+    s = gen.random_supermap_from_circuit(m2, m2, m2, m2, p_dim=1, seed=0)
+    r = sf.realize(s)
+    given = {key: u.copy() for key, u in r.e_kraus.items()}
+    r2 = dataclasses.replace(r, e_kraus=given)
+    e_channel = r2.e_channel
+    u = given[0, 0]
+    u.flags.writeable = True
+    u *= 0
+    for key, kept in r2.e_kraus.items():
+        assert np.array_equal(kept, r.e_kraus[key]) and not kept.flags.writeable
+    assert r2.e_channel is e_channel and e_channel.choi_distance(r.e_channel) == 0.0
     assert sf.check_realisation(r2, s).passed
 
 
@@ -1268,7 +1286,7 @@ def test_realize_composition_of_supermaps():
     s1 = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=1)
     s2 = gen.random_supermap_from_circuit(c, d, e_alg, f_alg, p_dim=2, seed=3)
     comp = sf.Supermap(
-        sf.compose(s2.inner, s1.inner), s1.source_hom, s2.target_hom
+        compose(s2.inner, s1.inner), s1.source_hom, s2.target_hom
     )
     assert sf.verify_deterministic(comp).verdict
     r = sf.realize(comp)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import supermap_forge as sf
 from supermap_forge import cli, gen, serialize
 from supermap_forge.algebra import MultiMatrixAlgebra
+from oracles import encode_matrix
 
 
 def _oracle_text(doc):
@@ -21,7 +22,7 @@ def _oracle_text(doc):
     included, went through json.dumps."""
     def encode_array(obj):
         if isinstance(obj, np.ndarray):
-            return serialize.encode_matrix(obj)
+            return encode_matrix(obj)
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
     text = json.dumps(doc, default=encode_array, separators=(",", ":"), allow_nan=False)
     return (text + "\n").encode("utf-8")
@@ -211,7 +212,7 @@ def _long_matrix(chars):
     """The first long matrix replaced by a [32, 48] one, whose c16 text is
     _B64_CUT characters long, cut to its first ``chars``."""
     entries = np.random.default_rng(4).standard_normal((32, 48, 2)).view(complex)[..., 0]
-    text = serialize.encode_matrix(entries)["c16"]
+    text = encode_matrix(entries)["c16"]
     assert len(text) == _CUT
 
     def mutate(data):

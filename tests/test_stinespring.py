@@ -8,8 +8,8 @@ from supermap_forge import gen
 from supermap_forge.algebra import MultiMatrixAlgebra
 from supermap_forge.cpmaps import KrausDecomposition
 from oracles import (
-    choi_from_action, dilation_from_kraus, environment_intertwiner, heisenberg_apply,
-    minimal_stinespring,
+    NotMinimalError, choi_from_action, copy_channel, dilation_from_kraus,
+    environment_intertwiner, heisenberg_apply, identity_channel, minimal_stinespring,
 )
 
 
@@ -45,7 +45,7 @@ def test_channel_dilation_is_isometry():
 
 def test_non_tp_map_fails_isometry():
     a = MultiMatrixAlgebra.single(2)
-    scaled = sf.identity_channel(a).scaled(1.5)
+    scaled = identity_channel(a).scaled(1.5)
     assert minimal_stinespring(scaled).isometry_defect() > 0.4
 
 
@@ -89,7 +89,7 @@ def test_dilation_reads_back_its_kraus_family_bit_for_bit():
     b = MultiMatrixAlgebra((("u", 2), ("v", 3)))
     # the copy channel has empty Kraus lists off the diagonal
     maps = [gen.random_channel(a, b, seed=seed) for seed in range(3)]
-    maps.append(sf.copy_channel(MultiMatrixAlgebra.classical(2)))
+    maps.append(copy_channel(MultiMatrixAlgebra.classical(2)))
     for m in maps:
         kd = sf.kraus_from_choi(m)
         back = dilation_from_kraus(m, kd).kraus.ops
@@ -144,5 +144,5 @@ def test_intertwiner_requires_minimal_source():
     }
     kd = KrausDecomposition(a, a, padded_ops)
     padded = dilation_from_kraus(sf.CpMap.from_kraus(a, a, padded_ops), kd)
-    with pytest.raises(sf.NotMinimalError):
+    with pytest.raises(NotMinimalError):
         environment_intertwiner(padded, dmin)

@@ -16,7 +16,7 @@ import supermap_forge as sf
 from supermap_forge import gen
 from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
 from supermap_forge.supermap import embed_with_out_identity, partial_trace_out
-from oracles import choi_from_action, lemma1_condition_factor
+from oracles import choi_from_action, extract_n, hs_inner, is_unital, lemma1_condition_factor
 
 
 def small_shape():
@@ -117,14 +117,14 @@ def test_traceout_kernel_basis_count_and_orthonormality():
         assert partial_trace_out(e, hom).norm() < 1e-12
         assert abs(e.norm() - 1.0) < 1e-10
         assert e.hermitian_defect() < 1e-12
-    gram = np.array([[sf.hs_inner(x, y).real for y in basis] for x in basis])
+    gram = np.array([[hs_inner(x, y).real for y in basis] for x in basis])
     assert np.linalg.norm(gram - np.eye(len(basis))) < 1e-10
 
 
 def test_extract_n_identity_supermap_trivial_classical():
     triv = MultiMatrixAlgebra.single(1, "t")
     s = sf.identity_supermap(triv, triv)
-    n = sf.extract_n(s)
+    n = extract_n(s)
     assert n.choi_distance(sf.identity_cpmap(triv)) < 1e-14
 
 
@@ -133,8 +133,8 @@ def test_extract_n_is_unital_for_verified_supermaps():
     for seed in range(3):
         s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=seed)
         assert sf.verify_deterministic(s).verdict
-        n = sf.extract_n(s)
-        assert sf.is_unital(n, 1e-10)
+        n = extract_n(s)
+        assert is_unital(n, 1e-10)
         assert sf.is_cp(n, 1e-10)
 
 
@@ -144,7 +144,7 @@ def test_extract_n_matches_circuit_marginal():
     a, b, c, d = small_shape()
     s, e, _ = gen.random_circuit_pieces(a, b, c, d, p_dim=2, seed=5)
     sf.verify_deterministic(s)
-    n_star = sf.hs_dual(sf.extract_n(s))
+    n_star = sf.hs_dual(extract_n(s))
     p = 2
     for seed in range(5):
         rho = gen.random_state(c, seed=seed).operator
@@ -198,7 +198,7 @@ def test_extract_n_matches_probe_oracle():
                 c,
                 require_cp=False,
             )
-            assert sf.extract_n(s).choi_distance(probed) < 1e-12
+            assert extract_n(s).choi_distance(probed) < 1e-12
 
 
 def test_kernel_residual_bounded_by_kernel_basis_images():
@@ -277,7 +277,7 @@ def test_factorisation_identity_random_elements():
     for seed in range(3):
         s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=seed + 20)
         sf.verify_deterministic(s)
-        n = sf.extract_n(s)
+        n = extract_n(s)
         for t in range(20):
             x = gen.random_block_operator(s.source_hom.base, seed=100 * seed + t)
             lhs = partial_trace_out(sf.apply_to_choi(s, x), s.target_hom)
@@ -292,7 +292,7 @@ def test_dual_identity_on_embedded_states():
         s = gen.random_supermap_from_circuit(a, b, c, d, p_dim=2, seed=seed + 30)
         sf.verify_deterministic(s)
         s_star = sf.hs_dual(s.inner)
-        n_star = sf.hs_dual(sf.extract_n(s))
+        n_star = sf.hs_dual(extract_n(s))
         for t in range(5):
             rho = gen.random_state(c, seed=200 * seed + t).operator
             lhs = sf.apply(s_star, embed_with_out_identity(rho, s.target_hom))

@@ -19,11 +19,9 @@ import numpy as np
 from supermap_forge._linalg import dag, frob
 from supermap_forge.cpmaps import Channel, CpMap, KrausDecomposition, _eigh_kraus
 from supermap_forge.algebra import MultiMatrixAlgebra
-from supermap_forge.errors import (
-    AlgebraMismatchError, IsometryDefectError, NotMinimalError, ResidualTooLargeError,
-)
-from supermap_forge.supermap import HomAlgebra, Supermap, extract_n
-from oracles import StinespringDilation, _stack_dilation
+from supermap_forge.errors import AlgebraMismatchError, IsometryDefectError, ResidualTooLargeError
+from supermap_forge.supermap import HomAlgebra, Supermap
+from oracles import NotMinimalError, StinespringDilation, _stack_dilation, extract_n
 
 
 def right_dilation(
