@@ -1,0 +1,8 @@
+"""``python -m supermap_forge``: the supermap-forge command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,11 @@
 """Seeded random generators and independent brute-force oracles.
 
 All randomness flows through ``numpy.random.default_rng(seed)``, so identical
-seeds give bit-identical outputs on one platform.  Batches that want
-independent streams should split seeds deterministically (seed XOR trial
-index, hashed) rather than sharing a generator across workers.
+seeds give bit-identical outputs on one platform.  An integer seed is hashed
+by numpy's ``SeedSequence``, so consecutive integers give independent
+streams: ``check_realisation`` draws trial t's channel from seed + t.  A
+``Generator`` passed as the seed is used and advanced in place, which is how
+``random_circuit_pieces`` draws E and then G from one stream.
 """
 
 from dataclasses import dataclass
@@ -11,9 +13,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._linalg import dag, psd_root_inverse
+from ._linalg import dag, frob, psd_root_inverse
 from .algebra import BlockOperator, HybridState, MultiMatrixAlgebra
-from .cpmaps import Channel, CpMap, apply, is_tp
+from .cpmaps import Channel, CpMap, apply
 from .errors import ShapeMismatchError, SingularMarginalError
 from .realize import circuit_supermap, g_source_algebra, memory_target_algebra
 from .supermap import (
@@ -28,6 +30,11 @@ from .supermap import (
     traceout_kernel_basis,
 )
 
+# Every draw's TP residual: 10x under DEFAULT_TOL, so a draw is a channel at any package tol.
+DRAW_TP_TOL = 1e-10
+# Cut on a marginal R: cond(R) <= 1e12 leaves roundoff that one more renormalisation removes.
+MARGINAL_CUT = 1e-12
+
 
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -36,7 +43,10 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    """Complex Gaussian from one draw: the real parts, then the imaginary parts."""
+    g = np.empty((rows, cols), dtype=complex)
+    g.real, g.imag = rng.standard_normal((2, rows, cols))
+    return g
 
 
 def random_block_operator(a: MultiMatrixAlgebra, seed=None, hermitian: bool = False) -> BlockOperator:
@@ -69,45 +79,64 @@ def random_channel(
     as R_i^{-1/2}; a singular marginal triggers a fresh draw, and after
     max_attempts failures SingularMarginalError is raised.  R_i^{-1/2} loses
     accuracy with R_i's condition number, so a source block whose TP
-    residual then exceeds 1e-10 is renormalised once more, by its new
-    marginal.
+    residual then exceeds DRAW_TP_TOL is renormalised once more, by its new
+    marginal, and the channel is validated at DRAW_TP_TOL.
+
+    The seeded draw is part of the contract.  Block pairs are drawn source
+    block major: for source block i, then target block j, one
+    standard_normal((2, n, n)) with n = dim K_j * dim H_i gives the real
+    parts of G and then its imaginary parts, and M_ji = G G† / n.  A fresh
+    draw after a singular marginal starts again at the first pair.  The
+    channel's bits and the generator's state afterwards are both part of
+    the contract, so gen's supermaps and check's trials stay the same
+    between releases.
     """
     rng = _rng(seed)
     for _ in range(max_attempts):
         columns = []
+        refined = False
         for dh in a.dims:
             raw = []
             for dk in b.dims:
                 g = _gaussian_matrix(rng, dk * dh, dk * dh)
                 raw.append(g @ dag(g) / (dk * dh))
-            col = _tp_renormalise(raw, b.dims, dh)
+            col = _tp_renormalise(raw, b.dims, _marginal(raw, b.dims, dh))
             if col is None:
                 break
+            marginal = _marginal(col, b.dims, dh)
+            if frob(marginal - np.eye(dh)) > DRAW_TP_TOL:
+                col = _tp_renormalise(col, b.dims, marginal)
+                refined = True
             columns.append(col)
-        else:
-            ch = Channel(a, b, list(zip(*columns)), validate=False)
-            report = is_tp(ch, 1e-10)
-            if report:
-                return ch
-            columns = [_tp_renormalise(col, b.dims, dh) if res > 1e-10 else col
-                       for col, dh, res in zip(columns, a.dims, report.residuals)]
-            return Channel(a, b, list(zip(*columns)), tol=1e-10)
+        else:  # each residual was read above; a twice-renormalised column is checked again
+            return Channel(a, b, list(zip(*columns)), tol=DRAW_TP_TOL, validate=refined)
     raise SingularMarginalError(
         f"no invertible marginal after {max_attempts} attempts"
     )
 
 
-def _tp_renormalise(col, dims, dh):
-    """Conjugate one source block's Choi blocks by Id (x) R^{-1/2}, with R
-    their marginal sum_j Tr_target; None when R is near singular."""
-    marginal = np.zeros((dh, dh), dtype=complex)
+def _marginal(col, dims, dh):
+    """sum_j Tr_target of one source block's Choi blocks, summed as is_tp sums."""
+    acc = np.zeros((dh, dh), dtype=complex)
     for m, dk in zip(col, dims):
-        marginal += np.einsum("rarb->ab", m.reshape(dk, dh, dk, dh))
-    root_inv = psd_root_inverse(marginal, 1e-12)
+        acc += np.einsum("rarb->ab", m.reshape(dk, dh, dk, dh))
+    return acc
+
+
+def _tp_renormalise(col, dims, marginal):
+    """Conjugate one source block's Choi blocks by Id (x) R^{-1/2}, with R
+    their marginal; None when R is near singular."""
+    root_inv = psd_root_inverse(marginal, MARGINAL_CUT)
     if root_inv is None:
         return None
-    fixes = [np.kron(np.eye(dk, dtype=complex), root_inv) for dk in dims]
-    return [fix @ m @ dag(fix) for fix, m in zip(fixes, col)]
+    dh = len(marginal)
+    out = []
+    for m, dk in zip(col, dims):
+        fix = np.zeros((dk * dh, dk * dh), dtype=complex)
+        for r in range(0, dk * dh, dh):
+            fix[r:r + dh, r:r + dh] = root_inv
+        out.append(fix @ m @ dag(fix))
+    return out
 
 
 def random_supermap_from_circuit(

@@ -18,6 +18,13 @@ only the tests compose channels.  So do the Hilbert-Schmidt pairing
 together), ``NotMinimalError``, which only oracles raise, and
 ``encode_matrix``, one matrix as a document stores it.
 
+``random_channel`` and ``_tp_renormalise`` are gen's channel sampler as it
+was written before its draws were taken one per block pair and its
+Id (x) R^{-1/2} written block by block: two Gaussian draws per block pair,
+``np.kron`` for the conjugation, and the TP residual read from a throwaway
+``Channel``.  The package's sampler must give the same bits and leave the
+generator in the same state.
+
 The package holds a CP map by its Choi blocks alone.  Stinespring dilations
 (``StinespringDilation``, ``minimal_stinespring``, the least-squares
 ``environment_intertwiner`` between two of them, and the SVD pseudo-inverse
@@ -32,13 +39,17 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from supermap_forge._linalg import dag, frob, herm_part, hermitian_basis, matrix_unit
+from supermap_forge._linalg import (
+    dag, frob, herm_part, hermitian_basis, matrix_unit, psd_root_inverse,
+)
 from supermap_forge.algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, is_positive
 from supermap_forge.cpmaps import (
-    Channel, CpMap, KrausDecomposition, apply, identity_cpmap, kraus_from_choi, require_cp_map,
+    Channel, CpMap, KrausDecomposition, apply, identity_cpmap, is_tp, kraus_from_choi,
+    require_cp_map,
 )
 from supermap_forge.errors import (
-    AlgebraMismatchError, NotPositiveError, ShapeMismatchError, SupermapForgeError,
+    AlgebraMismatchError, NotPositiveError, ShapeMismatchError, SingularMarginalError,
+    SupermapForgeError,
 )
 from supermap_forge.supermap import HomAlgebra, Supermap, _n_and_phi, embed_with_out_identity
 
@@ -397,3 +408,66 @@ def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
     if not np.isfinite(m).all():
         raise ShapeMismatchError("cannot write a matrix with non-finite entries")
     return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
+
+
+# -- the reference channel sampler ---------------------------------------------
+
+
+def _rng(seed) -> np.random.Generator:
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)
+
+
+def _gaussian_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def random_channel(
+    a: MultiMatrixAlgebra, b: MultiMatrixAlgebra, seed=None, max_attempts: int = 10
+) -> Channel:
+    """Random PSD Choi blocks renormalised to satisfy trace preservation.
+
+    Per source block i the marginal R_i = sum_j Tr_target M_ji is inverted
+    as R_i^{-1/2}; a singular marginal triggers a fresh draw, and after
+    max_attempts failures SingularMarginalError is raised.  R_i^{-1/2} loses
+    accuracy with R_i's condition number, so a source block whose TP
+    residual then exceeds 1e-10 is renormalised once more, by its new
+    marginal.
+    """
+    rng = _rng(seed)
+    for _ in range(max_attempts):
+        columns = []
+        for dh in a.dims:
+            raw = []
+            for dk in b.dims:
+                g = _gaussian_matrix(rng, dk * dh, dk * dh)
+                raw.append(g @ dag(g) / (dk * dh))
+            col = _tp_renormalise(raw, b.dims, dh)
+            if col is None:
+                break
+            columns.append(col)
+        else:
+            ch = Channel(a, b, list(zip(*columns)), validate=False)
+            report = is_tp(ch, 1e-10)
+            if report:
+                return ch
+            columns = [_tp_renormalise(col, b.dims, dh) if res > 1e-10 else col
+                       for col, dh, res in zip(columns, a.dims, report.residuals)]
+            return Channel(a, b, list(zip(*columns)), tol=1e-10)
+    raise SingularMarginalError(
+        f"no invertible marginal after {max_attempts} attempts"
+    )
+
+
+def _tp_renormalise(col, dims, dh):
+    """Conjugate one source block's Choi blocks by Id (x) R^{-1/2}, with R
+    their marginal sum_j Tr_target; None when R is near singular."""
+    marginal = np.zeros((dh, dh), dtype=complex)
+    for m, dk in zip(col, dims):
+        marginal += np.einsum("rarb->ab", m.reshape(dk, dh, dk, dh))
+    root_inv = psd_root_inverse(marginal, 1e-12)
+    if root_inv is None:
+        return None
+    fixes = [np.kron(np.eye(dk, dtype=complex), root_inv) for dk in dims]
+    return [fix @ m @ dag(fix) for fix, m in zip(fixes, col)]

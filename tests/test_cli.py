@@ -31,13 +31,13 @@ def run(argv):
     return cli.main(argv)
 
 
-def run_in_fresh_process(argv):
+def run_in_fresh_process(argv, module="supermap_forge.cli"):
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
     return subprocess.run(
-        [sys.executable, "-m", "supermap_forge.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -79,6 +79,19 @@ def test_verify_exit_codes(identity_fixture, broken_fixture, tmp_path, capsys):
     garbage.write_text('{"format_version": "1", "kind": "sup')
     assert run(["verify", str(garbage)]) == 2
     assert run(["verify", str(tmp_path / "missing.json")]) == 2
+
+
+def test_python_dash_m_supermap_forge_runs_the_cli(identity_fixture, broken_fixture, tmp_path,
+                                                   capsys):
+    # `python -m supermap_forge` from a checkout is cli.main: the same exit
+    # codes and the same report
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text('{"format_version": "1", "kind": "sup')
+    for path, code in ((identity_fixture, 0), (broken_fixture, 1), (garbage, 2)):
+        done = run_in_fresh_process(["verify", str(path)], module="supermap_forge")
+        assert done.returncode == run(["verify", str(path)]) == code
+        captured = capsys.readouterr()
+        assert (done.stdout, done.stderr) == (captured.out, captured.err)
 
 
 def test_verify_writes_report(identity_fixture, tmp_path):

@@ -4,11 +4,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 import supermap_forge as sf
 from supermap_forge import algebra, gen, serialize
-from supermap_forge.algebra import MultiMatrixAlgebra
+from supermap_forge.algebra import DEFAULT_TOL, MultiMatrixAlgebra
 from supermap_forge.cpmaps import Channel
+from supermap_forge.realize import g_source_algebra, memory_target_algebra
 
 
 def test_random_state_trivial_block():
@@ -68,8 +71,6 @@ def test_identity_circuit_pieces_give_identity_supermap():
     # identity supermap
     a = MultiMatrixAlgebra((("i0", 2), ("i1", 1)))
     b = MultiMatrixAlgebra((("j0", 2), ("j1", 1)))
-    from supermap_forge.realize import g_source_algebra, memory_target_algebra
-
     e_tgt = memory_target_algebra(a, 1)
     e = Channel(a, e_tgt, sf.identity_cpmap(a).choi_blocks)
     g_src = g_source_algebra(a, b, a, 1)
@@ -224,3 +225,102 @@ def test_random_channel_refines_an_ill_conditioned_marginal():
     assert sf.verify_deterministic(s).verdict
     r = sf.realize(s)
     assert sf.check_realisation(r, s, trials=1).passed
+
+
+def _assert_same_draw(ch, ref):
+    assert type(ch) is type(ref) is Channel
+    assert (ch.source, ch.target) == (ref.source, ref.target)
+    for row, ref_row in zip(ch.choi_blocks, ref.choi_blocks):
+        for m, ref_m in zip(row, ref_row):
+            assert m.tobytes() == ref_m.tobytes()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or f(*args))
+    return calls
+
+
+_DIMS = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(source=_DIMS, target=_DIMS, seed=st.integers(0, 2**32 - 1), as_generator=st.booleans())
+def test_random_channel_draws_what_the_reference_sampler_draws(source, target, seed,
+                                                                as_generator):
+    # the sampler's bits and the generator's state afterwards are its
+    # contract: gen's supermaps and check's trials are drawn through it
+    a = MultiMatrixAlgebra.from_dims(source, "a")
+    b = MultiMatrixAlgebra.from_dims(target, "b")
+    seeds = [np.random.default_rng(seed) if as_generator else seed for _ in range(2)]
+    ch = gen.random_channel(a, b, seed=seeds[0])
+    _assert_same_draw(ch, oracles.random_channel(a, b, seed=seeds[1]))
+    if as_generator:
+        assert seeds[0].bit_generator.state == seeds[1].bit_generator.state
+    assert sf.is_cp(ch, DEFAULT_TOL)
+    assert sf.is_tp(ch, gen.DRAW_TP_TOL)
+
+
+def test_random_channel_renormalises_twice_as_the_reference_does(monkeypatch):
+    # the input of test_random_channel_refines_an_ill_conditioned_marginal:
+    # G's draw renormalises one source block a second time
+    a = MultiMatrixAlgebra.from_dims((1, 2), "a")
+    b = MultiMatrixAlgebra.from_dims((2, 1), "b")
+    c = MultiMatrixAlgebra.from_dims((1, 1), "c")
+    d = MultiMatrixAlgebra.from_dims((1,), "d")
+    e_target, g_source = memory_target_algebra(a, 2), g_source_algebra(a, b, c, 2)
+    seed = 4168864924
+    calls = [_count_calls(monkeypatch, m, "_tp_renormalise") for m in (gen, oracles)]
+    draws = []
+    for sampler in (gen.random_channel, oracles.random_channel):
+        rng = np.random.default_rng(seed)
+        draws.append((sampler(c, e_target, seed=rng), sampler(g_source, d, seed=rng),
+                      rng.bit_generator.state))
+    assert len(calls[0]) == len(calls[1]) == len(c) + len(g_source) + 1
+    (e, g, state), (ref_e, ref_g, ref_state) = draws
+    _assert_same_draw(e, ref_e)
+    _assert_same_draw(g, ref_g)
+    assert state == ref_state
+    _, pieces_e, pieces_g = gen.random_circuit_pieces(a, b, c, d, p_dim=2, seed=seed)
+    _assert_same_draw(pieces_e, e)
+    _assert_same_draw(pieces_g, g)
+
+
+def _singular(monkeypatch, module, singular):
+    """Make module's psd_root_inverse report its k-th marginal (from 1)
+    singular when singular(k); returns the cuts it was called with."""
+    cuts = []
+    root_inverse = module.psd_root_inverse
+
+    def patched(m, cut):
+        cuts.append(cut)
+        return None if singular(len(cuts)) else root_inverse(m, cut)
+
+    monkeypatch.setattr(module, "psd_root_inverse", patched)
+    return cuts
+
+
+def test_random_channel_redraws_after_a_singular_marginal_as_the_reference_does(monkeypatch):
+    a = MultiMatrixAlgebra.from_dims((2, 1), "a")
+    b = MultiMatrixAlgebra.from_dims((1, 3), "b")
+    # the second source block's marginal fails after the first one's column
+    # was renormalised; the fresh draw starts again at the first pair
+    cuts = [_singular(monkeypatch, m, lambda k: k == 2) for m in (gen, oracles)]
+    rngs = [np.random.default_rng(7) for _ in range(2)]
+    ch = gen.random_channel(a, b, seed=rngs[0])
+    _assert_same_draw(ch, oracles.random_channel(a, b, seed=rngs[1]))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert cuts[0] == cuts[1] == [gen.MARGINAL_CUT] * 4
+    assert sf.is_tp(ch, gen.DRAW_TP_TOL)
+
+    cuts = [_singular(monkeypatch, m, lambda k: True) for m in (gen, oracles)]
+    rngs = [np.random.default_rng(7) for _ in range(2)]
+    errors = []
+    for sampler, rng in zip((gen.random_channel, oracles.random_channel), rngs):
+        with pytest.raises(sf.SingularMarginalError) as info:
+            sampler(a, b, seed=rng, max_attempts=3)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "no invertible marginal after 3 attempts"
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert len(cuts[0]) == len(cuts[1]) == 3
