@@ -29,9 +29,12 @@ sending the rest of P to a fixed pure state so that G is trace preserving.
 E is an isometry: its block (k -> i) is conjugation by one operator U_ik,
 and a realisation holds E as these U_ik, not as Choi blocks.  The supermap
 a circuit presents is one Choi-level contraction (link product) per pair of
-Hom blocks, of G's block with U_ik over P and with conj(U_ik) over P'; the
-certificate diffs it.  The Choi-form contraction of a general E, which gen
-draws, is kept apart in circuit_supermap.
+Hom blocks: G's block contracted with conj(U_ik) over the memory index of
+its columns, the half product h, then with U_ik over that of its rows; the
+certificate diffs it.  The circuit run on a plugged channel f starts from
+the same h, contracting f into it and the result with U_ik, so check's
+trials reuse the certificate's h.  The Choi-form contraction of a general
+E, which gen draws, is kept apart in circuit_supermap.
 
 Index bookkeeping is fixed once and for all: Choi factors are ordered
 (target, source), the memory factor P comes first in ``B(P (x) H)`` blocks,
@@ -41,6 +44,7 @@ these choices the assembled circuit reproduces ``S`` exactly rather than its
 conjugate.
 """
 
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
@@ -51,14 +55,14 @@ import numpy as np
 from ._linalg import dag, frob, herm_part
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import (
-    Channel, CpMap, KrausDecomposition, _eigh_kraus, _eigh_rows, _not_cp, apply, hs_dual,
+    Channel, CpMap, KrausDecomposition, _eigh_kraus, _eigh_rows, _not_cp, hs_dual,
 )
 from .errors import (
     AlgebraMismatchError, IsometryDefectError, NotTracePreservingError, NotUnitalError,
     ResidualTooLargeError, SupermapForgeError,
 )
 from .supermap import (
-    VERIFY_TOL, HomAlgebra, Supermap, VerificationReport, choi_element, hom_algebra,
+    VERIFY_TOL, HomAlgebra, Supermap, VerificationReport, hom_algebra,
     _require_tolerance, verify_deterministic,
 )
 
@@ -437,12 +441,6 @@ def circuit_supermap(
     return Supermap(_circuit_choi(e, g, p_dim, a, b, c, d), hom_algebra(a, b), hom_algebra(c, d))
 
 
-def _realign(block: np.ndarray, t: int, m: int, s: int) -> np.ndarray:
-    """A Choi block from s to (t m) as a (t T m M) x (s S) matrix: its superop
-    with the rows reordered so that both t indices come first."""
-    return block.reshape(t, m, s, t, m, s).transpose(0, 3, 1, 4, 2, 5).reshape(t * t * m * m, -1)
-
-
 def _circuit_parts(r: CircuitRealisation):
     """Each of G's Choi blocks and E's Kraus operators, read once: G's block
     (l, (i, j, k)) keyed (l, i, j, k), and U_ik keyed (k, i)."""
@@ -452,74 +450,88 @@ def _circuit_parts(r: CircuitRealisation):
     return g, {(k, i): r.e_kraus[k, i] for k in range(nc) for i in range(na)}
 
 
-def _link(g: np.ndarray, u: np.ndarray, dl: int, dj: int) -> np.ndarray:
-    """The circuit's Choi block ((l, k), (j, i)) from G's block (l, (i, j, k))
-    and u = U_ik: the link product over the memory, E's Choi block never
-    formed.  G, as an (o p b O) x (P B) matrix, is contracted with conj(U)
-    over P, then the result with U over p: two thin GEMMs, then one
-    transpose to (o q b a, O Q B A).  No positivity check."""
-    di_p, dk = u.shape
+def _half_link(g: np.ndarray, u: np.ndarray, dl: int, dj: int) -> np.ndarray:
+    """h, the first half of the link product over the memory for the block
+    triple (l, (i, j, k)): G's block (l, (i, j, k)), as an (o p b O B) x P
+    matrix, contracted with conj(u), u = U_ik, over P in one thin GEMM.  h is
+    indexed (o p b O B) x (A Q); the spanning certificate (_link) and the
+    trials (_for_trials) both finish from it."""
     p = g.shape[0] // (dl * dj)
+    return g.reshape(-1, p, dj).transpose(0, 2, 1).reshape(-1, p) @ u.reshape(p, -1).conj()
+
+
+def _link(h: np.ndarray, u: np.ndarray, dl: int, dj: int) -> np.ndarray:
+    """The circuit's Choi block ((l, k), (j, i)) from _half_link's h for G's
+    block (l, (i, j, k)) and u = U_ik, E's Choi block never formed: h
+    contracted with u over p, one thin GEMM, then one transpose to
+    (o q b a, O Q B A).  No positivity check."""
+    di_p, dk = u.shape
+    p = h.shape[0] // (dl * dj) ** 2
     di = di_p // p
-    u = u.reshape(p, di * dk)
-    h = g.reshape(-1, p, dj).transpose(0, 2, 1).reshape(-1, p) @ u.conj()
-    s8 = (u.T @ h.reshape(dl, p, -1)).reshape(dl, di, dk, dj, dl, dj, di, dk)
+    s8 = (u.reshape(p, di * dk).T @ h.reshape(dl, p, -1)).reshape(dl, di, dk, dj, dl, dj, di, dk)
     n = dl * dk * dj * di
     return s8.transpose(0, 2, 3, 1, 4, 7, 5, 6).reshape(n, n)
 
 
-def _circuit_evaluator(r: CircuitRealisation, parts=None):
-    """The circuit E -> slot -> G of r as a function of the plugged f.
+def _for_trials(h: np.ndarray, u: np.ndarray, dl: int, dj: int) -> np.ndarray:
+    """_half_link's h for u = U_ik realigned once to an (o O Q p) x (b B A)
+    matrix, the layout _run_circuit multiplies f's blocks into."""
+    di_p, dk = u.shape
+    p = h.shape[0] // (dl * dj) ** 2
+    h7 = h.reshape(dl, p, dj, dl, dj, di_p // p, dk)
+    return h7.transpose(0, 3, 6, 1, 2, 4, 5).reshape(dl * dl * dk * p, -1)
 
-    ``parts`` are _circuit_parts(r), read here when not given.  G's block
-    (l, (i, j, k)) is realigned once to an (o O p P) x (b B) matrix; E stays
-    as its U_ik, (p a) x q.  The classical copies of the input index are a
-    relabelling: the copy (k, i) meets only U_ik, the slot (k, i, j) only
-    f's block (j, i) and G's (l, (i, j, k)).  Per f, output block (l, k)
-    sums over (i, j): f's superop contracted into G over (b, B), then the
-    result with conj(U_ik) over (P, A) and with U_ik over (p, a), three
-    GEMMs.  The result is G o (f (x) Id_P) o E o copy by associativity,
-    with no check.
+
+def _run_circuit(r: CircuitRealisation, u, halves, f: CpMap):
+    """The Choi blocks, (l, k) in row l, of the circuit E -> slot -> G of r
+    on the plugged f, with no check.
+
+    ``u`` maps (k, i) to U_ik, (p a) x q, and ``halves`` maps (l, i, j, k)
+    to _for_trials of _half_link's h: G's block (l, (i, j, k)) already
+    contracted with conj(U_ik) over P.  The classical copies of the input
+    index are a relabelling: the copy (k, i) meets only U_ik, the slot
+    (k, i, j) only f's block (j, i) and G's (l, (i, j, k)).  Each of f's
+    Choi blocks is realigned once to (b B A) x a; output block (l, k) then
+    sums over (i, j) two thin GEMMs: f's block contracted into h over
+    (b, B, A), and the result with U_ik over (p, a).  The result is
+    G o (f (x) Id_P) o E o copy by associativity.
     """
-    na, nb, p = len(r.a), len(r.b), r.p_dim
-    g, u = parts or _circuit_parts(r)
-    g_r = {key: _realign(block, r.d.dims[key[0]], p, r.b.dims[key[2]])
-           for key, block in g.items()}
-
-    def evaluate(f: CpMap) -> CpMap:
-        if f.source != r.a or f.target != r.b:
-            raise AlgebraMismatchError("plugged channel type must match the realisation")
-        f_sup = {(i, j): f.superop(j, i) for i in range(na) for j in range(nb)}
-        blocks = []
-        for l, dl in enumerate(r.d.dims):
-            row = []
-            for k, dk in enumerate(r.c.dims):
-                sup = 0
-                for (i, j), f_ij in f_sup.items():
-                    di, u_ik = r.a.dims[i], u[k, i]
-                    x = (g_r[l, i, j, k] @ f_ij).reshape(dl * dl, p, p, di, di)
-                    y = x.transpose(0, 1, 3, 2, 4).reshape(-1, p * di) @ u_ik.conj()
-                    sup = sup + u_ik.T @ y.reshape(dl * dl, p * di, dk)
-                row.append(sup.reshape(dl, dl, dk, dk).transpose(0, 2, 1, 3).reshape(dl * dk, -1))
-            blocks.append(row)
-        return CpMap(r.c, r.d, blocks)
-
-    return evaluate
+    pairs = [(i, j) for i in range(len(r.a)) for j in range(len(r.b))]
+    f_r = {(i, j): f.choi4(j, i).transpose(0, 2, 3, 1).reshape(-1, r.a.dims[i])
+           for i, j in pairs}
+    blocks = []
+    for l, dl in enumerate(r.d.dims):
+        row = []
+        for k, dk in enumerate(r.c.dims):
+            out = 0
+            for i, j in pairs:
+                x = (halves[l, i, j, k] @ f_r[i, j]).reshape(dl * dl * dk, -1)
+                out = out + x @ u[k, i]
+            row.append(out.reshape(dl, dl, dk, dk).transpose(0, 3, 1, 2).reshape(dl * dk, -1))
+        blocks.append(row)
+    return blocks
 
 
 def evaluate_circuit(r: CircuitRealisation, f: Channel, tol: float = VERIFY_TOL) -> Channel:
     """Run the realisation circuit on a plugged channel f: A -> B.
 
     The classical copy of the input index is a relabelling: it routes input
-    block k to E's U_ik and, after f, to G's blocks (l, (i, j, k)).  f is
-    contracted into G over its output B, and the result with U_ik and its
-    conjugate over the memory P and the slot's input A: three GEMMs per
-    block triple, with G realigned once per call, so neither f (x) Id_P nor
-    E's Choi family is materialised.  Output is a channel C -> D, validated
-    as trace preserving at tol.
+    block k to E's U_ik and, after f, to G's blocks (l, (i, j, k)).  Each of
+    G's blocks is contracted with conj(U_ik) over the memory P (_half_link,
+    as check_realisation does); f is contracted into that over its output B
+    and the slot's input A, and the result with U_ik over P and A: three
+    thin GEMMs per block triple (see _run_circuit), so neither f (x) Id_P
+    nor E's Choi family is materialised.  Output is a channel C -> D,
+    validated as trace preserving at tol.
     """
-    m = _circuit_evaluator(r)(f)
-    return Channel(m.source, m.target, m.choi_blocks, tol=tol)
+    if f.source != r.a or f.target != r.b:
+        raise AlgebraMismatchError("plugged channel type must match the realisation")
+    g, u = _circuit_parts(r)
+    halves = {}
+    for (l, i, j, k), block in g.items():
+        args = u[k, i], r.d.dims[l], r.b.dims[j]
+        halves[l, i, j, k] = _for_trials(_half_link(block, *args), *args)
+    return Channel(r.c, r.d, _run_circuit(r, u, halves, f), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -539,6 +551,12 @@ class RealisationCheck:
         )
 
 
+def _require_count(name: str, value) -> None:
+    """ValueError unless value is an integer >= 0 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def check_realisation(
     r: CircuitRealisation,
     s: Supermap,
@@ -551,45 +569,63 @@ def check_realisation(
     Compares the circuit's linear action with the supermap on the full
     matrix-unit spanning set of Hom(A, B) -- both sides are linear in the
     Choi operator, so agreement there certifies agreement everywhere -- and
-    additionally runs the circuit on random plugged channels (see
-    evaluate_circuit).  Each of G's Choi blocks and E's U_ik is read once
-    per check and serves both: the circuit's Choi blocks are link products
-    of G with U_ik (see _link), one block pair at a time, and neither E's
-    Choi family nor the circuit's is held whole.
+    additionally runs the circuit on random plugged channels, trial t on
+    gen.random_channel(A, B, seed=seed + t).  Each of G's Choi blocks and
+    E's U_ik is read once per check.  The circuit's Choi blocks are link
+    products of G with U_ik, one block triple at a time: _half_link's h, G
+    contracted with conj(U_ik) over P, formed once per triple and check,
+    then _link's contraction with U_ik over p.  Neither E's Choi family nor
+    the circuit's is held whole.  The trials start from the same h (see
+    _run_circuit), so a fault in h shows in the spanning deviation; what
+    they test beyond it is what the evaluator does after h, against S
+    applied to f from S's own blocks, all trials in one GEMM per block
+    pair.
     The trials measure deviation only: an output that is not a channel
     counts against tol like any other deviation, it raises nothing.
-    Before any contraction: ShapeMismatchError unless tol is positive and
-    finite, AlgebraMismatchError unless r and s act on the same algebras.
+    Before any contraction: ValueError unless trials and seed are integers
+    >= 0 (not bools), ShapeMismatchError unless tol is positive and finite,
+    AlgebraMismatchError unless r and s act on the same algebras.
     """
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    _require_count("trials", trials)
+    _require_count("seed", seed)
     _require_tolerance(tol)
     hom_ab = s.source_hom
     hom_cd = s.target_hom
     if (r.a, r.b, r.c, r.d) != (hom_ab.in_algebra, hom_ab.out_algebra,
                                 hom_cd.in_algebra, hom_cd.out_algebra):
         raise AlgebraMismatchError("realisation and supermap act on different algebras")
-    g, u = parts = _circuit_parts(r)
+    g, u = _circuit_parts(r)
+    halves = {}
     # Choi column (t_ab, x) is the image of one matrix unit, spread over t_cd
     unit_sq = [0.0] * len(hom_ab.base)
     for t_cd, (l, k) in enumerate(hom_cd.pairs):
         n_cd = hom_cd.base.dims[t_cd]
         for t_ab, (j, i) in enumerate(hom_ab.pairs):
             n_ab = hom_ab.base.dims[t_ab]
-            diff = _link(g[l, i, j, k], u[k, i], r.d.dims[l], r.b.dims[j])
+            args = u[k, i], r.d.dims[l], r.b.dims[j]
+            h = _half_link(g[l, i, j, k], *args)
+            if trials:
+                halves[l, i, j, k] = _for_trials(h, *args)
+            diff = _link(h, *args)
+            del h  # so that h and the deviation's temporaries are never held together
             diff -= s.inner.choi(t_cd, t_ab)
             unit_sq[t_ab] = unit_sq[t_ab] + (
                 np.abs(diff.reshape(n_cd, n_ab, n_cd, n_ab)) ** 2).sum(axis=(0, 2))
     spanning = max(float(np.sqrt(x.max())) for x in unit_sq)
     trial_dev = 0.0
-    if trials > 0:
+    if trials:
         from . import gen
 
-        evaluate = _circuit_evaluator(r, parts)
-        for t in range(trials):
-            f = gen.random_channel(r.a, r.b, seed=seed + t)
-            lhs = choi_element(evaluate(f), hom_cd)
-            rhs = apply(s.inner, choi_element(f, hom_ab))
-            trial_dev = max(trial_dev, (lhs - rhs).norm())
+        fs = [gen.random_channel(r.a, r.b, seed=seed + t) for t in range(trials)]
+        outs = [_run_circuit(r, u, halves, f) for f in fs]
+        # S o f for every f at once, from S's own blocks: each superop block
+        # of S against the trials' vec(f) blocks, stacked as columns
+        vecs = [np.stack([f.choi(j, i).ravel() for f in fs], axis=1) for j, i in hom_ab.pairs]
+        dev_sq = 0.0
+        for t_cd, (l, k) in enumerate(hom_cd.pairs):
+            s_f = sum(s.inner.superop(t_cd, t_ab) @ v for t_ab, v in enumerate(vecs))
+            lhs = np.stack([out[l][k].ravel() for out in outs], axis=1)
+            dev_sq = dev_sq + (np.abs(lhs - s_f) ** 2).sum(axis=0)
+        trial_dev = float(np.sqrt(dev_sq.max()))
     passed = spanning <= tol and trial_dev <= tol
     return RealisationCheck(spanning, trial_dev, trials, tol, passed)

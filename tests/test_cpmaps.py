@@ -1,5 +1,7 @@
 """Tests for CP maps: Choi families, application, TP checks, composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,34 @@ def test_evaluate_circuit_matches_its_einsum_stages_at_p_dim_3():
     for seed in range(2):
         f = gen.random_channel(a, b, seed=seed)
         assert _max_deviation(sf.evaluate_circuit(r, f), _einsum_evaluate_circuit(r, f)) <= 1e-13
+
+
+@pytest.mark.parametrize("dims, realised_p_dim", [
+    (((4,), (4,), (4,), (4,)), 16),
+    (((4, 1), (2,), (1, 3), (4,)), 12),
+])
+def test_check_trials_and_evaluate_circuit_match_the_einsum_stages_past_dim_3(
+        dims, realised_p_dim):
+    # blocks of dim 4, where the dense oracle would need 268 MB at q4
+    algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=53)
+    exact = sf.realize(s)
+    assert exact.p_dim == realised_p_dim
+    g = exact.g_channel
+    scaled = dataclasses.replace(exact, g_channel=sf.Channel(
+        g.source, g.target, g.scaled(1 + 1e-6).choi_blocks, validate=False))
+    fs = [gen.random_channel(exact.a, exact.b, seed=5 + t) for t in range(2)]
+    # G scaled by 1 + 1e-6 puts the deviations far above roundoff
+    for r in (exact, scaled):
+        chk = sf.check_realisation(r, s, trials=2, tol=1e-6, seed=5)
+        oracle = [_einsum_evaluate_circuit(r, f) for f in fs]
+        trial = max(
+            (sf.choi_element(m, s.target_hom)
+             - sf.apply_to_choi(s, sf.choi_element(f, s.source_hom))).norm()
+            for m, f in zip(oracle, fs))
+        assert abs(chk.trial_deviation - trial) <= 1e-13
+        for m, f in zip(oracle, fs):
+            assert _max_deviation(sf.evaluate_circuit(r, f, tol=1e-4), m) <= 1e-13
 
 
 def test_tensor_of_channels_is_channel_and_acts_as_product():

@@ -846,6 +846,33 @@ def test_check_realigns_e_and_g_once_for_all_trials(monkeypatch):
         assert len(reads) == blocks and set(reads.values()) == {1}, (trials, reads)
 
 
+def test_check_forms_one_half_product_per_block_triple(monkeypatch):
+    # the trials start from the certificate's h = G . conj(U_ik) over P, so
+    # each block triple's h is formed once per check, whatever the trials
+    algs = [MultiMatrixAlgebra.from_dims(x, lbl)
+            for x, lbl in zip(((1, 2), (2, 1), (2, 1), (1, 2)), "abcd")]
+    s = gen.random_supermap_from_circuit(*algs, p_dim=2, seed=3)
+    r = sf.realize(s)
+    realize = sys.modules["supermap_forge.realize"]
+    halves, realigned = collections.Counter(), collections.Counter()
+
+    def counted(calls, fn):
+        def wrapper(block, *args):
+            calls[id(block)] += 1
+            return fn(block, *args)
+        return wrapper
+
+    monkeypatch.setattr(realize, "_half_link", counted(halves, realize._half_link))
+    monkeypatch.setattr(realize, "_for_trials", counted(realigned, realize._for_trials))
+    triples = len(r.a) * len(r.b) * len(r.c) * len(r.d)
+    for trials in (0, 1, 10):
+        halves.clear()
+        realigned.clear()
+        assert sf.check_realisation(r, s, trials=trials, tol=1e-6).passed
+        assert len(halves) == triples and set(halves.values()) == {1}, (trials, halves)
+        assert sum(realigned.values()) == (triples if trials else 0), (trials, realigned)
+
+
 def test_a_realisation_copies_the_mapping_it_is_given():
     # E must not change under a realisation when its caller's dict does
     algs = [MultiMatrixAlgebra.single(2, lbl) for lbl in "abcd"]
@@ -971,6 +998,10 @@ def test_check_realisation_detects_wrong_supermap():
     assert abs(chk.spanning_deviation - per_unit) <= 1e-12 * per_unit
 
 
+# every function of realize that contracts G, E or a plugged channel
+CONTRACTIONS = ("_circuit_choi", "_half_link", "_link", "_run_circuit")
+
+
 def test_check_realisation_refuses_mismatched_algebras_before_contracting(monkeypatch):
     r = sf.realize(verified_supermap(seed=43))
     m2 = [MultiMatrixAlgebra.single(2, lbl) for lbl in "abcd"]
@@ -979,7 +1010,7 @@ def test_check_realisation_refuses_mismatched_algebras_before_contracting(monkey
     def no_contraction(*args, **kwargs):
         raise AssertionError("the link product ran before the algebras were compared")
 
-    for name in ("_circuit_choi", "_link"):
+    for name in CONTRACTIONS:
         monkeypatch.setattr(sys.modules["supermap_forge.realize"], name, no_contraction)
     with pytest.raises(sf.AlgebraMismatchError):
         sf.check_realisation(r, other, trials=1)
@@ -996,11 +1027,32 @@ def test_check_realisation_refuses_a_bad_tolerance_before_contracting(monkeypatc
     def no_contraction(*args, **kwargs):
         raise AssertionError("the link product ran before the tolerance was checked")
 
-    for name in ("_circuit_choi", "_link"):
+    for name in CONTRACTIONS:
         monkeypatch.setattr(sys.modules["supermap_forge.realize"], name, no_contraction)
     for tol in (np.inf, np.nan, 0.0, -1.0):
         with pytest.raises(sf.ShapeMismatchError, match="tolerance must be positive and finite"):
             sf.check_realisation(r, s1, trials=2, tol=tol)
+
+
+def test_check_realisation_refuses_bad_trials_or_seed_before_contracting(monkeypatch):
+    # seed=None and trials=1.5 used to raise TypeError, seed=2.5 a numpy
+    # error, and trials=True to pass as "True trial(s)"
+    m2 = [MultiMatrixAlgebra.single(2, lbl) for lbl in "abcd"]
+    s = gen.random_supermap_from_circuit(*m2, p_dim=1, seed=1)
+    r = sf.realize(s)
+    assert sf.check_realisation(r, s, trials=np.int64(2), seed=np.int64(3)).passed
+
+    def no_contraction(*args, **kwargs):
+        raise AssertionError("the link product ran before trials and seed were checked")
+
+    for name in CONTRACTIONS:
+        monkeypatch.setattr(sys.modules["supermap_forge.realize"], name, no_contraction)
+    for bad in (-1, 1.5, 2.0, True, False, None, "1"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 0"):
+            sf.check_realisation(r, s, trials=bad)
+    for bad in (-1, 2.5, True, None, "0"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            sf.check_realisation(r, s, trials=1, seed=bad)
 
 
 def test_check_realisation_fails_on_non_cp_circuit():
