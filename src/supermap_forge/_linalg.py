@@ -4,7 +4,8 @@ import numpy as np
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """The adjoint of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def herm_part(m: np.ndarray) -> np.ndarray:
@@ -13,6 +14,32 @@ def herm_part(m: np.ndarray) -> np.ndarray:
 
 def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
+
+
+def groups(keys) -> dict:
+    """{key: [positions of key in keys]}, keys in order of first appearance:
+    the stacks of equal-shape blocks that the batched paths run on."""
+    out = {}
+    for t, key in enumerate(keys):
+        out.setdefault(key, []).append(t)
+    return out
+
+
+def stack(blocks) -> np.ndarray:
+    """Equal-shape blocks as one array, a new axis first; one block is a
+    view of itself, so a single-block shape copies nothing."""
+    return blocks[0][None] if len(blocks) == 1 else np.array(blocks)
+
+
+def frobs(x: np.ndarray) -> list:
+    """frob of each matrix of a C-contiguous stack, summed as frob sums it:
+    the real and the imaginary parts of the row-major entries each by one
+    BLAS dot (a 1 x K by K x 1 matmul), then the square root."""
+    if len(x) == 1:
+        return [frob(x[0])]
+    v = x.reshape(len(x), 1, -1)
+    re, im = v.real, v.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel().tolist()
 
 
 def vec(m: np.ndarray) -> np.ndarray:

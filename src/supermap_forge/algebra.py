@@ -16,7 +16,9 @@ Conventions used throughout the package:
   symmetrising ``H = (x + x†)/2`` the smallest eigenvalue is at least -tol,
   which Cholesky completing on ``H + (tol - delta) Id``, delta a bound on its
   backward error (Higham, *Accuracy and Stability of Numerical Algorithms*,
-  2nd ed., ch. 10), proves; otherwise the eigenvalues of H decide;
+  2nd ed., ch. 10), proves; otherwise the eigenvalues of H decide.  Blocks
+  of one size are certified as one stack, and the rule runs block by block
+  on every block that a stack does not pass whole;
 * block labels are ordered, and all cross-algebra identifications are made
   by block order, never by label text.
 """
@@ -26,10 +28,11 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import dag, frob, herm_part
+from ._linalg import dag, frob, groups, herm_part
 from .errors import AlgebraMismatchError, NotPositiveError, ShapeMismatchError
 
 DEFAULT_TOL = 1e-9
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 Label = Union[str, int, Tuple]
 
@@ -247,7 +250,7 @@ def _psd_block(m: np.ndarray, tol: float):
     h *= 0.5
     n = len(h)
     diag = h.reshape(-1)[:: n + 1]  # a view: h is C-contiguous
-    delta = 2 * (n + 2) * np.finfo(float).eps * (sum(diag.real.tolist()) + n * tol)
+    delta = 2 * (n + 2) * _EPS * (sum(diag.real.tolist()) + n * tol)
     if 0 <= delta < tol:
         diag += tol - delta
         try:
@@ -259,12 +262,62 @@ def _psd_block(m: np.ndarray, tol: float):
     return lo, defect, None if lo >= -tol else f"min eigenvalue {lo:.3g}"
 
 
+def _psd_stack(blocks, tol: float) -> bool:
+    """True when _psd_block's Cholesky certificate passes every one of the
+    equal-size blocks, each with the H, delta and shift it would get
+    alone: one Hermiticity test, one shift and one Cholesky for the stack.
+
+    The stack sums the 2 n^2 squares of each block's defect in another
+    order than frob does.  Any order lands within a relative 2 n^2 eps of
+    the exact sum, so a stack sum at most (1 - 8 n^2 eps) tol^2 means
+    frob(m - m†) <= tol however _psd_block sums it, when tol^2 is a normal
+    number.  The sum is finite only if every entry is, so it is the
+    finiteness test too.  False leaves every verdict to _psd_block."""
+    m = np.array(blocks)
+    n = m.shape[-1]
+    bound = tol * tol * (1 - 8 * n * n * _EPS)
+    if not _TINY <= bound < np.inf:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.conjugate(m.transpose(0, 2, 1), order="C")
+        d = (m - h).view(float).reshape(len(m), -1)
+        if not np.einsum("zk,zk->z", d, d).max() <= bound:
+            return False
+        h += m
+        h *= 0.5
+        diag = h.reshape(len(h), -1)[:, :: n + 1]
+        tr = np.array(list(map(sum, diag.real.tolist())))  # summed as _psd_block sums
+        delta = 2 * (n + 2) * _EPS * (tr + n * tol)
+        if not (0 <= delta.min() and delta.max() < tol):
+            return False
+        diag += (tol - delta)[:, None]
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _psd_blocks(labelled_blocks, tol: float) -> PositivityWitness:
-    """The PSD rule on each (label, block): the first failure, or a pass
-    carrying the smallest certified lower bound seen."""
+    """The PSD rule on each (label, block): the first failure in the given
+    order, or a pass carrying the smallest certified lower bound seen.
+
+    Blocks of one size are stacked, and a stack that _psd_stack passes
+    whole passes at -tol.  A lone block, and every block of a stack it does
+    not pass, goes to _psd_block in the given order, up to the first
+    failure, as with no stacks: _psd_block is the one authority on
+    failures, so the witness and its figures are those of the
+    block-by-block rule, and so are the warnings and errors it raises."""
+    labelled_blocks = list(labelled_blocks)
+    certified = set()
+    for ts in groups(len(m) for _, m in labelled_blocks).values():
+        if len(ts) > 1 and _psd_stack([labelled_blocks[t][1] for t in ts], tol):
+            certified.update(ts)
+    if len(certified) == len(labelled_blocks):
+        return PositivityWitness(True, None, -tol, 0.0)
     worst_eig = np.inf
-    for lbl, m in labelled_blocks:
-        lo, defect, reason = _psd_block(m, tol)
+    for t, (lbl, m) in enumerate(labelled_blocks):
+        lo, defect, reason = (-tol, 0.0, None) if t in certified else _psd_block(m, tol)
         if reason is not None:
             return PositivityWitness(False, lbl, lo, defect, reason)
         worst_eig = min(worst_eig, lo)

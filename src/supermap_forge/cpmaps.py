@@ -31,7 +31,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import dag, frob, herm_part, vec
+from ._linalg import dag, frob, groups, herm_part, stack, vec
 from .algebra import (
     DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _Frozen, _psd_blocks,
 )
@@ -267,11 +267,13 @@ class KrausDecomposition:
         return v.conj() @ v.T
 
     def min_gram_eig(self) -> float:
-        """Smallest Gram eigenvalue across nonempty pairs (inf if all empty)."""
+        """Smallest Gram eigenvalue across nonempty pairs (inf if all empty):
+        one batched eigvalsh per stack of pairs with equal operator shapes."""
+        nonempty = [ks for ks in self.ops.values() if len(ks)]
         lo = np.inf
-        for (i, j), ks in self.ops.items():
-            if len(ks):
-                lo = min(lo, float(np.linalg.eigvalsh(self.gram(i, j)).min()))
+        for ts in groups(ks.shape for ks in nonempty).values():
+            v = stack([nonempty[t] for t in ts]).reshape(len(ts), len(nonempty[ts[0]]), -1)
+            lo = min(lo, float(np.linalg.eigvalsh(v.conj() @ v.transpose(0, 2, 1)).min()))
         return lo
 
 def kraus_from_choi(
@@ -291,19 +293,27 @@ def kraus_from_choi(
 
 def _eigh_kraus(m: CpMap, rank_tol: float = KRAUS_RANK_REL_TOL) -> KrausDecomposition:
     """kraus_from_choi's factorisation, with no PSD check: for a map whose
-    Choi blocks already passed the PSD rule."""
-    ops: Dict[Tuple[int, int], np.ndarray] = {}
-    for j, dk in enumerate(m.target.dims):
-        for i, dh in enumerate(m.source.dims):
-            ops[(i, j)] = _eigh_rows(herm_part(m.choi(j, i)), rank_tol).reshape(-1, dk, dh)
+    Choi blocks already passed the PSD rule.  Blocks of one shape are
+    stacked, one batched eigh per stack."""
+    pairs = [(j, i) for j in range(len(m.target.dims)) for i in range(len(m.source.dims))]
+    ops: Dict[Tuple[int, int], np.ndarray] = dict.fromkeys((i, j) for j, i in pairs)
+    for (dk, dh), ts in groups((m.target.dims[j], m.source.dims[i]) for j, i in pairs).items():
+        w, v = np.linalg.eigh(herm_part(stack([m.choi(*pairs[t]) for t in ts])))
+        for t, w_t, v_t in zip(ts, w, v):
+            j, i = pairs[t]
+            ops[i, j] = _rows_above_cut(w_t, v_t, rank_tol).reshape(-1, dk, dh)
     return KrausDecomposition(m.source, m.target, ops)
 
 
 def _eigh_rows(h: np.ndarray, rank_tol: float) -> np.ndarray:
-    """One Hermitian block's Kraus vecs as rows, sqrt(lambda_beta) v_beta^T
-    for each eigenvalue above kraus_from_choi's cutoff."""
-    w, v = np.linalg.eigh(h)
-    keep = w > max(rank_tol, len(h) * np.finfo(float).eps) * max(float(w.max()), 0.0)
+    """One Hermitian block's Kraus vecs as rows (see _rows_above_cut)."""
+    return _rows_above_cut(*np.linalg.eigh(h), rank_tol)
+
+
+def _rows_above_cut(w: np.ndarray, v: np.ndarray, rank_tol: float) -> np.ndarray:
+    """sqrt(lambda_beta) v_beta^T, as rows, for each eigenpair of one block
+    above kraus_from_choi's cutoff."""
+    keep = w > max(rank_tol, len(w) * np.finfo(float).eps) * max(float(w.max()), 0.0)
     return (v[:, keep] * np.sqrt(w[keep])).T
 
 

@@ -55,7 +55,7 @@ import numpy as np
 from ._linalg import dag, frob, herm_part
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import (
-    Channel, CpMap, KrausDecomposition, _eigh_kraus, _eigh_rows, _not_cp, hs_dual,
+    Channel, CpMap, KrausDecomposition, _eigh_kraus, _eigh_rows, _not_cp,
 )
 from .errors import (
     AlgebraMismatchError, IsometryDefectError, NotTracePreservingError, NotUnitalError,
@@ -147,9 +147,11 @@ def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
     isometry on the Kraus index mu, F' = U F, which neither norm sees, so F
     comes from _cholesky_rows, and from _eigh_rows, the eigenvalues above
     roundoff, only for a block whose Cholesky pivots say it is singular.
-    Raises ResidualTooLargeError when the residual, and IsometryDefectError
-    when the isometry defect, exceeds 10 * tol: dilations of different maps
-    can solve to a small residual, but not to an isometry.
+    The dual's blocks are read off Phi's in place, with the transpose and
+    conjugate that hs_dual applies.  Raises ResidualTooLargeError when the
+    residual, and IsometryDefectError when the isometry defect, exceeds
+    10 * tol: dilations of different maps can solve to a small residual,
+    but not to an isometry.
     """
     if n_kraus.source != source_hom.in_algebra:
         raise AlgebraMismatchError("induced map must act on the in-factor algebra")
@@ -158,12 +160,13 @@ def solve_w(n_kraus: KrausDecomposition, phi: CpMap, source_hom: HomAlgebra,
         r, dk, di = ops.shape
         x = rows[key] = ops.conj().transpose(0, 2, 1).reshape(r, di * dk)
         pinv[key] = dag(x) / (x.real ** 2 + x.imag ** 2).sum(axis=1)
-    dual = hs_dual(phi)
     res_sq = defect_sq = 0.0
     for t, (j, i) in enumerate(source_hom.pairs):
-        for k in range(len(dual.source)):
+        dh = phi.source.dims[t]
+        for k, dk in enumerate(phi.target.dims):
             x, xp = rows[(i, k)], pinv[(i, k)]
-            h = herm_part(dual.choi(t, k))
+            dual = phi.choi4(k, t).transpose(1, 0, 3, 2).conj()  # hs_dual's block (t, k)
+            h = herm_part(dual.reshape(dh * dk, dh * dk))
             f = _cholesky_rows(h)
             if f is None:
                 f = _eigh_rows(h, rank_tol=0.0)

@@ -18,6 +18,14 @@ only the tests compose channels.  So do the Hilbert-Schmidt pairing
 together), ``NotMinimalError``, which only oracles raise, and
 ``encode_matrix``, one matrix as a document stores it.
 
+``psd_blocks_per_block``, ``n_and_phi_per_pair``,
+``kernel_residual_per_block``, ``eigh_kraus_per_block`` (with its
+``eigh_rows_per_block``), ``min_gram_eig_per_pair`` and
+``unital_residual_via_apply`` are the package's verify and realize layers as
+they were written before blocks of one shape were stacked: one Python
+iteration, and one numpy call of each kind, per Choi block or block pair.
+The stacked layers must give the same bits.
+
 ``random_channel`` and ``_tp_renormalise`` are gen's channel sampler as it
 was written before its draws were taken one per block pair and its
 Id (x) R^{-1/2} written block by block: two Gaussian draws per block pair,
@@ -42,10 +50,12 @@ import numpy as np
 from supermap_forge._linalg import (
     dag, frob, herm_part, hermitian_basis, matrix_unit, psd_root_inverse,
 )
-from supermap_forge.algebra import DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, is_positive
+from supermap_forge.algebra import (
+    DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _psd_block, is_positive,
+)
 from supermap_forge.cpmaps import (
-    Channel, CpMap, KrausDecomposition, apply, identity_cpmap, is_tp, kraus_from_choi,
-    require_cp_map,
+    KRAUS_RANK_REL_TOL, Channel, CpMap, KrausDecomposition, apply, identity_cpmap, is_tp,
+    kraus_from_choi, require_cp_map,
 )
 from supermap_forge.errors import (
     AlgebraMismatchError, NotPositiveError, ShapeMismatchError, SingularMarginalError,
@@ -408,6 +418,103 @@ def encode_matrix(m: np.ndarray) -> Dict[str, Any]:
     if not np.isfinite(m).all():
         raise ShapeMismatchError("cannot write a matrix with non-finite entries")
     return {"shape": list(m.shape), "c16": base64.b64encode(m.data).decode("ascii")}
+
+
+# -- verify and realize's layers, block by block ------------------------------
+
+
+def psd_blocks_per_block(labelled_blocks, tol: float) -> PositivityWitness:
+    """The PSD rule on each (label, block): the first failure, or a pass
+    carrying the smallest certified lower bound seen."""
+    worst_eig = np.inf
+    for lbl, m in labelled_blocks:
+        lo, defect, reason = _psd_block(m, tol)
+        if reason is not None:
+            return PositivityWitness(False, lbl, lo, defect, reason)
+        worst_eig = min(worst_eig, lo)
+    return PositivityWitness(True, None, worst_eig, 0.0)
+
+
+def is_cp_per_block(m: CpMap, tol: float = DEFAULT_TOL) -> PositivityWitness:
+    """The PSD rule on every Choi block; the witness names the block pair."""
+    pairs = [(j, i) for j in range(len(m.target)) for i in range(len(m.source))]
+    return psd_blocks_per_block(((p, m.choi(*p)) for p in pairs), tol)
+
+
+def n_and_phi_per_pair(s: Supermap) -> Tuple[CpMap, CpMap]:
+    """N and the marginal map Phi = Tr_out o S, in one pass over S's Choi blocks.
+
+    N's block (k, i) is (1/dim B) sum over (l, j) of S's block ((l, k), (j, i))
+    traced over both out factors, D_l and B_j.  Phi's block (k, (j, i)) is
+    the sum over l of that block traced over D_l alone.
+    """
+    src_hom, tgt_hom = s.source_hom, s.target_hom
+    src, tgt = src_hom.in_algebra, tgt_hom.in_algebra
+    n_blocks = [[np.zeros((dk, di, dk, di), dtype=complex) for di in src.dims]
+                for dk in tgt.dims]
+    phi_blocks = [[np.zeros((dk * dh,) * 2, dtype=complex) for dh in src_hom.base.dims]
+                  for dk in tgt.dims]
+    for t_cd, (l, k) in enumerate(tgt_hom.pairs):
+        dl, dk = tgt_hom.out_algebra.dims[l], tgt.dims[k]
+        for t_ab, (j, i) in enumerate(src_hom.pairs):
+            dj, di = src_hom.out_algebra.dims[j], src.dims[i]
+            c = s.inner.choi(t_cd, t_ab)
+            s8 = c.reshape(dl, dk, dj, di, dl, dk, dj, di)
+            n_blocks[k][i] += np.einsum("oqcaoQcb->qaQb", s8)
+            c6 = c.reshape(dl, dk, dj * di, dl, dk, dj * di)
+            phi_blocks[k][t_ab] += np.einsum("xapxbq->apbq", c6).reshape(dk * dj * di, -1)
+    scale = 1.0 / src_hom.out_algebra.dim
+    n = CpMap(src, tgt, [[scale * b.reshape(b.shape[0] * b.shape[1], -1) for b in row]
+                         for row in n_blocks])
+    return n, CpMap(src_hom.base, tgt, phi_blocks)
+
+
+def kernel_residual_per_block(phi: CpMap, n: CpMap, source_hom: HomAlgebra) -> float:
+    """||Phi - Id_B (x) N||_F over all Choi blocks of the marginal map
+    Phi = Tr_out o S, for S's induced map N (both as _n_and_phi gives them):
+    the Hilbert-Schmidt norm of Phi on ker Tr_out, zero exactly when kernel
+    containment holds."""
+    b_dims = source_hom.out_algebra.dims
+    total = 0.0
+    for k, dk in enumerate(n.target.dims):
+        for t, (j, i) in enumerate(source_hom.pairs):
+            dj, di = b_dims[j], n.source.dims[i]
+            id_n = np.einsum("cC,qaQb->qcaQCb", np.eye(dj), n.choi4(k, i))
+            total += frob(phi.choi(k, t) - id_n.reshape(dk * dj * di, -1)) ** 2
+    return float(np.sqrt(total))
+
+
+def unital_residual_via_apply(n: CpMap) -> float:
+    """||N(Id) - Id||, with N applied to the identity as an algebra element."""
+    return (apply(n, n.source.identity()) - n.target.identity()).norm()
+
+
+def eigh_kraus_per_block(m: CpMap, rank_tol: float = KRAUS_RANK_REL_TOL) -> KrausDecomposition:
+    """kraus_from_choi's factorisation, with no PSD check: for a map whose
+    Choi blocks already passed the PSD rule."""
+    ops: Dict[Tuple[int, int], np.ndarray] = {}
+    for j, dk in enumerate(m.target.dims):
+        for i, dh in enumerate(m.source.dims):
+            rows = eigh_rows_per_block(herm_part(m.choi(j, i)), rank_tol)
+            ops[(i, j)] = rows.reshape(-1, dk, dh)
+    return KrausDecomposition(m.source, m.target, ops)
+
+
+def eigh_rows_per_block(h: np.ndarray, rank_tol: float) -> np.ndarray:
+    """One Hermitian block's Kraus vecs as rows, sqrt(lambda_beta) v_beta^T
+    for each eigenvalue above kraus_from_choi's cutoff."""
+    w, v = np.linalg.eigh(h)
+    keep = w > max(rank_tol, len(h) * np.finfo(float).eps) * max(float(w.max()), 0.0)
+    return (v[:, keep] * np.sqrt(w[keep])).T
+
+
+def min_gram_eig_per_pair(kd: KrausDecomposition) -> float:
+    """Smallest Gram eigenvalue across nonempty pairs (inf if all empty)."""
+    lo = np.inf
+    for (i, j), ks in kd.ops.items():
+        if len(ks):
+            lo = min(lo, float(np.linalg.eigvalsh(kd.gram(i, j)).min()))
+    return lo
 
 
 # -- the reference channel sampler ---------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import supermap_forge as sf
 from supermap_forge import gen
-from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra
+from supermap_forge.algebra import BlockOperator, MultiMatrixAlgebra, PositivityWitness
 from oracles import hs_inner, matrix_units, psd_factor, unit
 
 
@@ -339,6 +339,64 @@ def test_psd_block_in_place_h_gives_the_reference_verdicts():
         checked += got[2] is None
     # passes through Cholesky, eigvalsh and each failure are all covered
     assert 0 < checked < len(blocks)
+
+
+def _psd_blocks_reference(labelled_blocks, tol):
+    """_psd_block_reference on each (label, block) in order: the first
+    failure, or a pass carrying the smallest lower bound seen."""
+    worst = np.inf
+    for lbl, m in labelled_blocks:
+        lo, defect, reason = _psd_block_reference(m, tol)
+        if reason is not None:
+            return PositivityWitness(False, lbl, lo, defect, reason)
+        worst = min(worst, lo)
+    return PositivityWitness(True, None, worst, 0.0)
+
+
+def test_psd_rule_on_one_mixed_stack_judges_each_block_as_alone():
+    # the edge blocks of the test above, brought to one size, 3 x 3, and
+    # stacked with blocks that the stack's certificate passes: wherever a
+    # block sits in the stack, the rule gives the witness the reference gives
+    # block by block, so each is judged as it is alone
+    from supermap_forge.algebra import _psd_blocks, _psd_stack
+    rng = np.random.default_rng(9)
+    tol = 1e-9
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    psd = g @ g.conj().T
+    noisy = psd + 1e-11 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    # i c Id has ||X - X†||_F = 2 c sqrt(3): defects of 0.9 tol and 1.1 tol
+    skew = 1j * tol / (2 * np.sqrt(3)) * np.eye(3)
+    passing = [("psd", psd), ("fortran", np.asfortranarray(noisy)), ("transposed", noisy.T),
+               ("strided", np.kron(noisy, np.ones((2, 2)))[::2, ::2]),
+               ("defect 0.9 tol", psd + 0.9 * skew)]
+    huge = np.full((3, 3), 1.7976931348623157e308) * np.array([[1, -1, 1]])
+    edge = [
+        ("cholesky fails", np.diag([1.0, -(tol - 1e-15), 1.0]).astype(complex)),
+        ("delta >= tol", np.diag([1e6, -0.99 * tol, 1.0]).astype(complex)),
+        ("overflowing", huge + 1j * huge.T),
+        ("non-finite", np.where(np.eye(3, dtype=bool), np.nan, psd)),
+        ("non-hermitian", g),
+        ("indefinite", psd - 2 * np.trace(psd).real * np.eye(3) / 3),
+        ("defect 1.1 tol", psd + 1.1 * skew),
+        # passes the certificate only with a shift of more than tol
+        ("min eigenvalue -1.5 tol", np.diag([1.0, 1.0, -1.5 * tol]).astype(complex)),
+    ]
+    assert _psd_stack([m for _, m in passing], tol)
+    # the two blocks eigvalsh passes are not the certificate's
+    for name, m in edge[:2]:
+        lo, _, reason = _psd_block_reference(m, tol)
+        assert reason is None and -tol < lo < 0, name
+    stacks = [passing + edge]
+    for named in edge:
+        stacks += [passing[:at] + [named] + passing[at:] for at in range(len(passing) + 1)]
+    # PSD blocks whose delta is at or past tol: eigvalsh decides each, and a
+    # pass reports their exact smallest eigenvalue
+    stacks.append([(f"trace {x:g}", x * psd / np.trace(psd).real) for x in (4e6, 8e6)])
+    for blocks in stacks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _psd_blocks(blocks, tol), _psd_blocks_reference(blocks, tol)
+        assert repr(got) == repr(want), [name for name, _ in blocks]
+    assert want.ok and want.min_eigenvalue > 0
 
 
 # -- values are immutable, and copy and pickle -------------------------------

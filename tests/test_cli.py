@@ -707,14 +707,22 @@ def test_parse_errors_and_help_leave_the_next_call_as_in_a_fresh_process(
 
 
 def _count_calls(monkeypatch, names):
-    """Count calls of the named functions through every package namespace holding one."""
+    """Count the matrices that calls of the named functions work on, through
+    every package namespace holding one: a stack's length, else one.  The
+    PSD certificate's two entry points, _psd_block for a lone block and
+    _psd_stack for a stack of equal-size ones, are counted together as
+    "psd"."""
     calls = collections.Counter()
     for module in [m for k, m in sys.modules.items() if k.startswith("supermap_forge")]:
         for name in names:
             inner = getattr(module, name, None)
             if callable(inner):
-                def counted(*args, _inner=inner, _name=name, **kwargs):
-                    calls[_name] += 1
+                key = "psd" if name in ("_psd_block", "_psd_stack") else name
+
+                def counted(*args, _inner=inner, _key=key, **kwargs):
+                    x = args[0]
+                    calls[_key] += (len(x) if isinstance(x, list) or getattr(x, "ndim", 0) > 2
+                                    else 1)
                     return _inner(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
@@ -731,12 +739,22 @@ def test_cli_realize_runs_one_gate_pass(tmp_path, monkeypatch):
     broken = gen.perturb_supermap(s, 1e-3, "tp-breaking", seed=1)
     serialize.save_document(bad, serialize.supermap_document(broken))
     s_blocks = len(s.inner.source) * len(s.inner.target)
-    gate = {"_psd_block": s_blocks + len(a) * len(c), "_n_and_phi": 1, "kernel_residual": 1}
-    calls = _count_calls(monkeypatch, [*gate, "_eigh_kraus", "_eigh_rows", "_cholesky_rows"])
+    gate = {"psd": s_blocks + len(a) * len(c), "_n_and_phi": 1, "kernel_residual": 1}
+    calls = _count_calls(monkeypatch, ["_psd_block", "_psd_stack", "_n_and_phi",
+                                       "kernel_residual", "_eigh_kraus", "_eigh_rows",
+                                       "_cholesky_rows"])
+    eigh = np.linalg.eigh
+
+    def counted_eigh(h):  # the matrices of a stack, one each
+        calls["eigh"] += int(np.prod(h.shape[:-2]))
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     assert run(["realize", str(ok), "--out", str(tmp_path / "r.json")]) == 0
-    # one eigh per block of N, inside _eigh_kraus, and one Cholesky per block
-    # of Phi's dual, none of which falls back to eigh
-    assert calls == {**gate, "_eigh_kraus": 1, "_eigh_rows": len(a) * len(c),
+    # one gate pass judges each block of S and N once; one eigh per block of
+    # N, inside _eigh_kraus, and one Cholesky per block of Phi's dual, none
+    # of which falls back to eigh
+    assert calls == {**gate, "_eigh_kraus": 1, "eigh": len(a) * len(c),
                      "_cholesky_rows": len(c) * len(a) * len(b)}
     calls.clear()
     assert run(["realize", str(bad), "--out", str(tmp_path / "r.json")]) == 1

@@ -37,11 +37,15 @@ def test_package_imports_only_numpy_and_the_stdlib():
     assert not outside, outside
 
 
+def _declared_text(key):
+    """The requirement strings in pyproject.toml's list ``key = [...]``."""
+    text = (TESTS.parent / "pyproject.toml").read_text()
+    return ast.literal_eval(re.search(rf"^{key} = (\[.*?\])", text, re.M | re.S)[1])
+
+
 def _declared(key):
     """The distribution names in pyproject.toml's list ``key = [...]``."""
-    text = (TESTS.parent / "pyproject.toml").read_text()
-    requirements = ast.literal_eval(re.search(rf"^{key} = (\[.*?\])", text, re.M | re.S)[1])
-    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in requirements}
+    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in _declared_text(key)}
 
 
 def test_tests_import_only_what_the_test_extra_installs():
@@ -174,3 +178,61 @@ def test_no_einsum_searches_a_contraction_path():
                     and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
                 ]
     assert not found, found
+
+
+NUMPY_2_NAMES = {
+    "numpy.vecdot", "numpy.matrix_transpose", "numpy.permute_dims", "numpy.unstack",
+    "numpy.concat", "numpy.astype", "numpy.linalg.vector_norm", "numpy.linalg.matrix_norm",
+    "numpy.linalg.vecdot", "numpy.linalg.matrix_transpose",
+}
+
+
+def _numpy_names(tree):
+    """(line, dotted name) for each numpy name a module reads: attribute
+    chains on a name bound to numpy or numpy.linalg, and names imported
+    from them."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    found = [(node.lineno, full) for node in ast.walk(tree) if isinstance(node, ast.Name)
+             for full in [aliases.get(node.id)] if full]
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in aliases:
+            name = aliases[node.id]
+            for attr in reversed(chain):
+                name = f"{name}.{attr}"
+                found.append((node.lineno, name))
+    return found
+
+
+def test_package_uses_no_name_newer_than_its_numpy_floor():
+    # pyproject.toml declares numpy>=1.24; numpy 2.0 added these names, so
+    # the package must not read them.  The batched cholesky, eigh, eigvalsh,
+    # matmul and einsum the stacked paths run on are all in numpy 1.24
+    assert "numpy>=1.24" in _declared_text("dependencies")
+    found = []
+    for path in sorted(Path(supermap_forge.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _numpy_names(tree)
+                  if name in NUMPY_2_NAMES]
+    assert not found, found
+
+
+def test_the_numpy_floor_check_sees_the_names_it_bans():
+    source = ("import numpy as np\nfrom numpy import linalg as la\nfrom numpy import concat\n"
+              "np.vecdot(x, y); la.vector_norm(x); concat([x]); x.astype(float)\n"
+              "np.linalg.matrix_norm(x)\n")
+    names = {name for _, name in _numpy_names(ast.parse(source))} & NUMPY_2_NAMES
+    assert names == {"numpy.vecdot", "numpy.linalg.vector_norm", "numpy.concat",
+                     "numpy.linalg.matrix_norm"}

@@ -95,9 +95,12 @@ def test_identity_circuit_pieces_give_identity_supermap():
 
 def test_random_supermap_from_circuit_runs_no_psd_certificate(monkeypatch):
     # whether a supermap is CP is verify's to decide, not the generator's
+    # at either of its entry points, one block alone or a stack of them
     calls = []
-    psd_block = algebra._psd_block
-    monkeypatch.setattr(algebra, "_psd_block", lambda *args: calls.append(args) or psd_block(*args))
+    for name in ("_psd_block", "_psd_stack"):
+        inner = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name,
+                            lambda *args, _inner=inner: calls.append(args) or _inner(*args))
     a, b = MultiMatrixAlgebra.from_dims((2, 1), "a"), MultiMatrixAlgebra.single(2, "b")
     s = gen.random_supermap_from_circuit(a, b, a, b, p_dim=2, seed=5)
     assert calls == []

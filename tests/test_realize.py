@@ -1218,18 +1218,33 @@ def _unverified(s):
     return sf.Supermap(s.inner, s.source_hom, s.target_hom)
 
 
+def _matrices(x):
+    """How many matrices a counted call works on: a stack's length, a
+    list's length, else one (a single matrix, or a whole map)."""
+    if isinstance(x, np.ndarray) and x.ndim > 2:
+        return int(np.prod(x.shape[:-2]))
+    return len(x) if isinstance(x, list) else 1
+
+
 def _count_calls(monkeypatch, names):
-    """Count calls of (owner, name) pairs, keyed by name."""
+    """Count the matrices that calls of (owner, name) pairs work on (see
+    _matrices), keyed by name; the PSD certificate's two entry points,
+    _psd_block for a lone block and _psd_stack for a stack of equal-size
+    ones, are counted together as "psd"."""
     calls = collections.Counter()
     for owner, name in names:
         inner = getattr(owner, name)
+        key = "psd" if name in ("_psd_block", "_psd_stack") else name
 
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
+        def counted(*args, _inner=inner, _key=key, **kwargs):
+            calls[_key] += _matrices(args[0]) if args else 1
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+PSD = [(algebra, "_psd_block"), (algebra, "_psd_stack")]
 
 
 def test_realize_decomposes_each_choi_block_once(monkeypatch):
@@ -1237,18 +1252,20 @@ def test_realize_decomposes_each_choi_block_once(monkeypatch):
     realize = sys.modules["supermap_forge.realize"]
     calls = _count_calls(monkeypatch, [
         (realize, "_eigh_kraus"), (realize, "_cholesky_rows"), (realize, "_eigh_rows"),
-        (np.linalg, "eigh"), (np.linalg, "cholesky"), (algebra, "_psd_block"),
+        (np.linalg, "eigh"), (np.linalg, "cholesky"), *PSD,
         (sf.CpMap, "from_kraus"), (sf.CpMap, "choi_distance"),
     ])
     sf.realize(s)
     a, b, c = s.source_hom.in_algebra, s.source_hom.out_algebra, s.target_hom.in_algebra
     gate = len(s.inner.source) * len(s.inner.target) + len(a) * len(c)
     dual = len(c) * len(a) * len(b)
-    # N's eigh is the only eigendecomposition; Phi's dual blocks take one
-    # Cholesky each, with no eigh fallback, and the gate one per block.  E is
-    # assembled as its Kraus operators: no Choi family of E is built
+    # N's eigh is the only eigendecomposition, one matrix per block of N;
+    # Phi's dual blocks take one Cholesky each, with no eigh fallback, and
+    # the gate's certificate judges each block of S and N once, by one
+    # Cholesky, alone or in its stack.  E is assembled as its Kraus
+    # operators: no Choi family of E is built
     assert calls == {"_eigh_kraus": 1, "eigh": len(a) * len(c), "_cholesky_rows": dual,
-                     "cholesky": gate + dual, "_psd_block": gate}
+                     "cholesky": gate + dual, "psd": gate}
 
 
 def test_realize_after_a_verify_at_its_tol_runs_no_gate_pass(monkeypatch):
@@ -1256,7 +1273,7 @@ def test_realize_after_a_verify_at_its_tol_runs_no_gate_pass(monkeypatch):
     fresh = sf.realize(_unverified(s))
     supermap = sys.modules["supermap_forge.supermap"]
     calls = _count_calls(monkeypatch, [
-        (algebra, "_psd_block"), (supermap, "_n_and_phi"), (supermap, "kernel_residual"),
+        *PSD, (supermap, "_n_and_phi"), (supermap, "kernel_residual"),
     ])
     r = sf.realize(s)
     assert calls == {}
@@ -1271,7 +1288,7 @@ def test_realize_after_a_verify_at_its_tol_runs_no_gate_pass(monkeypatch):
     sf.realize(s, 1e-7)
     a, c = s.source_hom.in_algebra, s.target_hom.in_algebra
     s_blocks = len(s.inner.source) * len(s.inner.target)
-    gate = {"_psd_block": s_blocks + len(a) * len(c), "_n_and_phi": 1, "kernel_residual": 1}
+    gate = {"psd": s_blocks + len(a) * len(c), "_n_and_phi": 1, "kernel_residual": 1}
     assert calls == gate
     assert sf.verify_deterministic(s, 1e-7).tol == 1e-7 and calls == gate
 
@@ -1293,18 +1310,18 @@ def test_realize_rejects_before_any_eigendecomposition(monkeypatch):
 
 def test_realize_names_the_failing_psd_block_without_a_second_pass(monkeypatch):
     s = gen.perturb_supermap(verified_supermap(seed=5), 1e-3, "cp-breaking")
-    calls = _count_calls(monkeypatch, [(algebra, "_psd_block")])
+    calls = _count_calls(monkeypatch, PSD)
     report = sf.verify_deterministic(s)
-    verify_calls = calls["_psd_block"]
+    verify_calls = calls["psd"]
     calls.clear()
     with pytest.raises(sf.NotCompletelyPositiveError) as info:
         sf.realize(_unverified(s))
-    assert calls["_psd_block"] == verify_calls  # no second PSD pass
+    assert calls["psd"] == verify_calls  # no second PSD pass
     assert info.value.report.s_witness == report.s_witness
     calls.clear()
     with pytest.raises(sf.NotCompletelyPositiveError) as again:
         sf.realize(s)
-    assert calls["_psd_block"] == 0 and again.value.report is report
+    assert calls["psd"] == 0 and again.value.report is report
     witness = next(w for w in (report.n_witness, report.s_witness) if not w)
     assert witness.reason.startswith("min eigenvalue")
     assert str(info.value) == f"Choi block {witness.block!r} not PSD ({witness.reason})"
