@@ -66,9 +66,14 @@ def hermitian_basis(d: int) -> list:
     return out
 
 
-def psd_root_inverse(m: np.ndarray, tol: float) -> np.ndarray:
-    """Inverse square root of a Hermitian PSD matrix; None if near singular."""
+def psd_root_inverse(m: np.ndarray, tol: float):
+    """Inverse square root of each Hermitian PSD matrix of a stack, and a
+    list of which are invertible: one whose smallest eigenvalue is at or
+    below tol times max(its largest, 1) is near singular, and its slot holds
+    a finite stand-in."""
     w, v = np.linalg.eigh(herm_part(m))
-    if w.min() <= tol * max(w.max(), 1.0):
-        return None
-    return (v * (1.0 / np.sqrt(w))) @ dag(v)
+    # eigh's eigenvalues ascend: each row of w starts at its min and ends at its max
+    ok = [ws[0] > tol * max(ws[-1], 1.0) for ws in w.tolist()]
+    if not all(ok):
+        w = np.where(np.array(ok)[:, None], w, 1.0)
+    return (v * (1.0 / np.sqrt(w))[:, None]) @ dag(v), ok

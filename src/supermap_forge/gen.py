@@ -9,11 +9,12 @@ streams: ``check_realisation`` draws trial t's channel from seed + t.  A
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
-from ._linalg import dag, frob, psd_root_inverse
+from ._linalg import dag, frobs, groups, psd_root_inverse
 from .algebra import BlockOperator, HybridState, MultiMatrixAlgebra
 from .cpmaps import Channel, CpMap, apply
 from .errors import ShapeMismatchError, SingularMarginalError
@@ -76,67 +77,126 @@ def random_channel(
     """Random PSD Choi blocks renormalised to satisfy trace preservation.
 
     Per source block i the marginal R_i = sum_j Tr_target M_ji is inverted
-    as R_i^{-1/2}; a singular marginal triggers a fresh draw, and after
-    max_attempts failures SingularMarginalError is raised.  R_i^{-1/2} loses
-    accuracy with R_i's condition number, so a source block whose TP
-    residual then exceeds DRAW_TP_TOL is renormalised once more, by its new
-    marginal, and the channel is validated at DRAW_TP_TOL.
+    as R_i^{-1/2}.  R_i^{-1/2} loses accuracy with R_i's condition number,
+    so a source block whose TP residual then exceeds DRAW_TP_TOL is
+    renormalised once more, by its new marginal.  A source block whose
+    marginal is singular, or whose residual still exceeds DRAW_TP_TOL after
+    the second renormalisation, fails the attempt; after max_attempts
+    failed attempts SingularMarginalError is raised.
 
     The seeded draw is part of the contract.  Block pairs are drawn source
     block major: for source block i, then target block j, one
     standard_normal((2, n, n)) with n = dim K_j * dim H_i gives the real
-    parts of G and then its imaginary parts, and M_ji = G G† / n.  A fresh
-    draw after a singular marginal starts again at the first pair.  The
-    channel's bits and the generator's state afterwards are both part of
-    the contract, so gen's supermaps and check's trials stay the same
+    parts of G and then its imaginary parts, and M_ji = G G† / n.  A failed
+    attempt leaves the generator where the draws up to and including its
+    first failed source block left it, and the next attempt starts there.
+    The channel's bits and the generator's state afterwards are both part
+    of the contract, so gen's supermaps and check's trials stay the same
     between releases.
+
+    The source blocks of one dimension are drawn into one stack and
+    renormalised together (one batched GEMM per target block, one batched
+    eigh), each with the bits it would get alone.  So every pair of an
+    attempt is drawn before any column is judged, and a failed attempt
+    restores the generator and draws the pairs up to its first failed
+    source block again.
     """
     rng = _rng(seed)
-    for _ in range(max_attempts):
-        columns = []
-        refined = False
-        for dh in a.dims:
-            raw = []
-            for dk in b.dims:
-                g = _gaussian_matrix(rng, dk * dh, dk * dh)
-                raw.append(g @ dag(g) / (dk * dh))
-            col = _tp_renormalise(raw, b.dims, _marginal(raw, b.dims, dh))
-            if col is None:
-                break
-            marginal = _marginal(col, b.dims, dh)
-            if frob(marginal - np.eye(dh)) > DRAW_TP_TOL:
-                col = _tp_renormalise(col, b.dims, marginal)
-                refined = True
-            columns.append(col)
-        else:  # each residual was read above; a twice-renormalised column is checked again
-            return Channel(a, b, list(zip(*columns)), tol=DRAW_TP_TOL, validate=refined)
+    if len(a.dims) == 1:  # one source block: a stack of one, of views, and no replay
+        dh = a.dims[0]
+        for _ in range(max_attempts):
+            col, ok = _renormalised(
+                [_gaussian_matrix(rng, dk * dh, dk * dh)[None] for dk in b.dims], b.dims, dh
+            )
+            if ok[0]:
+                return Channel(a, b, col, validate=False)  # each stack of one is a row
+    else:
+        stacks = groups(a.dims)
+        slot = {i: x for ids in stacks.values() for x, i in enumerate(ids)}
+        for _ in range(max_attempts):
+            start = rng.bit_generator.state
+            draws = _draw(rng, a.dims, b.dims, stacks, slot)
+            columns, failed = {}, len(a.dims)
+            for dh, ids in stacks.items():
+                columns[dh], ok = _renormalised(draws[dh], b.dims, dh)
+                failed = min([failed] + [i for i, good in zip(ids, ok) if not good])
+            if failed == len(a.dims):
+                rows = [[columns[dh][j][slot[i]] for i, dh in enumerate(a.dims)]
+                        for j in range(len(b.dims))]
+                return Channel(a, b, rows, validate=False)
+            if failed < len(a.dims) - 1:  # leave the generator where the failed block's draws did
+                rng.bit_generator.state = start
+                for dh in a.dims[:failed + 1]:
+                    for dk in b.dims:
+                        rng.standard_normal((2, dk * dh, dk * dh))
     raise SingularMarginalError(
         f"no invertible marginal after {max_attempts} attempts"
     )
 
 
+def _draw(rng, source_dims, target_dims, stacks, slot):
+    """The Gaussian G of each block pair, drawn as _gaussian_matrix draws
+    one, source block major, into {dim H: one stack per target block}:
+    source block i at slot[i] of the stack of its dimension."""
+    draws = {dh: [np.empty((len(ids), dk * dh, dk * dh), dtype=complex) for dk in target_dims]
+             for dh, ids in stacks.items()}
+    for i, dh in enumerate(source_dims):
+        for g, dk in zip(draws[dh], target_dims):
+            pair = g[slot[i]]
+            pair.real, pair.imag = rng.standard_normal((2, dk * dh, dk * dh))
+    return draws
+
+
+def _renormalised(gs, dims, dh):
+    """From the draws G of a stack of source columns of dimension dh, one
+    stack per target block, their Choi blocks G G† / n renormalised, and a
+    list of which columns passed: an invertible marginal and a TP residual
+    at most DRAW_TP_TOL, after a second renormalisation if the first left
+    it above."""
+    col = [g @ dag(g) / (dk * dh) for g, dk in zip(gs, dims)]
+    col, ok = _tp_renormalise(col, dims, _marginal(col, dims, dh))
+    marginal = _marginal(col, dims, dh)
+    again = [x for x, r in enumerate(frobs(marginal - _identity(dh))) if r > DRAW_TP_TOL]
+    if again:
+        refined, ok_again = _tp_renormalise([m[again] for m in col], dims, marginal[again])
+        residuals = frobs(_marginal(refined, dims, dh) - _identity(dh))
+        for m, r in zip(col, refined):
+            m[again] = r
+        for x, good, r in zip(again, ok_again, residuals):
+            ok[x] = ok[x] and good and r <= DRAW_TP_TOL
+    return col, ok
+
+
+@lru_cache(maxsize=None)
+def _identity(d):
+    """The d x d identity the residual tests subtract, made once per d and
+    read-only."""
+    eye = np.eye(d, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def _marginal(col, dims, dh):
-    """sum_j Tr_target of one source block's Choi blocks, summed as is_tp sums."""
-    acc = np.zeros((dh, dh), dtype=complex)
+    """sum_j Tr_target of a stack of source columns' Choi blocks (one stack
+    per target block), summed per column as is_tp sums one."""
+    acc = np.zeros((len(col[0]), dh, dh), dtype=complex)
     for m, dk in zip(col, dims):
-        acc += np.einsum("rarb->ab", m.reshape(dk, dh, dk, dh))
+        acc += np.einsum("xrarb->xab", m.reshape(-1, dk, dh, dk, dh))
     return acc
 
 
 def _tp_renormalise(col, dims, marginal):
-    """Conjugate one source block's Choi blocks by Id (x) R^{-1/2}, with R
-    their marginal; None when R is near singular."""
-    root_inv = psd_root_inverse(marginal, MARGINAL_CUT)
-    if root_inv is None:
-        return None
-    dh = len(marginal)
+    """Conjugate a stack of source columns' Choi blocks by Id (x) R^{-1/2},
+    with R each column's marginal; also which R were invertible."""
+    root_inv, ok = psd_root_inverse(marginal, MARGINAL_CUT)
+    k, dh = marginal.shape[:2]
     out = []
     for m, dk in zip(col, dims):
-        fix = np.zeros((dk * dh, dk * dh), dtype=complex)
+        fix = np.zeros((k, dk * dh, dk * dh), dtype=complex)
         for r in range(0, dk * dh, dh):
-            fix[r:r + dh, r:r + dh] = root_inv
+            fix[:, r:r + dh, r:r + dh] = root_inv
         out.append(fix @ m @ dag(fix))
-    return out
+    return out, ok
 
 
 def random_supermap_from_circuit(

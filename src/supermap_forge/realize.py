@@ -52,7 +52,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from ._linalg import dag, frob, herm_part
+from ._linalg import dag, frob, groups, herm_part, stack
 from .algebra import MultiMatrixAlgebra
 from .cpmaps import (
     Channel, CpMap, KrausDecomposition, _eigh_kraus, _eigh_rows, _not_cp,
@@ -389,43 +389,41 @@ def realize(s: Supermap, tol: float = VERIFY_TOL) -> CircuitRealisation:
 # -- circuit evaluation --------------------------------------------------------
 
 
-def _circuit_choi(
-    e: CpMap,
-    g: CpMap,
-    p_dim: int,
-    a: MultiMatrixAlgebra,
-    b: MultiMatrixAlgebra,
-    c: MultiMatrixAlgebra,
-    d: MultiMatrixAlgebra,
-) -> CpMap:
+def _circuit_choi(e: CpMap, g: CpMap, p_dim: int, hom_ab: HomAlgebra, hom_cd: HomAlgebra) -> CpMap:
     """Choi family Hom(A, B) -> Hom(C, D) of the circuit E -> slot -> G.
 
     The link product over the memory P: block ((l, k), (j, i)) contracts G's
     block (l, (i, j, k)), as an (o c O d) x (p P) matrix, with E's block
-    (i, k), as a (p P) x (a q b Q) matrix: one GEMM per block pair, then one
-    transpose to (o q c a, O Q d b).  No positivity check.
+    (i, k), as a (p P) x (a q b Q) matrix, then transposes to
+    (o q c a, O Q d b).  The block pairs of one (d_l, d_k, d_j, d_i) form a
+    stack: one batched GEMM and one transpose per stack, with the bits each
+    pair gets alone.  No positivity check.
     """
-    hom_ab = hom_algebra(a, b)
-    hom_cd = hom_algebra(c, d)
+    a, b = hom_ab.in_algebra, hom_ab.out_algebra
+    c, d = hom_cd.in_algebra, hom_cd.out_algebra
     nb, nc = len(b), len(c)
-    pp = p_dim * p_dim
-    e_mats = {(i, k): e.choi(i, k).reshape(p_dim, dhi * dk, p_dim, dhi * dk)
+    p, pp = p_dim, p_dim * p_dim
+    e_mats = {(i, k): e.choi(i, k).reshape(p, dhi * dk, p, dhi * dk)
               .transpose(0, 2, 1, 3).reshape(pp, -1)
               for i, dhi in enumerate(a.dims) for k, dk in enumerate(c.dims)}
-    blocks = []
-    for l, k in hom_cd.pairs:
-        dl, dk = d.dims[l], c.dims[k]
-        row = []
-        for j, i in hom_ab.pairs:
-            dhj, dhi = b.dims[j], a.dims[i]
-            g_mat = g.choi(l, _g_source_index(i, j, k, nb, nc)).reshape(
-                dl, p_dim, dhj, dl, p_dim, dhj
-            ).transpose(0, 2, 3, 5, 1, 4).reshape(-1, pp)
-            s8 = (g_mat @ e_mats[(i, k)]).reshape(dl, dhj, dl, dhj, dhi, dk, dhi, dk)
-            n = dl * dk * dhj * dhi
-            row.append(s8.transpose(0, 5, 1, 4, 2, 7, 3, 6).reshape(n, n))
-        blocks.append(row)
-    return CpMap(hom_ab.base, hom_cd.base, blocks)
+    pairs = [(l, k, j, i) for l, k in hom_cd.pairs for j, i in hom_ab.pairs]
+    blocks = [None] * len(pairs)
+    for (dl, dk, dj, di), ids in groups(
+        [(d.dims[l], c.dims[k], b.dims[j], a.dims[i]) for l, k, j, i in pairs]
+    ).items():
+        members = [pairs[t] for t in ids]
+        g_mats = stack([g.choi(l, _g_source_index(i, j, k, nb, nc))
+                        .reshape(dl, p, dj, dl, p, dj).transpose(0, 2, 3, 5, 1, 4)
+                        for l, k, j, i in members]).reshape(len(ids), -1, pp)
+        s9 = (g_mats @ stack([e_mats[i, k] for _, k, _, i in members])).reshape(
+            -1, dl, dj, dl, dj, di, dk, di, dk)
+        n = dl * dk * dj * di
+        s = s9.transpose(0, 1, 6, 2, 5, 3, 8, 4, 7).reshape(-1, n, n)
+        for t, m in zip(ids, s):
+            blocks[t] = m
+    row = len(hom_ab.pairs)
+    return CpMap(hom_ab.base, hom_cd.base,
+                 [blocks[r:r + row] for r in range(0, len(blocks), row)])
 
 
 def circuit_supermap(
@@ -441,7 +439,8 @@ def circuit_supermap(
 
     No positivity check: verify_deterministic decides whether it is CP.
     """
-    return Supermap(_circuit_choi(e, g, p_dim, a, b, c, d), hom_algebra(a, b), hom_algebra(c, d))
+    hom_ab, hom_cd = hom_algebra(a, b), hom_algebra(c, d)
+    return Supermap(_circuit_choi(e, g, p_dim, hom_ab, hom_cd), hom_ab, hom_cd)
 
 
 def _circuit_parts(r: CircuitRealisation):

@@ -29,9 +29,15 @@ The stacked layers must give the same bits.
 ``random_channel`` and ``_tp_renormalise`` are gen's channel sampler as it
 was written before its draws were taken one per block pair and its
 Id (x) R^{-1/2} written block by block: two Gaussian draws per block pair,
-``np.kron`` for the conjugation, and the TP residual read from a throwaway
-``Channel``.  The package's sampler must give the same bits and leave the
-generator in the same state.
+``np.kron`` for the conjugation, one source block at a time, each column's
+TP residual read from a throwaway one-column ``Channel``, and
+``psd_root_inverse`` on one marginal at a time.  A column whose marginal is
+singular, or whose residual exceeds 1e-10 after its second
+renormalisation, ends the attempt there.  The package's sampler, which
+draws and renormalises stacks of equal-size source blocks, must give the
+same bits and leave the generator in the same state.
+``circuit_choi_per_pair`` is gen's link product as it was written before
+its block pairs were stacked: one GEMM and one transpose per block pair.
 
 The package holds a CP map by its Choi blocks alone.  Stinespring dilations
 (``StinespringDilation``, ``minimal_stinespring``, the least-squares
@@ -48,7 +54,7 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 import numpy as np
 
 from supermap_forge._linalg import (
-    dag, frob, herm_part, hermitian_basis, matrix_unit, psd_root_inverse,
+    dag, frob, herm_part, hermitian_basis, matrix_unit,
 )
 from supermap_forge.algebra import (
     DEFAULT_TOL, BlockOperator, MultiMatrixAlgebra, PositivityWitness, _psd_block, is_positive,
@@ -61,7 +67,9 @@ from supermap_forge.errors import (
     AlgebraMismatchError, NotPositiveError, ShapeMismatchError, SingularMarginalError,
     SupermapForgeError,
 )
-from supermap_forge.supermap import HomAlgebra, Supermap, _n_and_phi, embed_with_out_identity
+from supermap_forge.supermap import (
+    HomAlgebra, Supermap, _n_and_phi, embed_with_out_identity, hom_algebra,
+)
 
 
 class NotMinimalError(SupermapForgeError):
@@ -519,6 +527,9 @@ def min_gram_eig_per_pair(kd: KrausDecomposition) -> float:
 
 # -- the reference channel sampler ---------------------------------------------
 
+# the relative cut on a marginal's smallest eigenvalue, as gen.MARGINAL_CUT
+MARGINAL_CUT = 1e-12
+
 
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -536,11 +547,11 @@ def random_channel(
     """Random PSD Choi blocks renormalised to satisfy trace preservation.
 
     Per source block i the marginal R_i = sum_j Tr_target M_ji is inverted
-    as R_i^{-1/2}; a singular marginal triggers a fresh draw, and after
-    max_attempts failures SingularMarginalError is raised.  R_i^{-1/2} loses
-    accuracy with R_i's condition number, so a source block whose TP
-    residual then exceeds 1e-10 is renormalised once more, by its new
-    marginal.
+    as R_i^{-1/2}.  R_i^{-1/2} loses accuracy with R_i's condition number,
+    so a source block whose TP residual then exceeds 1e-10 is renormalised
+    once more, by its new marginal.  A singular marginal, or a residual
+    still above 1e-10, ends the attempt at that source block and triggers a
+    fresh draw; after max_attempts failures SingularMarginalError is raised.
     """
     rng = _rng(seed)
     for _ in range(max_attempts):
@@ -551,20 +562,24 @@ def random_channel(
                 g = _gaussian_matrix(rng, dk * dh, dk * dh)
                 raw.append(g @ dag(g) / (dk * dh))
             col = _tp_renormalise(raw, b.dims, dh)
+            if col is not None and _tp_residual(col, b, dh) > 1e-10:
+                col = _tp_renormalise(col, b.dims, dh)
+                if col is not None and _tp_residual(col, b, dh) > 1e-10:
+                    col = None
             if col is None:
                 break
             columns.append(col)
         else:
-            ch = Channel(a, b, list(zip(*columns)), validate=False)
-            report = is_tp(ch, 1e-10)
-            if report:
-                return ch
-            columns = [_tp_renormalise(col, b.dims, dh) if res > 1e-10 else col
-                       for col, dh, res in zip(columns, a.dims, report.residuals)]
             return Channel(a, b, list(zip(*columns)), tol=1e-10)
     raise SingularMarginalError(
         f"no invertible marginal after {max_attempts} attempts"
     )
+
+
+def _tp_residual(col, b, dh):
+    """is_tp's residual of one source block's column of Choi blocks."""
+    one = Channel(MultiMatrixAlgebra.single(dh, "h"), b, [[m] for m in col], validate=False)
+    return is_tp(one).residuals[0]
 
 
 def _tp_renormalise(col, dims, dh):
@@ -573,8 +588,58 @@ def _tp_renormalise(col, dims, dh):
     marginal = np.zeros((dh, dh), dtype=complex)
     for m, dk in zip(col, dims):
         marginal += np.einsum("rarb->ab", m.reshape(dk, dh, dk, dh))
-    root_inv = psd_root_inverse(marginal, 1e-12)
+    root_inv = psd_root_inverse(marginal, MARGINAL_CUT)
     if root_inv is None:
         return None
     fixes = [np.kron(np.eye(dk, dtype=complex), root_inv) for dk in dims]
     return [fix @ m @ dag(fix) for fix, m in zip(fixes, col)]
+
+
+def psd_root_inverse(m: np.ndarray, tol: float) -> np.ndarray:
+    """Inverse square root of a Hermitian PSD matrix; None if near singular."""
+    w, v = np.linalg.eigh(herm_part(m))
+    if w.min() <= tol * max(w.max(), 1.0):
+        return None
+    return (v * (1.0 / np.sqrt(w))) @ dag(v)
+
+
+# -- the reference link product --------------------------------------------------
+
+
+def circuit_choi_per_pair(
+    e: CpMap,
+    g: CpMap,
+    p_dim: int,
+    a: MultiMatrixAlgebra,
+    b: MultiMatrixAlgebra,
+    c: MultiMatrixAlgebra,
+    d: MultiMatrixAlgebra,
+) -> CpMap:
+    """Choi family Hom(A, B) -> Hom(C, D) of the circuit E -> slot -> G.
+
+    The link product over the memory P: block ((l, k), (j, i)) contracts G's
+    block (l, (i, j, k)), as an (o c O d) x (p P) matrix, with E's block
+    (i, k), as a (p P) x (a q b Q) matrix: one GEMM per block pair, then one
+    transpose to (o q c a, O Q d b).  No positivity check.
+    """
+    hom_ab = hom_algebra(a, b)
+    hom_cd = hom_algebra(c, d)
+    nb, nc = len(b), len(c)
+    pp = p_dim * p_dim
+    e_mats = {(i, k): e.choi(i, k).reshape(p_dim, dhi * dk, p_dim, dhi * dk)
+              .transpose(0, 2, 1, 3).reshape(pp, -1)
+              for i, dhi in enumerate(a.dims) for k, dk in enumerate(c.dims)}
+    blocks = []
+    for l, k in hom_cd.pairs:
+        dl, dk = d.dims[l], c.dims[k]
+        row = []
+        for j, i in hom_ab.pairs:
+            dhj, dhi = b.dims[j], a.dims[i]
+            g_mat = g.choi(l, (i * nb + j) * nc + k).reshape(
+                dl, p_dim, dhj, dl, p_dim, dhj
+            ).transpose(0, 2, 3, 5, 1, 4).reshape(-1, pp)
+            s8 = (g_mat @ e_mats[(i, k)]).reshape(dl, dhj, dl, dhj, dhi, dk, dhi, dk)
+            n = dl * dk * dhj * dhi
+            row.append(s8.transpose(0, 5, 1, 4, 2, 7, 3, 6).reshape(n, n))
+        blocks.append(row)
+    return CpMap(hom_ab.base, hom_cd.base, blocks)

@@ -248,21 +248,58 @@ def _count_calls(monkeypatch, module, name):
 _DIMS = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
 
 
+def _generator(kind, seed):
+    """The seed as random_channel takes it: the integer itself, or a
+    Generator on numpy's default bit generator or on Philox."""
+    if kind == "pcg":
+        return np.random.default_rng(seed)
+    if kind == "philox":
+        return np.random.Generator(np.random.Philox(seed))
+    return seed
+
+
+def _state(rng):
+    """A generator's bit_generator.state with its arrays (Philox's) as lists,
+    so that two states compare with ==."""
+    return {k: _state_value(v) for k, v in rng.bit_generator.state.items()}
+
+
+def _state_value(v):
+    if isinstance(v, dict):
+        return {k: _state_value(x) for k, x in v.items()}
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(source=_DIMS, target=_DIMS, seed=st.integers(0, 2**32 - 1), as_generator=st.booleans())
-def test_random_channel_draws_what_the_reference_sampler_draws(source, target, seed,
-                                                                as_generator):
+@given(source=st.lists(st.integers(1, 4), min_size=1, max_size=6).map(tuple), target=_DIMS,
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["int", "pcg", "philox"]))
+def test_random_channel_draws_what_the_reference_sampler_draws(source, target, seed, kind):
     # the sampler's bits and the generator's state afterwards are its
-    # contract: gen's supermaps and check's trials are drawn through it
+    # contract: gen's supermaps and check's trials are drawn through it.
+    # Up to 6 source blocks, so that stacks of equal-size blocks form
     a = MultiMatrixAlgebra.from_dims(source, "a")
     b = MultiMatrixAlgebra.from_dims(target, "b")
-    seeds = [np.random.default_rng(seed) if as_generator else seed for _ in range(2)]
+    seeds = [_generator(kind, seed) for _ in range(2)]
     ch = gen.random_channel(a, b, seed=seeds[0])
     _assert_same_draw(ch, oracles.random_channel(a, b, seed=seeds[1]))
-    if as_generator:
-        assert seeds[0].bit_generator.state == seeds[1].bit_generator.state
+    if kind != "int":
+        assert _state(seeds[0]) == _state(seeds[1])
     assert sf.is_cp(ch, DEFAULT_TOL)
     assert sf.is_tp(ch, gen.DRAW_TP_TOL)
+
+
+def _renormalised_columns(monkeypatch, module):
+    """How many source columns module's _tp_renormalise conjugates: gen's
+    takes a stack of them, the reference's one."""
+    counts = []
+    f = module._tp_renormalise
+
+    def counted(col, dims, marginal):
+        counts.append(len(col[0]) if module is gen else 1)
+        return f(col, dims, marginal)
+
+    monkeypatch.setattr(module, "_tp_renormalise", counted)
+    return counts
 
 
 def test_random_channel_renormalises_twice_as_the_reference_does(monkeypatch):
@@ -274,13 +311,13 @@ def test_random_channel_renormalises_twice_as_the_reference_does(monkeypatch):
     d = MultiMatrixAlgebra.from_dims((1,), "d")
     e_target, g_source = memory_target_algebra(a, 2), g_source_algebra(a, b, c, 2)
     seed = 4168864924
-    calls = [_count_calls(monkeypatch, m, "_tp_renormalise") for m in (gen, oracles)]
+    counts = [_renormalised_columns(monkeypatch, m) for m in (gen, oracles)]
     draws = []
     for sampler in (gen.random_channel, oracles.random_channel):
         rng = np.random.default_rng(seed)
         draws.append((sampler(c, e_target, seed=rng), sampler(g_source, d, seed=rng),
                       rng.bit_generator.state))
-    assert len(calls[0]) == len(calls[1]) == len(c) + len(g_source) + 1
+    assert sum(counts[0]) == sum(counts[1]) == len(c) + len(g_source) + 1
     (e, g, state), (ref_e, ref_g, ref_state) = draws
     _assert_same_draw(e, ref_e)
     _assert_same_draw(g, ref_g)
@@ -290,31 +327,61 @@ def test_random_channel_renormalises_twice_as_the_reference_does(monkeypatch):
     _assert_same_draw(pieces_g, g)
 
 
+def test_random_channel_redraws_a_column_that_renormalisation_cannot_fix():
+    # the failing column's marginal has condition number 3.6e7: its residual
+    # is 4.40e-9 after one renormalisation and 3.50e-10 after each further
+    # one, so the attempt fails and a fresh draw starts
+    algebras = [MultiMatrixAlgebra.from_dims(dims, name) for dims, name in
+                (((1, 2), "a"), ((2, 1), "b"), ((1, 1), "c"), ((1,), "d"))]
+    s = gen.random_supermap_from_circuit(*algebras, p_dim=2, seed=325696996)
+    assert sf.verify_deterministic(s).verdict
+    a, b, c, d = algebras
+    g_source = g_source_algebra(a, b, c, 2)
+    rngs = [np.random.default_rng(325696996) for _ in range(2)]
+    for sampler, rng in zip((gen.random_channel, oracles.random_channel), rngs):
+        sampler(c, memory_target_algebra(a, 2), seed=rng)
+    g = gen.random_channel(g_source, d, seed=rngs[0])
+    _assert_same_draw(g, oracles.random_channel(g_source, d, seed=rngs[1]))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def _singular(monkeypatch, module, singular):
-    """Make module's psd_root_inverse report its k-th marginal (from 1)
-    singular when singular(k); returns the cuts it was called with."""
+    """Make module's psd_root_inverse report the k-th marginal it judges
+    (from 1) singular when singular(k); returns the cut it judged each at.
+    gen's judges a stack of marginals at a time, the reference's one."""
     cuts = []
     root_inverse = module.psd_root_inverse
 
-    def patched(m, cut):
+    def stacked(m, cut):
+        root_inv, ok = root_inverse(m, cut)
+        first = len(cuts) + 1
+        cuts.extend([cut] * len(m))
+        return root_inv, [good and not singular(k) for k, good in enumerate(ok, first)]
+
+    def one(m, cut):
         cuts.append(cut)
         return None if singular(len(cuts)) else root_inverse(m, cut)
 
-    monkeypatch.setattr(module, "psd_root_inverse", patched)
+    monkeypatch.setattr(module, "psd_root_inverse", stacked if module is gen else one)
     return cuts
 
 
 def test_random_channel_redraws_after_a_singular_marginal_as_the_reference_does(monkeypatch):
-    a = MultiMatrixAlgebra.from_dims((2, 1), "a")
+    # both samplers judge the source blocks in order here: the stack of the
+    # 2 x 2 block, then that of the two 1 x 1 blocks
+    a = MultiMatrixAlgebra.from_dims((2, 1, 1), "a")
     b = MultiMatrixAlgebra.from_dims((1, 3), "b")
-    # the second source block's marginal fails after the first one's column
-    # was renormalised; the fresh draw starts again at the first pair
+    # the second source block's marginal fails; the fresh draw starts where
+    # the draws of the first two source blocks left the generator, so gen
+    # restores it and draws those again
     cuts = [_singular(monkeypatch, m, lambda k: k == 2) for m in (gen, oracles)]
     rngs = [np.random.default_rng(7) for _ in range(2)]
     ch = gen.random_channel(a, b, seed=rngs[0])
     _assert_same_draw(ch, oracles.random_channel(a, b, seed=rngs[1]))
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-    assert cuts[0] == cuts[1] == [gen.MARGINAL_CUT] * 4
+    # gen judged the third block of the failed attempt too; the reference stopped
+    assert cuts[0] == [gen.MARGINAL_CUT] * 6
+    assert cuts[1] == [oracles.MARGINAL_CUT] * 5
     assert sf.is_tp(ch, gen.DRAW_TP_TOL)
 
     cuts = [_singular(monkeypatch, m, lambda k: True) for m in (gen, oracles)]
@@ -326,4 +393,48 @@ def test_random_channel_redraws_after_a_singular_marginal_as_the_reference_does(
         errors.append(str(info.value))
     assert errors[0] == errors[1] == "no invertible marginal after 3 attempts"
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-    assert len(cuts[0]) == len(cuts[1]) == 3
+    assert len(cuts[0]) == 3 * len(a) and len(cuts[1]) == 3
+
+
+@pytest.mark.parametrize("cut", [0.05, 0.2, 0.4])
+def test_random_channel_redraws_as_the_reference_does_at_a_high_cut(monkeypatch, cut):
+    # a cut this high fails many marginals, at every position of a stack:
+    # each draw either returns the reference's bits or raises as it does,
+    # and leaves the generator where the reference leaves it
+    monkeypatch.setattr(gen, "MARGINAL_CUT", cut)
+    monkeypatch.setattr(oracles, "MARGINAL_CUT", cut)
+    rng = np.random.default_rng(int(cut * 100))
+    outcomes = set()
+    for _ in range(300):
+        a, b = (MultiMatrixAlgebra.from_dims(tuple(int(x) for x in rng.integers(1, 4, size=n)),
+                                             name)
+                for n, name in ((rng.integers(1, 7), "a"), (rng.integers(1, 4), "b")))
+        seed = int(rng.integers(0, 2**32))
+        rngs = [_generator("philox" if seed % 2 else "pcg", seed) for _ in range(2)]
+        draws = []
+        for sampler, g in zip((gen.random_channel, oracles.random_channel), rngs):
+            try:
+                draws.append(sampler(a, b, seed=g, max_attempts=4))
+            except sf.SingularMarginalError as e:
+                draws.append(str(e))
+        if isinstance(draws[0], str):
+            assert draws[0] == draws[1]
+        else:
+            _assert_same_draw(*draws)
+        assert _state(rngs[0]) == _state(rngs[1])
+        outcomes.add(isinstance(draws[0], str))
+    assert outcomes == {False, True}
+
+
+def test_a_g_draw_of_equal_size_source_blocks_runs_one_eigh(monkeypatch):
+    # G's source blocks all have dimension p_dim * 2 when B's blocks are all
+    # M2: their marginals are inverted by one eigh, on a stack of all of them
+    a = MultiMatrixAlgebra.from_dims((1, 2), "a")
+    b = MultiMatrixAlgebra.from_dims((2, 2), "b")
+    c = MultiMatrixAlgebra.from_dims((1, 1, 2), "c")
+    d = MultiMatrixAlgebra.from_dims((2, 1), "d")
+    g_source = g_source_algebra(a, b, c, 2)
+    assert set(g_source.dims) == {4} and len(g_source) == 12
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    gen.random_channel(g_source, d, seed=11)
+    assert [m.shape for m, in eigh] == [(12, 4, 4)]

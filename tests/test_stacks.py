@@ -1,5 +1,5 @@
-"""Verify and realize on stacks of equal-shape blocks give the bits of the
-block-by-block layers kept in tests/oracles.py.
+"""Verify, realize and gen's link product on stacks of equal-shape blocks
+give the bits of the block-by-block layers kept in tests/oracles.py.
 
 The PSD rule, N and Phi, the kernel residual, N's Kraus family and the
 Gram eigenvalues run on stacks of equal-shape Choi blocks; the unitality
@@ -8,7 +8,9 @@ with block dims 1-4, 1-3 blocks per algebra and p_dim 1-3, on exact,
 pushed, non-finite and non-Hermitian supermaps, the verdicts, witnesses, N,
 Phi, E, G, p_dim, gram_min_eig and W's figures must be bit for bit those of
 the per-block references, and the two residuals within the bounds the
-README states.
+README states.  gen's supermap, the link product of its E and G formed on
+stacks of the block pairs of one (d_l, d_k, d_j, d_i), must be bit for bit
+the one-GEMM-per-pair reference's.
 """
 
 import numpy as np
@@ -22,8 +24,8 @@ from supermap_forge.cpmaps import _eigh_kraus, _eigh_rows, hs_dual
 from supermap_forge.realize import _cholesky_rows, assemble_e, assemble_g
 from supermap_forge.supermap import VERIFY_TOL
 from oracles import (
-    eigh_kraus_per_block, is_cp_per_block, kernel_residual_per_block, min_gram_eig_per_pair,
-    n_and_phi_per_pair, unital_residual_via_apply,
+    circuit_choi_per_pair, eigh_kraus_per_block, is_cp_per_block, kernel_residual_per_block,
+    min_gram_eig_per_pair, n_and_phi_per_pair, unital_residual_via_apply,
 )
 
 EPS = np.finfo(float).eps
@@ -165,6 +167,18 @@ def test_stacked_layers_give_the_per_block_bits(seed):
         assert all(_same_bits(r.e_kraus[key], u) for key, u in e_ref.items()), name
         w = sf.solve_w(kd_ref, phi_ref, s.source_hom)
         assert _same_cp_map(r.g_channel, assemble_g(s, w, p_ref)), name
+
+
+@pytest.mark.parametrize("seed", range(len(SHAPES)), ids=[str(d) for d, _ in SHAPES])
+def test_link_product_gives_the_per_pair_bits(seed):
+    # gen's supermap is the link product of its E and G, formed on stacks of
+    # the block pairs of one (d_l, d_k, d_j, d_i)
+    dims, p_dim = SHAPES[seed]
+    algs = [MultiMatrixAlgebra.from_dims(x, lbl) for x, lbl in zip(dims, "abcd")]
+    s, e, g = gen.random_circuit_pieces(*algs, p_dim=p_dim, seed=seed)
+    ref = circuit_choi_per_pair(e, g, p_dim, *algs)
+    assert (s.inner.source, s.inner.target) == (ref.source, ref.target)
+    assert _same_cp_map(s.inner, ref)
 
 
 def test_the_shapes_reach_four_dim_blocks_three_blocks_and_stacks():
